@@ -42,7 +42,6 @@ from .projection import (
 )
 from .solvers import (
     DEFAULT_SEED,
-    ConvergenceTrace,
     ProblemInstance,
     SolveConfig,
     SolveResult,
@@ -57,7 +56,6 @@ from .solvers import (
 )
 from .submodular import (
     SubmodularAtom,
-    WeightMatrix,
     base_polytope_contains,
     directed_hyperedge_cut,
     evaluate,
@@ -74,7 +72,6 @@ __all__ = [
     "__version__",
     # submodular components
     "SubmodularAtom",
-    "WeightMatrix",
     "graph_edge_cut",
     "hyperedge_cut",
     "directed_hyperedge_cut",
@@ -97,7 +94,6 @@ __all__ = [
     "ProblemInstance",
     "SolveConfig",
     "SolveResult",
-    "ConvergenceTrace",
     "TraceRow",
     "solve",
     "rcd_solve",

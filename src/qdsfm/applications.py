@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .solvers import ProblemInstance, SolveConfig, solve
-from .submodular import SubmodularAtom, WeightMatrix, hyperedge_cut
+from .solvers import ProblemInstance, SolveConfig, SolveResult, solve
+from .submodular import SubmodularAtom, as_diagonal, hyperedge_cut
 
 __all__ = [
     "Hypergraph",
@@ -124,17 +124,6 @@ class LabeledDataset:
         return a
 
 
-def _as_weights(w, n: int) -> np.ndarray:
-    if w is None:
-        return np.ones(n)
-    if isinstance(w, WeightMatrix):
-        return w.diag
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"weights have shape {arr.shape}, expected ({n},)")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # label propagation
 
@@ -194,13 +183,16 @@ def ssl_score_matrix(
     beta: float,
     normalization: str = "degree",
     config: SolveConfig = SolveConfig(),
-) -> np.ndarray:
-    """Solve one score problem per class; row k holds the class-k scores."""
+) -> tuple[np.ndarray, list[SolveResult]]:
+    """Solve one score problem per class; returns (scores, results) with the
+    class-k scores in row k and the class-k solve in ``results[k]``."""
     scores = np.zeros((ds.num_classes, hg.n))
+    results = []
     for k in range(ds.num_classes):
         instance, _ = build_ssl_instance(hg, ds, k, beta, normalization)
-        scores[k] = solve(instance, config).x
-    return scores
+        results.append(solve(instance, config))
+        scores[k] = results[k].x
+    return scores, results
 
 
 def argmax_classify(scores: np.ndarray) -> np.ndarray:
@@ -309,7 +301,7 @@ def cheeger_sweep(hg: Hypergraph, w, x) -> SweepCut:
         raise ValueError("cannot sweep a hypergraph with no hyperedges")
     if hg.n < 2:
         raise ValueError("need at least two vertices to form a cut")
-    wdiag = _as_weights(w, hg.n)
+    wdiag = as_diagonal(w, hg.n)
     scores = np.asarray(x, dtype=float) / np.sqrt(wdiag)
     order = np.argsort(-scores, kind="stable")
 

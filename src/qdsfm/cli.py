@@ -19,7 +19,6 @@ WARNING and can be overridden with the ``QDSFM_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -31,8 +30,8 @@ import numpy as np
 from . import applications as apps
 from . import io as qio
 from .io import InputError
-from .projection import ProjectionParams, project_cone
-from .solvers import DEFAULT_SEED, SolveConfig, solve
+from .projection import ORACLES, ProjectionParams, project_cone
+from .solvers import ALGORITHMS, DEFAULT_SEED, SolveConfig, solve
 
 logger = logging.getLogger("qdsfm")
 
@@ -67,9 +66,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for round-based solves"
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress informational logging"
     )
 
@@ -77,7 +73,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--algorithm",
-        choices=("rcd", "ap"),
+        choices=ALGORITHMS,
         default="rcd",
         help="coordinate descent (rcd) or alternating projections (ap)",
     )
@@ -103,11 +99,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--wall-clock-limit",
         type=float,
         default=None,
-        help="stop after this many seconds (checked at checkpoints)",
+        help="stop after this many seconds (checked per rcd projection or ap round)",
     )
     parser.add_argument(
         "--projection",
-        choices=("auto", "exact", "mnp", "fw"),
+        choices=ORACLES,
         default="auto",
         help="per-component projection oracle",
     )
@@ -124,20 +120,9 @@ def _solver_config(args: argparse.Namespace, **overrides) -> SolveConfig:
         seed=args.seed,
         projection=getattr(args, "projection", "auto"),
         delta=getattr(args, "delta", 1e-10),
-        threads=args.threads,
     )
     fields.update(overrides)
     return SolveConfig(**fields)
-
-
-def _emit_json(payload, path: str | None) -> None:
-    if path is None:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
-            f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     instance = qio.load_instance(args.instance)
     config = _solver_config(args)
     result = solve(instance, config)
-    if args.solution:
-        qio.write_solution(result, args.solution)
+    qio.write_solution(result, args.solution)
     if args.trace:
         qio.write_trace(result.trace, args.trace)
     logger.info(
@@ -159,16 +143,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result.iterations,
         result.converged,
     )
-    if not args.solution:
-        _emit_json(
-            {
-                "x": [float(v) for v in result.x],
-                "gap": float(result.gap),
-                "iters": int(result.iterations),
-                "converged": bool(result.converged),
-            },
-            None,
-        )
     return EXIT_OK if result.converged else EXIT_BUDGET
 
 
@@ -194,7 +168,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         "h": float(report.h),
         "certificate": float(report.certificate),
     }
-    _emit_json(payload, None)
+    qio.write_json(payload, None)
     return EXIT_OK if report.converged else EXIT_BUDGET
 
 
@@ -232,24 +206,12 @@ def cmd_ssl(args: argparse.Namespace) -> int:
 
     config = _solver_config(args)
     wdiag = hg.degrees if args.normalization == "degree" else np.ones(hg.n)
-    k_classes = ds.num_classes
-    scores = np.zeros((k_classes, hg.n))
-    gaps = []
-    iters = 0
-    all_converged = True
-    last = None
     t0 = time.perf_counter()
-    for k in range(k_classes):
-        inst, _ = apps.build_ssl_instance(hg, ds, k, args.beta, args.normalization)
-        res = solve(inst, config)
-        scores[k] = res.x
-        gaps.append(res.gap)
-        iters += res.iterations
-        all_converged = all_converged and res.converged
-        last = res
+    scores, results = apps.ssl_score_matrix(hg, ds, args.beta, args.normalization, config)
     seconds = time.perf_counter() - t0
+    gaps = [res.gap for res in results]
 
-    if k_classes == 2:
+    if ds.num_classes == 2:
         sweep = apps.cheeger_sweep(hg, wdiag, np.sqrt(wdiag) * scores[1])
         labels = sweep.labels(prefix_class=1)
         c_value: float | None = float(sweep.conductance)
@@ -262,18 +224,18 @@ def cmd_ssl(args: argparse.Namespace) -> int:
         "classification_error": error,
         "c_value": c_value,
         "gap": float(max(gaps)),
-        "iters": int(iters),
+        "iters": int(sum(res.iterations for res in results)),
         "seconds": float(seconds),
         "labels": [int(v) for v in labels],
         "scores": [[float(v) for v in row] for row in scores],
     }
-    _emit_json(payload, args.output)
-    if args.trace and last is not None:
-        qio.write_trace(last.trace, args.trace)
+    qio.write_json(payload, args.output)
+    if args.trace:
+        qio.write_trace(results[-1].trace, args.trace)
     logger.info(
-        "ssl: %d classes, worst gap %.3e, error %s", k_classes, max(gaps), error
+        "ssl: %d classes, worst gap %.3e, error %s", ds.num_classes, max(gaps), error
     )
-    return EXIT_OK if all_converged else EXIT_BUDGET
+    return EXIT_OK if all(res.converged for res in results) else EXIT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +263,7 @@ def cmd_pagerank(args: argparse.Namespace) -> int:
         "converged": bool(result.converged),
         "residual": float(residual),
     }
-    _emit_json(payload, args.solution)
+    qio.write_json(payload, args.solution)
     if args.trace:
         qio.write_trace(result.trace, args.trace)
     logger.info("pagerank: residual %.3e, gap %.3e", residual, result.gap)
@@ -320,9 +282,9 @@ def _parse_method_tokens(raw: str) -> list[tuple[str, str, str]]:
     for token in tokens:
         algorithm, _, projection = token.partition(":")
         projection = projection or "auto"
-        if algorithm not in ("rcd", "ap"):
+        if algorithm not in ALGORITHMS:
             raise InputError(f"method {token!r}: unknown algorithm {algorithm!r}")
-        if projection not in ("auto", "exact", "mnp", "fw"):
+        if projection not in ORACLES:
             raise InputError(f"method {token!r}: unknown projection {projection!r}")
         out.append((token, algorithm, projection))
     return out
@@ -385,7 +347,7 @@ def build_parser() -> _Parser:
     )
     p_proj.add_argument(
         "--method",
-        choices=("auto", "exact", "mnp", "fw"),
+        choices=ORACLES,
         default="auto",
         help="projection oracle (auto: exact for cuts, active-set otherwise)",
     )

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
 from .applications import Hypergraph, LabeledDataset
-from .solvers import ConvergenceTrace, ProblemInstance, SolveResult, TraceRow
+from .solvers import ProblemInstance, SolveResult, TraceRow
 from .submodular import (
     SubmodularAtom,
     directed_hyperedge_cut,
@@ -48,6 +49,7 @@ __all__ = [
     "load_schema",
     "load_table_rows",
     "load_vector",
+    "write_json",
     "write_solution",
     "read_solution",
     "write_trace",
@@ -70,7 +72,12 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _dump_json(payload: Any, path: str) -> None:
+def write_json(payload: Any, path: str | None) -> None:
+    """Write ``payload`` as one line of JSON to ``path``, or to stdout if None."""
+    if path is None:
+        json.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+        return
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
         f.write("\n")
@@ -190,7 +197,7 @@ def save_instance(instance: ProblemInstance, path: str) -> None:
         "w": [float(v) for v in instance.w],
         "atoms": [atom_to_json(atom) for atom in instance.atoms],
     }
-    _dump_json(payload, path)
+    write_json(payload, path)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def save_hypergraph(hypergraph: Hypergraph, path: str) -> None:
         "n": int(hypergraph.n),
         "edges": [atom_to_json(atom) for atom in hypergraph.edges],
     }
-    _dump_json(payload, path)
+    write_json(payload, path)
 
 
 def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDataset:
@@ -285,14 +292,14 @@ def load_vector(path: str, n: int, what: str = "vector") -> np.ndarray:
 # Results
 
 
-def write_solution(result: SolveResult, path: str) -> None:
+def write_solution(result: SolveResult, path: str | None) -> None:
     payload = {
         "x": [float(v) for v in result.x],
         "gap": float(result.gap),
         "iters": int(result.iterations),
         "converged": bool(result.converged),
     }
-    _dump_json(payload, path)
+    write_json(payload, path)
 
 
 def read_solution(path: str) -> dict[str, Any]:
@@ -321,8 +328,8 @@ def write_trace(trace: Iterable[TraceRow], path: str) -> None:
             )
 
 
-def read_trace(path: str) -> ConvergenceTrace:
-    trace = ConvergenceTrace()
+def read_trace(path: str) -> list[TraceRow]:
+    trace = []
     try:
         with open(path, encoding="utf-8", newline="") as f:
             reader = csv.DictReader(f)
@@ -332,11 +339,13 @@ def read_trace(path: str) -> ConvergenceTrace:
                 )
             for row in reader:
                 trace.append(
-                    int(row["iter"]),
-                    float(row["primal"]),
-                    float(row["dual"]),
-                    float(row["gap"]),
-                    float(row["seconds"]),
+                    TraceRow(
+                        int(row["iter"]),
+                        float(row["primal"]),
+                        float(row["dual"]),
+                        float(row["gap"]),
+                        float(row["seconds"]),
+                    )
                 )
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -21,21 +21,24 @@ Three interchangeable oracles are provided:
   (edges, hyperedges, directed hyperedges), exact up to roundoff.
 
 All three accept dense inputs and work on the component's incidence set
-internally; solvers call the ``*_local`` variants directly with pre-gathered
-slices.
+internally.  This module owns the choice of oracle per component and the
+iteration caps; the dual solvers take per-component callables on
+pre-gathered slices from ``bind_projectors``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .submodular import SubmodularAtom, WeightMatrix, _greedy_local, base_polytope_contains
+from .submodular import SubmodularAtom, _greedy_local, as_diagonal, base_polytope_contains
 
 __all__ = [
+    "ORACLES",
     "ConePoint",
     "ProjectionParams",
     "ProjectionReport",
@@ -47,6 +50,8 @@ __all__ = [
     "project_cone",
     "projection_objective",
 ]
+
+ORACLES = ("auto", "exact", "mnp", "fw")
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
@@ -93,14 +98,14 @@ class ProjectionParams:
 
     delta: float = 1e-10
     max_major: int | None = None
-    method: str = "auto"  # auto | mnp | fw | exact
+    method: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.max_major is not None and self.max_major < 1:
             raise ValueError("max_major must be at least 1")
-        if self.method not in ("auto", "mnp", "fw", "exact"):
+        if self.method not in ORACLES:
             raise ValueError(f"unknown projection method {self.method!r}")
 
 
@@ -114,19 +119,10 @@ class ProjectionReport:
     h_history: tuple[float, ...] = field(default=())
 
 
-def _as_diag(w, n: int) -> np.ndarray:
-    if isinstance(w, WeightMatrix):
-        return w.diag
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    return arr
-
-
 def projection_objective(atom: SubmodularAtom, wtilde, a, point: ConePoint) -> float:
     """h(y, φ) = ‖y − a‖²_W̃ + φ² evaluated on the incidence set."""
     a = np.asarray(a, dtype=float)
-    wt = _as_diag(wtilde, len(a))[atom.members_arr]
+    wt = as_diagonal(wtilde, len(a))[atom.members_arr]
     d = point.y - a[atom.members_arr]
     return float(np.dot(wt, d * d) + point.phi**2)
 
@@ -163,7 +159,7 @@ def _affine_minimizer_local(points: list[np.ndarray], wt: np.ndarray, a: np.ndar
 def affine_minimizer(points: Sequence[np.ndarray], wtilde, a) -> np.ndarray:
     """Dense-input wrapper for the affine coefficient subproblem."""
     a = np.asarray(a, dtype=float)
-    wt = _as_diag(wtilde, len(a))
+    wt = as_diagonal(wtilde, len(a))
     return _affine_minimizer_local([np.asarray(p, dtype=float) for p in points], wt, a)
 
 
@@ -393,18 +389,55 @@ def _sweep_cut_local(atom: SubmodularAtom, wt: np.ndarray, a: np.ndarray) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Public wrappers and dispatch
+# Oracle choice, solver binding and public wrappers
 
 
-def _resolve_caps(atom: SubmodularAtom, params: ProjectionParams) -> tuple[int, int]:
-    mnp_cap = params.max_major if params.max_major is not None else 100 * atom.size
-    fw_cap = params.max_major if params.max_major is not None else 100 * atom.size**2
-    return mnp_cap, fw_cap
+def _choose_oracle(atom: SubmodularAtom, method: str) -> str:
+    """Resolve ``auto`` for ``atom`` and refuse ``exact`` on a general one."""
+    if method == "auto":
+        return "exact" if atom.is_cut else "mnp"
+    if method == "exact" and not atom.is_cut:
+        raise ValueError(
+            "exact projection requires cut components; "
+            "use the mnp or fw method for general ones"
+        )
+    return method
+
+
+def _iteration_cap(atom: SubmodularAtom, method: str, max_major: int | None) -> int:
+    if max_major is not None:
+        return max_major
+    return 100 * atom.size if method == "mnp" else 100 * atom.size**2
+
+
+def bind_projectors(
+    atoms: Sequence[SubmodularAtom],
+    wt_locs: Sequence[np.ndarray],
+    method: str,
+    delta: float,
+) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
+    """Per-component callables target ↦ (y, φ) in local coordinates under the
+    metric ``wt_locs[r]``; each component's oracle is chosen here, once."""
+    projectors = []
+    for atom, wt in zip(atoms, wt_locs):
+        chosen = _choose_oracle(atom, method)
+        if chosen == "exact":
+            projectors.append(partial(_sweep_cut_local, atom, wt))
+            continue
+
+        local = _mnp_local if chosen == "mnp" else _fw_local
+
+        def proj(tgt, _f=local, _a=atom, _w=wt, _c=_iteration_cap(atom, chosen, None)):
+            y, phi, _, _, _, _ = _f(_a, _w, tgt, delta, _c, False)
+            return y, phi
+
+        projectors.append(proj)
+    return projectors
 
 
 def _gather(atom: SubmodularAtom, wtilde, a) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
-    wt = _as_diag(wtilde, len(a))
+    wt = as_diagonal(wtilde, len(a))
     return wt[atom.members_arr], a[atom.members_arr]
 
 
@@ -419,7 +452,7 @@ def project_mnp(
 
     Args:
         atom: the component whose cone to project onto.
-        wtilde: positive diagonal metric (dense diagonal or WeightMatrix).
+        wtilde: positive diagonal metric (dense diagonal or scalar).
         a: dense target vector.
         params: tolerance δ and MAJOR-loop cap.
         record_history: keep the per-MAJOR objective sequence in the report.
@@ -429,7 +462,7 @@ def project_mnp(
         is returned with ``converged=False``.
     """
     wt, al = _gather(atom, wtilde, a)
-    cap, _ = _resolve_caps(atom, params)
+    cap = _iteration_cap(atom, "mnp", params.max_major)
     y, phi, hist, cert, conv, iters = _mnp_local(atom, wt, al, params.delta, cap, record_history)
     point = ConePoint(atom.members, y, phi)
     return point, ProjectionReport("mnp", conv, iters, cert, _h_val(wt, y, al, phi), hist)
@@ -444,7 +477,7 @@ def project_fw(
 ) -> tuple[ConePoint, ProjectionReport]:
     """Conditional-gradient cone projection (see module docstring)."""
     wt, al = _gather(atom, wtilde, a)
-    _, cap = _resolve_caps(atom, params)
+    cap = _iteration_cap(atom, "fw", params.max_major)
     y, phi, hist, cert, conv, iters = _fw_local(atom, wt, al, params.delta, cap, record_history)
     point = ConePoint(atom.members, y, phi)
     return point, ProjectionReport("fw", conv, iters, cert, _h_val(wt, y, al, phi), hist)
@@ -452,8 +485,7 @@ def project_fw(
 
 def project_exact(atom: SubmodularAtom, wtilde, a) -> tuple[ConePoint, ProjectionReport]:
     """Exact sweep projection for cut components (edge, hyperedge, directed)."""
-    if not atom.is_cut:
-        raise ValueError("exact projection is only available for cut components")
+    _choose_oracle(atom, "exact")
     wt, al = _gather(atom, wtilde, a)
     y, phi = _sweep_cut_local(atom, wt, al)
     c = wt * (y - al)
@@ -470,29 +502,7 @@ def project_cone(
 ) -> tuple[ConePoint, ProjectionReport]:
     """Dispatch on ``params.method``; ``auto`` uses the exact sweep for cut
     components and the active-set method otherwise."""
-    method = params.method
-    if method == "auto":
-        method = "exact" if atom.is_cut else "mnp"
+    method = _choose_oracle(atom, params.method)
     if method == "exact":
         return project_exact(atom, wtilde, a)
-    if method == "mnp":
-        return project_mnp(atom, wtilde, a, params)
-    return project_fw(atom, wtilde, a, params)
-
-
-def project_local(
-    atom: SubmodularAtom,
-    wt: np.ndarray,
-    a: np.ndarray,
-    method: str,
-    delta: float,
-    cap: int,
-) -> tuple[np.ndarray, float]:
-    """Low-overhead local-coordinate projection used by the dual solvers."""
-    if method == "exact":
-        return _sweep_cut_local(atom, wt, a)
-    if method == "mnp":
-        y, phi, _, _, _, _ = _mnp_local(atom, wt, a, delta, cap, False)
-        return y, phi
-    y, phi, _, _, _, _ = _fw_local(atom, wt, a, delta, cap, False)
-    return y, phi
+    return (project_mnp if method == "mnp" else project_fw)(atom, wtilde, a, params)

@@ -20,34 +20,34 @@ Two solvers are provided:
   re-projects one component's dual block against the residual left by the
   others (projection metric W⁻¹).
 * ``ap_solve`` — a round-based scheme that re-splits the fixed total 2Wa
-  across components and re-projects every block each round (projection
-  metric Ψ·W⁻¹ with Ψ the per-vertex coverage counts), optionally fanned
-  out over a thread pool.  With a single component one round coincides
-  with one coordinate-descent step.
+  across components and re-projects every block each round from one
+  snapshot (projection metric Ψ·W⁻¹ with Ψ the per-vertex coverage
+  counts).  With a single component one round coincides with one
+  coordinate-descent step.
 
-Both record a checkpoint trace (projection count, primal, dual, gap,
-elapsed seconds) and stop on a target gap, an iteration budget, or a
-wall-clock limit.
+Both record a checkpoint trace (a list of ``TraceRow``: projection count,
+primal, dual, gap, elapsed seconds) and stop on a target gap, an iteration
+budget, or a wall-clock limit, checked after every ``rcd`` projection and
+every ``ap`` round.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .projection import _fw_local, _mnp_local, _sweep_cut_local
-from .submodular import SubmodularAtom, WeightMatrix, lovasz_extension
+from .projection import ORACLES, bind_projectors
+from .submodular import SubmodularAtom, lovasz_extension
 
 __all__ = [
+    "ALGORITHMS",
     "ProblemInstance",
     "SolveConfig",
     "SolveResult",
-    "ConvergenceTrace",
     "TraceRow",
     "primal_objective",
     "dual_objective",
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0
+ALGORITHMS = ("rcd", "ap")
 _RNG_CHUNK = 4096
 
 
@@ -75,11 +76,13 @@ class ProblemInstance:
         a = np.array(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a must be a nonempty vector")
-        w = self.w.diag if isinstance(self.w, WeightMatrix) else np.array(self.w, dtype=float)
+        w = np.array(self.w, dtype=float)
         if w.shape != a.shape:
             raise ValueError(f"w has shape {w.shape}, expected {a.shape}")
         if not np.all(w > 0):
             raise ValueError("all diagonal weights must be positive")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
+            raise ValueError("a and w must be finite")
         atoms = tuple(self.atoms)
         n = a.size
         for idx, atom in enumerate(atoms):
@@ -212,7 +215,8 @@ class SolveConfig:
     alternating-projection round spends one per component and rounds are
     atomic); ``None`` selects 100 projections per component.
     ``checkpoint_stride`` controls how often the trace is extended and the
-    stopping rules are checked; ``None`` means once per component count.
+    target gap is checked; ``None`` means once per component count.
+    ``wall_clock_limit`` is checked after every rcd projection or ap round.
     """
 
     algorithm: str = "rcd"
@@ -221,12 +225,11 @@ class SolveConfig:
     checkpoint_stride: int | None = None
     wall_clock_limit: float | None = None
     seed: int = DEFAULT_SEED
-    projection: str = "auto"  # auto | exact | mnp | fw
+    projection: str = "auto"
     delta: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("rcd", "ap"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
@@ -236,12 +239,10 @@ class SolveConfig:
             raise ValueError("checkpoint_stride must be at least 1")
         if self.wall_clock_limit is not None and not self.wall_clock_limit >= 0:
             raise ValueError("wall_clock_limit must be nonnegative")
-        if self.projection not in ("auto", "exact", "mnp", "fw"):
+        if self.projection not in ORACLES:
             raise ValueError(f"unknown projection method {self.projection!r}")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 class TraceRow(NamedTuple):
@@ -252,28 +253,6 @@ class TraceRow(NamedTuple):
     seconds: float
 
 
-@dataclass
-class ConvergenceTrace:
-    """Checkpoint log; one row per evaluation of the duality gap."""
-
-    rows: list[TraceRow] = field(default_factory=list)
-
-    def append(self, iteration: int, primal: float, dual: float, gap: float, seconds: float) -> None:
-        self.rows.append(TraceRow(iteration, primal, dual, gap, seconds))
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(row, name) for row in self.rows])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     x: np.ndarray
@@ -282,52 +261,13 @@ class SolveResult:
     converged: bool
     primal: float
     dual: float
-    trace: ConvergenceTrace
+    trace: list[TraceRow]
     sum_y: np.ndarray
     phis: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # shared machinery
-
-
-def _bind_projectors(
-    atoms: Sequence[SubmodularAtom],
-    wt_locs: Sequence[np.ndarray],
-    method: str,
-    delta: float,
-) -> list:
-    """Per-component projection callables target ↦ (y, φ) in local coordinates."""
-    projectors = []
-    for atom, wt in zip(atoms, wt_locs):
-        chosen = method
-        if chosen == "auto":
-            chosen = "exact" if atom.is_cut else "mnp"
-        if chosen == "exact":
-            if not atom.is_cut:
-                raise ValueError(
-                    "exact projection requires cut components; "
-                    "use the mnp or fw method for general ones"
-                )
-
-            def proj(tgt, _a=atom, _w=wt):
-                return _sweep_cut_local(_a, _w, tgt)
-
-        elif chosen == "mnp":
-            cap = 100 * atom.size
-
-            def proj(tgt, _a=atom, _w=wt, _c=cap, _d=delta):
-                y, phi, _, _, _, _ = _mnp_local(_a, _w, tgt, _d, _c, False)
-                return y, phi
-
-        else:  # fw
-
-            def proj(tgt, _a=atom, _w=wt, _c=100 * atom.size**2, _d=delta):
-                y, phi, _, _, _, _ = _fw_local(_a, _w, tgt, _d, _c, False)
-                return y, phi
-
-        projectors.append(proj)
-    return projectors
 
 
 def _accumulate(n: int, mems: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
@@ -339,8 +279,7 @@ def _accumulate(n: int, mems: Sequence[np.ndarray], ys: Sequence[np.ndarray]) ->
 
 def _trivial_result(instance: ProblemInstance, config: SolveConfig) -> SolveResult:
     state = evaluate_dual_state(instance, np.zeros(instance.n), np.zeros(0))
-    trace = ConvergenceTrace()
-    trace.append(0, state.primal, state.dual, state.gap, 0.0)
+    trace = [TraceRow(0, state.primal, state.dual, state.gap, 0.0)]
     converged = config.target_gap is not None and state.gap <= config.target_gap
     return SolveResult(
         x=state.x,
@@ -372,6 +311,7 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
         return _trivial_result(instance, config)
     max_iters = config.max_iters if config.max_iters is not None else 100 * big_r
     stride = config.checkpoint_stride if config.checkpoint_stride is not None else big_r
+    limit = config.wall_clock_limit
 
     rng = np.random.default_rng(config.seed)
     winv = instance.winv
@@ -379,16 +319,15 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
     mems = [atom.members_arr for atom in instance.atoms]
     wt_locs = [winv[mem] for mem in mems]
     base = [two_wa[mem] for mem in mems]
-    projectors = _bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
+    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
 
     ys = [np.zeros(mem.size) for mem in mems]
     phis = np.zeros(big_r)
     sum_y = np.zeros(n)
 
-    trace = ConvergenceTrace()
     t0 = time.perf_counter()
     state = evaluate_dual_state(instance, sum_y, phis)
-    trace.append(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)
+    trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
     converged = config.target_gap is not None and state.gap <= config.target_gap
 
     buf = np.empty(0, dtype=np.int64)
@@ -407,14 +346,15 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
         ys[r] = y_new
         phis[r] = phi_new
         it += 1
-        if it % stride == 0 or it == max_iters:
+        out_of_time = limit is not None and time.perf_counter() - t0 >= limit
+        if it % stride == 0 or it == max_iters or out_of_time:
             sum_y = _accumulate(n, mems, ys)
             state = evaluate_dual_state(instance, sum_y, phis)
             elapsed = time.perf_counter() - t0
-            trace.append(it, state.primal, state.dual, state.gap, elapsed)
+            trace.append(TraceRow(it, state.primal, state.dual, state.gap, elapsed))
             if config.target_gap is not None and state.gap <= config.target_gap:
                 converged = True
-            elif config.wall_clock_limit is not None and elapsed >= config.wall_clock_limit:
+            elif limit is not None and elapsed >= limit:
                 break
 
     return SolveResult(
@@ -441,8 +381,7 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     λ_r = y_r − s restricted to the component's vertices, with
     s = Ψ⁻¹(Σ y_r − 2Wa) and Ψ the coverage counts — and projects each λ_r
     back onto its cone under the metric Ψ·W⁻¹.  All blocks are refreshed
-    from the same snapshot, so rounds parallelize across a thread pool
-    without changing the result.
+    from the same snapshot: block r reads only its own y_r and s.
     """
     n, big_r = instance.n, instance.r
     if big_r == 0:
@@ -451,6 +390,7 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     stride = config.checkpoint_stride if config.checkpoint_stride is not None else big_r
     rounds = max(1, max_iters // big_r) if max_iters > 0 else 0
     stride_rounds = max(1, stride // big_r)
+    limit = config.wall_clock_limit
 
     w = instance.w
     two_wa = instance._two_wa
@@ -460,48 +400,34 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
         psi[mem] += 1.0
     covered = psi > 0
     wt_locs = [psi[mem] / w[mem] for mem in mems]
-    projectors = _bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
+    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
 
     ys = [np.zeros(mem.size) for mem in mems]
     phis = np.zeros(big_r)
     sum_y = np.zeros(n)
-    s = np.zeros(n)
 
-    def block(r: int):
-        return projectors[r](ys[r] - s[mems[r]])
-
-    trace = ConvergenceTrace()
     t0 = time.perf_counter()
     state = evaluate_dual_state(instance, sum_y, phis)
-    trace.append(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)
+    trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
     converged = config.target_gap is not None and state.gap <= config.target_gap
 
-    executor = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
     rd = 0
-    try:
-        while not converged and rd < rounds:
-            s = np.zeros(n)
-            np.divide(sum_y - two_wa, psi, out=s, where=covered)
-            if executor is not None:
-                updates = list(executor.map(block, range(big_r)))
-            else:
-                updates = [block(r) for r in range(big_r)]
-            for r, (y_new, phi_new) in enumerate(updates):
-                ys[r] = y_new
-                phis[r] = phi_new
-            sum_y = _accumulate(n, mems, ys)
-            rd += 1
-            if rd % stride_rounds == 0 or rd == rounds:
-                state = evaluate_dual_state(instance, sum_y, phis)
-                elapsed = time.perf_counter() - t0
-                trace.append(rd * big_r, state.primal, state.dual, state.gap, elapsed)
-                if config.target_gap is not None and state.gap <= config.target_gap:
-                    converged = True
-                elif config.wall_clock_limit is not None and elapsed >= config.wall_clock_limit:
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    while not converged and rd < rounds:
+        s = np.zeros(n)
+        np.divide(sum_y - two_wa, psi, out=s, where=covered)
+        for r, project in enumerate(projectors):
+            ys[r], phis[r] = project(ys[r] - s[mems[r]])
+        sum_y = _accumulate(n, mems, ys)
+        rd += 1
+        out_of_time = limit is not None and time.perf_counter() - t0 >= limit
+        if rd % stride_rounds == 0 or rd == rounds or out_of_time:
+            state = evaluate_dual_state(instance, sum_y, phis)
+            elapsed = time.perf_counter() - t0
+            trace.append(TraceRow(rd * big_r, state.primal, state.dual, state.gap, elapsed))
+            if config.target_gap is not None and state.gap <= config.target_gap:
+                converged = True
+            elif limit is not None and elapsed >= limit:
+                break
 
     return SolveResult(
         x=state.x,

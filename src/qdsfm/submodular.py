@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SubmodularAtom",
-    "WeightMatrix",
     "DiagnosticBounds",
     "BoundUnavailableError",
     "graph_edge_cut",
@@ -393,29 +392,19 @@ def atom_max_value(atom: SubmodularAtom) -> float:
     return best
 
 
-def _diag_array(w, n: int | None = None) -> np.ndarray:
-    if isinstance(w, WeightMatrix):
-        return w.diag
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim == 0 and n is not None:
-        arr = np.full(n, float(arr))
-    return arr
-
-
 def diagnostics(atoms: Sequence[SubmodularAtom], w1, w2) -> DiagnosticBounds:
     """Compute the solver diagnostics for a decomposition under two metrics.
 
     Args:
         atoms: the components of the decomposition.
-        w1, w2: positive diagonal weights (arrays or WeightMatrix), matching
-            the ground-set length.
+        w1, w2: positive diagonal weights, matching the ground-set length.
 
     Returns:
         DiagnosticBounds with rho_sq_upper = Σ_r (2·max_S F_r)² and the
         corresponding mu value.
     """
-    d1 = _diag_array(w1)
-    d2 = _diag_array(w2)
+    d1 = np.asarray(w1, dtype=float)
+    d2 = np.asarray(w2, dtype=float)
     maxes = tuple(atom_max_value(a) for a in atoms)
     rho_sq = float(sum((2.0 * v) ** 2 for v in maxes))
     s1 = float(np.sum(d1))
@@ -430,7 +419,7 @@ def max_base_norm_sq(atom: SubmodularAtom, wtilde) -> float:
     u ∈ head, v ∈ tail, u ≠ v, plus possibly 0); brute force over greedy
     vertices for small general components.
     """
-    wt = _diag_array(wtilde)[atom.members_arr]
+    wt = np.asarray(wtilde, dtype=float)[atom.members_arr]
     if atom.is_cut:
         if atom.size == 1:
             return 0.0
@@ -464,36 +453,13 @@ def max_base_norm_sq(atom: SubmodularAtom, wtilde) -> float:
 # Weights
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Positive diagonal weight matrix with the usual weighted-norm helpers."""
-
-    diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.diag, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("diagonal must be one-dimensional")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
-            raise ValueError("diagonal entries must be finite and strictly positive")
-        object.__setattr__(self, "diag", d)
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def inverse(self) -> "WeightMatrix":
-        return WeightMatrix(1.0 / self.diag)
-
-    def sqrt(self) -> "WeightMatrix":
-        return WeightMatrix(np.sqrt(self.diag))
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(self.diag * np.asarray(x), np.asarray(y)))
-
-    def norm_sq(self, x: np.ndarray) -> float:
-        x = np.asarray(x)
-        return float(np.dot(self.diag, x * x))
-
-    def norm(self, x: np.ndarray) -> float:
-        return math.sqrt(self.norm_sq(x))
+def as_diagonal(w, n: int) -> np.ndarray:
+    """Diagonal weights as a length-``n`` vector: None is all ones, a scalar is broadcast."""
+    if w is None:
+        return np.ones(n)
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise ValueError(f"weights have shape {arr.shape}, expected ({n},)")
+    return arr

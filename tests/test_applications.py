@@ -124,7 +124,8 @@ def test_ssl_two_cluster_recovery():
         n=40, within_per_cluster=30, across=5, edge_size=4, labeled_per_cluster=3, seed=0
     )
     cfg = SolveConfig(max_iters=400 * hg.r, target_gap=1e-9, seed=1)
-    scores = ssl_score_matrix(hg, ds, beta=0.05, config=cfg)
+    scores, results = ssl_score_matrix(hg, ds, beta=0.05, config=cfg)
+    assert [res.x.tolist() for res in results] == scores.tolist()
     # the two per-class problems are sign-mirrored
     assert np.allclose(scores[0], -scores[1], atol=1e-6)
     pred_argmax = argmax_classify(scores)

@@ -345,16 +345,33 @@ def test_cli_solve_rejects_malformed_instance(tmp_path, capsys):
     assert "atom 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "a,w",
+    [([float("nan"), 0.0, 1.0], 1.0), ([1.0, 0.0, 1.0], [1.0, float("inf"), 1.0])],
+)
+def test_cli_solve_rejects_non_finite_instance(tmp_path, capsys, a, w):
+    bad = _write_json(
+        tmp_path / "bad.json",
+        {"a": a, "w": w, "atoms": [{"type": "hyperedge", "members": [0, 1, 2]}]},
+    )
+    rc = main(["solve", "--instance", bad])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_cli_solve_missing_file(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_usage_errors_exit_one(capsys):
+def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["solve"]) == 1  # missing --instance
     assert main(["solve", "--instance", "x", "--algorithm", "sgd"]) == 1
+    assert main(["solve", "--instance", _edge_instance_file(tmp_path), "--threads", "2"]) == 1
     capsys.readouterr()
 
 

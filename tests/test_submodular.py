@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qdsfm.submodular import (
     BoundUnavailableError,
-    WeightMatrix,
     atom_max_value,
     base_polytope_contains,
     diagnostics,
@@ -354,21 +353,3 @@ def test_max_base_norm_sq_matches_vertex_scan(data):
         qq[: len(q)] = q
         want = max(want, float(np.dot(wt, qq * qq)))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# WeightMatrix
-
-
-def test_weight_matrix_basics():
-    w = WeightMatrix(np.array([1.0, 4.0]))
-    x = np.array([3.0, -1.0])
-    assert w.norm_sq(x) == pytest.approx(9.0 + 4.0)
-    assert w.norm(x) == pytest.approx(math.sqrt(13.0))
-    assert np.allclose(w.inverse().diag, [1.0, 0.25])
-    assert np.allclose(w.sqrt().diag, [1.0, 2.0])
-    assert w.inner(x, np.array([1.0, 1.0])) == pytest.approx(3.0 - 4.0)
-    with pytest.raises(ValueError):
-        WeightMatrix(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        WeightMatrix(np.array([1.0, -2.0]))
