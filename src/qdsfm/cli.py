@@ -9,11 +9,12 @@ Subcommands:
 * ``compare``   -- race several (algorithm, projection) pairs under one budget
 
 Exit codes: 0 when the run converged to the requested gap, 1 on usage or
-input errors, 2 when the iteration/time budget ran out first.  Runs with no
-``--target-gap`` never count as converged and exit 2 by design: the budget
-was the only stopping rule.  Logging goes to stderr; the default level is
-WARNING and can be overridden with the ``QDSFM_LOG`` environment variable
-(``--quiet`` forces ERROR).
+input errors or a failed affine solve inside ``mnp``, 2 when the
+iteration/time budget ran out first.  Runs with no ``--target-gap`` never
+count as converged and exit 2 by design: the budget was the only stopping
+rule.  Logging goes to stderr; the default level is WARNING and can be
+overridden with the ``QDSFM_LOG`` environment variable (``--quiet`` forces
+ERROR).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import applications as apps
 from . import io as qio
 from .io import InputError
-from .projection import ORACLES, ProjectionParams, project_cone
+from .projection import ORACLES, ProjectionNumericsError, ProjectionParams, project_cone
 from .solvers import ALGORITHMS, DEFAULT_SEED, SolveConfig, solve
 
 logger = logging.getLogger("qdsfm")
@@ -81,7 +82,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--max-iters",
         type=int,
         default=None,
-        help="projection budget; 0 evaluates the starting point only",
+        help="projection budget; 0 evaluates the starting point only. ap spends "
+        "whole rounds of one projection per component, rounding down, and runs "
+        "at least one round",
     )
     parser.add_argument(
         "--target-gap",
@@ -459,7 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError, ProjectionNumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

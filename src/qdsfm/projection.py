@@ -23,19 +23,29 @@ Three interchangeable oracles are provided:
 All three accept dense inputs and work on the component's incidence set
 internally.  This module owns the choice of oracle per component and the
 iteration caps; the dual solvers take per-component callables on
-pre-gathered slices from ``bind_projectors``.
+pre-gathered slices from ``bind_projectors`` (``rcd``) or one callable for a
+whole round from ``bind_round`` (``ap``), which runs the exact sweep of
+equal-size edges and hyperedges as one array kernel.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .submodular import SubmodularAtom, _greedy_local, as_diagonal, base_polytope_contains
+from .submodular import (
+    SubmodularAtom,
+    _greedy_local,
+    _symmetric_cut_groups,
+    as_diagonal,
+    base_polytope_contains,
+)
 
 __all__ = [
     "ORACLES",
@@ -55,6 +65,12 @@ ORACLES = ("auto", "exact", "mnp", "fw")
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
+_BATCH_ROWS = 128  # rows per block of the batched sweep; bounds its temporaries
+# Fewest equal-size atoms worth one batched sweep: one call costs about as
+# much as three or four scalar sweeps, whatever the size (2 to 200 members).
+_BATCH_MIN_ROWS = 4
+
+logger = logging.getLogger(__name__)
 
 
 class ProjectionNumericsError(RuntimeError):
@@ -388,6 +404,87 @@ def _sweep_cut_local(atom: SubmodularAtom, wt: np.ndarray, a: np.ndarray) -> tup
     return y, phi
 
 
+def _sweep_cut_batch(
+    a: np.ndarray, wt: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact cone projection for k undirected cut atoms of one size m at once.
+
+    ``a`` and ``wt`` are k × m (targets and metrics in local coordinates),
+    ``weight`` holds the k atom weights; returns y (k × m) and φ (k).  Row i
+    solves the proximal problem of ``_sweep_cut_local``.  Rows are processed
+    in blocks of ``_BATCH_ROWS`` so the working memory stays bounded.
+    """
+    y = np.empty(a.shape)
+    phi = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
+        y[rows], phi[rows] = _sweep_cut_block(a[rows], wt[rows], weight[rows])
+    return y, phi
+
+
+def _sweep_cut_block(
+    a: np.ndarray, wt: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of ``_sweep_cut_batch``.
+
+    A flow t moves metric mass from the head side, where values above the
+    cap γ are lowered to it, to the tail side, where values below the floor
+    δ are raised to it.  Each side's breakpoints are the flows at which its
+    sorted values join the clipped set; between breakpoints γ(t) and δ(t)
+    are linear, with slopes −1/w_H and 1/w_T (w the clipped mass).  The
+    balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
+    breakpoints of both sides; the last positive one fixes the clipped sets,
+    and on that piece the balance is zero at t*.
+    """
+    k, m = a.shape
+    metric = 1.0 / wt
+    b = 0.5 * wt * a
+    mw = metric / np.where(weight > 0.0, weight, 1.0)[:, None]
+    rows = np.arange(k)[:, None]
+    order = np.argsort(b, axis=1, kind="stable") + m * rows
+    vt, mt = b.take(order), mw.take(order)
+    live = (weight > 0.0) & (vt[:, -1] > vt[:, 0])
+    # both sides as descending rows: head values, then negated tail values.
+    # Past a breakpoint (value v, flow f, clipped mass w) a side's level is
+    # v − (t − f)/w: γ on the head side and −δ on the tail side, so γ − δ is
+    # the sum of the two levels
+    signed = np.concatenate((vt[:, ::-1], -vt), axis=1).reshape(k, 2, m)
+    mass = np.cumsum(np.concatenate((mt[:, ::-1], mt), axis=1).reshape(k, 2, m), axis=2)
+    flows = np.zeros((k, 2, m))
+    np.cumsum(-np.diff(signed, axis=2) * mass[:, :, :-1], axis=2, out=flows[:, :, 1:])
+    signed, mass, flows = (arr.reshape(k, 2 * m) for arr in (signed, mass, flows))
+    # each side's flows rise with its index, so in the stable merged order the
+    # entry at p with side index q has q of its own side and p − q of the
+    # other side before it
+    merged = np.argsort(flows, axis=1, kind="stable")
+    own = merged + 2 * m * rows
+    side_index, other_side = np.tile(np.arange(m), 2), np.repeat([m, 0], m)
+    seen = np.arange(2 * m) - side_index[merged]
+    other = np.maximum(seen - 1, 0) + other_side[merged] + 2 * m * rows
+    t = flows.take(own)
+    t_other = flows.take(other)
+    balance = signed.take(own) + signed.take(other) - (t - t_other) / mass.take(other) - t
+    # the final entry's balance is never positive (one side is fully clipped)
+    last = np.maximum(np.argmax(balance <= 0.0, axis=1) - 1, 0)[:, None]
+    e0, e1 = own[rows, last], other[rows, last]
+    s0, t0, w0 = signed.take(e0), flows.take(e0), mass.take(e0)
+    s1, t1, w1 = signed.take(e1), flows.take(e1), mass.take(e1)
+    flow = (s0 + s1 + t0 / w0 + t1 / w1) / (1.0 + 1.0 / w0 + 1.0 / w1)
+    level0, level1 = s0 - (flow - t0) / w0, s1 - (flow - t1) / w1
+    head = merged[rows, last] < m
+    cap = np.where(head, level0, level1)
+    floor = -np.where(head, level1, level0)
+    z = np.maximum(np.minimum(b, cap), floor)
+    # z is monotone in b, so its spread comes from the extreme values
+    top = np.maximum(np.minimum(vt[:, -1:], cap), floor)
+    bottom = np.maximum(np.minimum(vt[:, :1], cap), floor)
+    y = a - 2.0 * metric * z
+    phi = 2.0 * np.sqrt(weight) * np.maximum(0.0, top - bottom)[:, 0]
+    y[~live] = 0.0
+    phi[~live] = 0.0
+    return y, phi
+
+
 # ---------------------------------------------------------------------------
 # Oracle choice, solver binding and public wrappers
 
@@ -415,9 +512,14 @@ def bind_projectors(
     wt_locs: Sequence[np.ndarray],
     method: str,
     delta: float,
+    tally: Counter,
 ) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
     """Per-component callables target ↦ (y, φ) in local coordinates under the
-    metric ``wt_locs[r]``; each component's oracle is chosen here, once."""
+    metric ``wt_locs[r]``; each component's oracle is chosen here, once.
+
+    Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
+    (see ``warn_unconverged``); the exact sweep is not counted.
+    """
     projectors = []
     for atom, wt in zip(atoms, wt_locs):
         chosen = _choose_oracle(atom, method)
@@ -427,12 +529,86 @@ def bind_projectors(
 
         local = _mnp_local if chosen == "mnp" else _fw_local
 
-        def proj(tgt, _f=local, _a=atom, _w=wt, _c=_iteration_cap(atom, chosen, None)):
-            y, phi, _, _, _, _ = _f(_a, _w, tgt, delta, _c, False)
+        cap = _iteration_cap(atom, chosen, None)
+
+        def proj(tgt, _f=local, _a=atom, _w=wt, _n=chosen, _c=cap):
+            y, phi, _, _, converged, _ = _f(_a, _w, tgt, delta, _c, False)
+            tally[_n, converged] += 1
             return y, phi
 
         projectors.append(proj)
     return projectors
+
+
+def bind_round(
+    atoms: Sequence[SubmodularAtom],
+    metric: np.ndarray,
+    method: str,
+    delta: float,
+    tally: Counter,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """One projection of every component, as a flat layout and one callable.
+
+    ``metric`` is the metric's diagonal over all vertices.  Returns
+    ``members``, every component's vertices concatenated, and
+    ``project_round``, which takes the components' targets laid out like
+    ``members``, overwrites them with the projections y and returns the φ of
+    every component in ``atoms`` order.  Edge and hyperedge components of
+    one size whose oracle is ``exact`` sit side by side in the layout and,
+    when there are at least ``_BATCH_MIN_ROWS`` of them, are projected by one
+    ``_sweep_cut_batch`` call; every other component keeps its
+    ``bind_projectors`` callable.
+    """
+    by_size, rest = _symmetric_cut_groups(atoms)
+    batched = []
+    for rows in by_size.values():
+        if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], method) == "exact":
+            batched.append(rows)
+        else:
+            rest.extend(rows)
+    rest.sort()
+    layout = [r for rows in batched for r in rows] + rest
+    members = np.concatenate([atoms[r].members_arr for r in layout])
+    wt = metric[members]
+    ends = np.cumsum([0] + [atoms[r].size for r in layout])
+    groups, i = [], 0
+    for rows in batched:
+        block = slice(ends[i], ends[i + len(rows)])
+        i += len(rows)
+        weights = np.asarray([atoms[r].weight for r in rows])
+        groups.append((np.asarray(rows), block, wt[block].reshape(len(rows), -1), weights))
+    slices = [slice(ends[j], ends[j + 1]) for j in range(i, len(layout))]
+    projectors = bind_projectors(
+        [atoms[r] for r in rest], [wt[sl] for sl in slices], method, delta, tally
+    )
+
+    def project_round(y: np.ndarray) -> np.ndarray:
+        phis = np.empty(len(atoms))
+        for rows, block, wt_g, weights in groups:
+            y_g, phis[rows] = _sweep_cut_batch(y[block].reshape(wt_g.shape), wt_g, weights)
+            y[block] = y_g.ravel()
+        for r, sl, project in zip(rest, slices, projectors):
+            y[sl], phis[r] = project(y[sl])
+        return phis
+
+    return members, project_round
+
+
+def warn_unconverged(tally: Counter) -> None:
+    """Log one WARNING per iterative oracle with calls that stopped before
+    their certificate met δ: at the iteration cap, or (``mnp``) when the
+    greedy point was already active."""
+    for method in ("mnp", "fw"):
+        short = tally[method, False]
+        if short:
+            total = short + tally[method, True]
+            logger.warning(
+                "%d of %d %s projections stopped before meeting delta "
+                "(iteration cap or stall)",
+                short,
+                total,
+                method,
+            )
 
 
 def _gather(atom: SubmodularAtom, wtilde, a) -> tuple[np.ndarray, np.ndarray]:

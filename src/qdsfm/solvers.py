@@ -34,14 +34,15 @@ every ``ap`` round.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .projection import ORACLES, bind_projectors
-from .submodular import SubmodularAtom, lovasz_extension
+from .projection import ORACLES, bind_projectors, bind_round, warn_unconverged
+from .submodular import SubmodularAtom, _symmetric_cut_groups, lovasz_extension
 
 __all__ = [
     "ALGORITHMS",
@@ -135,18 +136,15 @@ def _penalty_evaluator(atoms: Sequence[SubmodularAtom]) -> Callable[[np.ndarray]
     so large uniform collections evaluate in a handful of array operations;
     everything else falls back to per-component extension values.
     """
-    by_size: dict[int, tuple[list[np.ndarray], list[float]]] = {}
-    other: list[SubmodularAtom] = []
-    for atom in atoms:
-        if atom.kind in ("edge", "hyperedge") and atom.size > 1:
-            rows, weights = by_size.setdefault(atom.size, ([], []))
-            rows.append(atom.members_arr)
-            weights.append(atom.weight)
-        else:
-            other.append(atom)
+    by_size, rest = _symmetric_cut_groups(atoms)
     groups = [
-        (np.stack(rows), np.asarray(weights)) for rows, weights in by_size.values()
+        (
+            np.stack([atoms[r].members_arr for r in rows]),
+            np.asarray([atoms[r].weight for r in rows]),
+        )
+        for rows in by_size.values()
     ]
+    other = [atoms[r] for r in rest]
 
     def evaluate(x: np.ndarray) -> float:
         total = 0.0
@@ -213,7 +211,8 @@ class SolveConfig:
 
     ``max_iters`` counts single-component projections for both solvers (an
     alternating-projection round spends one per component and rounds are
-    atomic); ``None`` selects 100 projections per component.
+    atomic: ``ap`` rounds the budget down to whole rounds and runs at least
+    one); ``None`` selects 100 projections per component.
     ``checkpoint_stride`` controls how often the trace is extended and the
     target gap is checked; ``None`` means once per component count.
     ``wall_clock_limit`` is checked after every rcd projection or ap round.
@@ -270,13 +269,6 @@ class SolveResult:
 # shared machinery
 
 
-def _accumulate(n: int, mems: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros(n)
-    for mem, y in zip(mems, ys):
-        out[mem] += y
-    return out
-
-
 def _trivial_result(instance: ProblemInstance, config: SolveConfig) -> SolveResult:
     state = evaluate_dual_state(instance, np.zeros(instance.n), np.zeros(0))
     trace = [TraceRow(0, state.primal, state.dual, state.gap, 0.0)]
@@ -317,9 +309,13 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
     winv = instance.winv
     two_wa = instance._two_wa
     mems = [atom.members_arr for atom in instance.atoms]
+    members = np.concatenate(mems)
     wt_locs = [winv[mem] for mem in mems]
     base = [two_wa[mem] for mem in mems]
-    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
+    tally: Counter = Counter()
+    projectors = bind_projectors(
+        instance.atoms, wt_locs, config.projection, config.delta, tally
+    )
 
     ys = [np.zeros(mem.size) for mem in mems]
     phis = np.zeros(big_r)
@@ -348,7 +344,7 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
         it += 1
         out_of_time = limit is not None and time.perf_counter() - t0 >= limit
         if it % stride == 0 or it == max_iters or out_of_time:
-            sum_y = _accumulate(n, mems, ys)
+            sum_y = np.bincount(members, weights=np.concatenate(ys), minlength=n)
             state = evaluate_dual_state(instance, sum_y, phis)
             elapsed = time.perf_counter() - t0
             trace.append(TraceRow(it, state.primal, state.dual, state.gap, elapsed))
@@ -357,6 +353,7 @@ def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) ->
             elif limit is not None and elapsed >= limit:
                 break
 
+    warn_unconverged(tally)
     return SolveResult(
         x=state.x,
         gap=state.gap,
@@ -381,7 +378,8 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     λ_r = y_r − s restricted to the component's vertices, with
     s = Ψ⁻¹(Σ y_r − 2Wa) and Ψ the coverage counts — and projects each λ_r
     back onto its cone under the metric Ψ·W⁻¹.  All blocks are refreshed
-    from the same snapshot: block r reads only its own y_r and s.
+    from the same snapshot: block r reads only its own y_r and s, so a round
+    is one ``projection.bind_round`` call on all blocks' targets at once.
     """
     n, big_r = instance.n, instance.r
     if big_r == 0:
@@ -392,17 +390,16 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     stride_rounds = max(1, stride // big_r)
     limit = config.wall_clock_limit
 
-    w = instance.w
     two_wa = instance._two_wa
-    mems = [atom.members_arr for atom in instance.atoms]
-    psi = np.zeros(n)
-    for mem in mems:
-        psi[mem] += 1.0
+    incidences = [atom.members_arr for atom in instance.atoms]
+    psi = np.bincount(np.concatenate(incidences), minlength=n).astype(float)
     covered = psi > 0
-    wt_locs = [psi[mem] / w[mem] for mem in mems]
-    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta)
+    tally: Counter = Counter()
+    members, project_round = bind_round(
+        instance.atoms, psi / instance.w, config.projection, config.delta, tally
+    )
 
-    ys = [np.zeros(mem.size) for mem in mems]
+    y = np.zeros(members.size)  # every block's y_r, laid out like members
     phis = np.zeros(big_r)
     sum_y = np.zeros(n)
 
@@ -415,9 +412,9 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     while not converged and rd < rounds:
         s = np.zeros(n)
         np.divide(sum_y - two_wa, psi, out=s, where=covered)
-        for r, project in enumerate(projectors):
-            ys[r], phis[r] = project(ys[r] - s[mems[r]])
-        sum_y = _accumulate(n, mems, ys)
+        y -= s[members]
+        phis = project_round(y)
+        sum_y = np.bincount(members, weights=y, minlength=n)
         rd += 1
         out_of_time = limit is not None and time.perf_counter() - t0 >= limit
         if rd % stride_rounds == 0 or rd == rounds or out_of_time:
@@ -429,6 +426,7 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
             elif limit is not None and elapsed >= limit:
                 break
 
+    warn_unconverged(tally)
     return SolveResult(
         x=state.x,
         gap=state.gap,

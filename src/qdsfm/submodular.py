@@ -197,6 +197,23 @@ def general_oracle(
     return SubmodularAtom("oracle", m, float(weight), fn=fn)
 
 
+def _symmetric_cut_groups(
+    atoms: Sequence[SubmodularAtom],
+) -> tuple[dict[int, list[int]], list[int]]:
+    """Indices of the edge and hyperedge atoms with more than one member,
+    grouped by size in order of first appearance, and the indices of all
+    other atoms.  Atoms of one group can be evaluated or projected together
+    as k × size arrays."""
+    by_size: dict[int, list[int]] = {}
+    rest: list[int] = []
+    for r, atom in enumerate(atoms):
+        if atom.kind in ("edge", "hyperedge") and atom.size > 1:
+            by_size.setdefault(atom.size, []).append(r)
+        else:
+            rest.append(r)
+    return by_size, rest
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdsfm import io as qio
+from qdsfm import projection
 from qdsfm.applications import Hypergraph
 from qdsfm.cli import main
 from qdsfm.solvers import ProblemInstance, TraceRow, rcd_solve
@@ -359,6 +360,24 @@ def test_cli_solve_rejects_non_finite_instance(tmp_path, capsys, a, w):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_cli_solve_oracle_numerics_error_exits_one(tmp_path, capsys, monkeypatch):
+    message = "affine subproblem residual 1e+00 exceeds tolerance"
+
+    def failing_solve(points, wt, a):
+        raise projection.ProjectionNumericsError(message)
+
+    monkeypatch.setattr(projection, "_affine_minimizer_local", failing_solve)
+    inst = _write_json(
+        tmp_path / "inst.json",
+        {"a": [1.0, 0.9, -0.5, 0.2], "atoms": [{"type": "hyperedge", "members": [0, 1, 2, 3]}]},
+    )
+    rc = main(["solve", "--instance", inst, "--projection", "mnp", "--max-iters", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_solve_missing_file(tmp_path, capsys):

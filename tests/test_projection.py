@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qdsfm import projection
 from qdsfm.projection import (
     ConePoint,
     ProjectionParams,
+    _sweep_cut_batch,
+    _sweep_cut_local,
     affine_minimizer,
     project_cone,
     project_exact,
@@ -17,6 +20,7 @@ from qdsfm.projection import (
     project_mnp,
     projection_objective,
 )
+from qdsfm.solvers import ProblemInstance, SolveConfig, ap_solve
 from qdsfm.submodular import (
     directed_hyperedge_cut,
     general_oracle,
@@ -123,6 +127,90 @@ def test_degenerate_atoms_project_to_apex():
     zero_w = hyperedge_cut([0, 1, 2], weight=0.0)
     point, _ = project_exact(zero_w, wt, a)
     assert point.phi == 0.0 and np.allclose(point.y, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched exact sweep
+
+
+def _batch_rows(rng, m, k=300):
+    """k rows of size m: random, tied, zero-weight and constant-b rows."""
+    a = rng.normal(size=(k, m)) * 2.0
+    wt = rng.uniform(0.3, 3.0, size=(k, m))
+    weight = rng.choice([0.5, 1.0, 4.0], size=k)
+    tied = slice(k // 4, k // 2)
+    a[tied] = np.round(a[tied])
+    wt[tied] = rng.choice([0.5, 1.0, 2.0], size=wt[tied].shape)
+    weight[k // 2 : k // 2 + 5] = 0.0
+    a[-5:] = rng.normal(size=(5, 1))  # with a unit metric, max b <= min b
+    wt[-5:] = 1.0
+    return a, wt, weight
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
+def test_sweep_batch_matches_scalar_sweep(m):
+    rng = np.random.default_rng(m)
+    a, wt, weight = _batch_rows(rng, m)
+    y, phi = _sweep_cut_batch(a, wt, weight)
+    for i in range(len(a)):
+        atom = graph_edge_cut(0, 1, weight[i]) if m == 2 else hyperedge_cut(range(m), weight[i])
+        y_ref, phi_ref = _sweep_cut_local(atom, wt[i], a[i])
+        assert np.max(np.abs(y[i] - y_ref)) <= 1e-12
+        assert abs(phi[i] - phi_ref) <= 1e-12
+    idle = (weight == 0.0) | (np.ptp(0.5 * wt * a, axis=1) == 0.0)
+    assert idle[-5:].all() and (m == 1 or not idle.all())
+    assert np.all(y[idle] == 0.0) and np.all(phi[idle] == 0.0)
+
+
+def test_ap_round_matches_per_atom_projections(monkeypatch):
+    covers = [{0, 1}, {1, 2}, {2, 3, 4}]
+    tbl = {bits: float(len(set().union(*(covers[p] for p in range(3) if bits >> p & 1))))
+           for bits in range(8)}
+    atoms = (
+        graph_edge_cut(0, 1, 2.0),
+        hyperedge_cut([1, 2, 4], 0.5),
+        graph_edge_cut(2, 3),
+        directed_hyperedge_cut([0, 1], [4, 5]),
+        hyperedge_cut([0, 3, 5]),
+        general_oracle([1, 3, 5], table=tbl),
+        graph_edge_cut(4, 5, 0.0),
+        hyperedge_cut([2, 3, 4, 5], 4.0),
+        graph_edge_cut(1, 5, 3.0),
+        hyperedge_cut([5]),
+        graph_edge_cut(0, 2),
+    )
+    batch_shapes = []
+
+    def spy(a, wt, weight):
+        batch_shapes.append(a.shape)
+        return _sweep_cut_batch(a, wt, weight)
+
+    monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
+    rng = np.random.default_rng(4)
+    n = 7  # vertex 6 is in no component
+    inst = ProblemInstance(a=rng.normal(size=n), w=rng.uniform(0.5, 2.0, size=n), atoms=atoms)
+    res = ap_solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
+    assert res.iterations == inst.r
+    # the five edges are one batched group; the two 3-member hyperedges are
+    # fewer than _BATCH_MIN_ROWS and stay on the scalar sweep
+    assert projection._BATCH_MIN_ROWS == 4
+    assert batch_shapes == [(5, 2)]
+    # the round by hand: split 2Wa by coverage, project each block on its own
+    psi = np.zeros(n)
+    for atom in atoms:
+        psi[atom.members_arr] += 1.0
+    covered = psi > 0
+    target = np.zeros(n)
+    target[covered] = 2.0 * inst.w[covered] * inst.a[covered] / psi[covered]
+    sum_y = np.zeros(n)
+    phis = []
+    for atom in atoms:
+        point, _ = project_cone(atom, psi / inst.w, target)
+        sum_y += point.dense(n)
+        phis.append(point.phi)
+    assert np.max(np.abs(res.sum_y - sum_y)) <= 1e-12
+    assert np.max(np.abs(res.phis - np.array(phis))) <= 1e-12
+    assert np.max(np.abs(res.x - (inst.a - 0.5 * sum_y / inst.w))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,11 @@ def test_trace_checkpoints_and_budget_ap():
     )
     assert res.iterations == 5 * r
     assert [row.iteration for row in res.trace] == [0, 2 * r, 4 * r, 5 * r]
+    # rounds are atomic and at least one runs: a budget below R still spends R
+    assert r > 1
+    res = ap_solve(inst, SolveConfig(algorithm="ap", max_iters=1))
+    assert res.iterations == r
+    assert [row.iteration for row in res.trace] == [0, r]
 
 
 def test_wall_clock_limit_stops_early():
@@ -322,3 +329,21 @@ def test_config_validation():
         SolveConfig(delta=0.0)
     with pytest.raises(ValueError):
         SolveConfig(wall_clock_limit=-0.5)
+
+
+def test_unconverged_oracle_calls_are_logged(caplog):
+    # min(|S|, 5 - |S|) as a table: fw's certificate stalls short of delta
+    tbl = {bits: float(min(bin(bits).count("1"), 5 - bin(bits).count("1"))) for bits in range(32)}
+    atom = general_oracle(range(5), table=tbl)
+    a = np.array([0.9, -0.7, 0.4, -0.1, 0.6])
+    single = ProblemInstance(a=a, w=np.ones(5), atoms=(atom,))
+    pair = ProblemInstance(a=a, w=np.ones(5), atoms=(atom, hyperedge_cut([0, 1, 2])))
+    with caplog.at_level(logging.WARNING, logger="qdsfm"):
+        rcd_solve(single, SolveConfig(max_iters=1, projection="fw"))
+        ap_solve(pair, SolveConfig(algorithm="ap", max_iters=2, projection="fw"))
+        rcd_solve(single, SolveConfig(max_iters=2, projection="mnp"))  # converges: no warning
+    tail = "fw projections stopped before meeting delta (iteration cap or stall)"
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("qdsfm.projection", logging.WARNING, f"1 of 1 {tail}"),
+        ("qdsfm.projection", logging.WARNING, f"1 of 2 {tail}"),
+    ]
