@@ -441,9 +441,11 @@ def ingest_tabular_dataset(
                 try:
                     values[idx] = float(cell)
                 except ValueError:
+                    values[idx] = np.nan
+                if not np.isfinite(values[idx]):
                     raise ValueError(
-                        f"column {name!r}, row {idx}: {cell!r} is not numeric"
-                    ) from None
+                        f"column {name!r}, row {idx}: {cell!r} is not numeric or not finite"
+                    )
             lo, hi = float(values.min()), float(values.max())
             if lo == hi:
                 logger.info("column %r is constant; dropped its single bin", name)

@@ -151,7 +151,7 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
                 parsed[mask] = float(val)
             return general_oracle(members, table=parsed, weight=float(weight))
         raise ValueError(f"unknown component type {kind!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"atom {index}: {exc}") from exc
 
 
@@ -159,14 +159,22 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
 # Instances
 
 
+def _as_float_list(raw: Any, message: str) -> np.ndarray:
+    """A JSON list as a float vector; anything else raises InputError(message)."""
+    if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
+        try:
+            return np.asarray([float(v) for v in raw])
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(message)
+
+
 def _parse_weights(raw: Any, n: int) -> np.ndarray:
     if raw is None:
         return np.ones(n)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return np.full(n, float(raw))
-    if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
-        return np.asarray([float(v) for v in raw])
-    raise InputError("'w' must be a positive number or a list of them")
+        raw = [raw] * n
+    return _as_float_list(raw, "'w' must be a positive number or a list of them")
 
 
 def load_instance(path: str) -> ProblemInstance:
@@ -176,10 +184,7 @@ def load_instance(path: str) -> ProblemInstance:
         raise InputError(f"{path}: expected a top-level object")
     if "a" not in obj:
         raise InputError(f"{path}: missing required field 'a'")
-    try:
-        a = np.asarray([float(v) for v in obj["a"]])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: 'a' must be a list of numbers") from exc
+    a = _as_float_list(obj["a"], f"{path}: 'a' must be a list of numbers")
     raw_atoms = obj.get("atoms", [])
     if not isinstance(raw_atoms, Sequence) or isinstance(raw_atoms, (str, bytes)):
         raise InputError(f"{path}: 'atoms' must be a list")
@@ -281,7 +286,7 @@ def load_vector(path: str, n: int, what: str = "vector") -> np.ndarray:
         raise InputError(f"{path}: expected a JSON list of numbers")
     try:
         vec = np.asarray([float(v) for v in obj])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {what} entries must be numbers") from exc
     if vec.size != n:
         raise InputError(f"{path}: {what} has {vec.size} entries, expected {n}")

@@ -14,30 +14,31 @@ whose value certifies the primal through dual = ‖a‖²_W − g/4.  The primal
 point is recovered as x = a − ½·W⁻¹·Σ_r y_r and the duality gap
 primal(x) − dual is the solvers' convergence measure.
 
-Two solvers are provided:
+Two algorithms share one solve loop, ``solve``, and differ only in its step:
 
-* ``rcd_solve`` — randomized coordinate descent over components: each step
+* ``rcd`` — randomized coordinate descent over components: a step
   re-projects one component's dual block against the residual left by the
   others (projection metric W⁻¹).
-* ``ap_solve`` — a round-based scheme that re-splits the fixed total 2Wa
-  across components and re-projects every block each round from one
-  snapshot (projection metric Ψ·W⁻¹ with Ψ the per-vertex coverage
-  counts).  With a single component one round coincides with one
-  coordinate-descent step.
+* ``ap`` — alternating projections: a step is one round that re-splits the
+  fixed total 2Wa across components and re-projects every block from one
+  snapshot (projection metric Ψ·W⁻¹ with Ψ the per-vertex coverage counts),
+  R projections in all.  With a single component one round coincides with
+  one coordinate-descent step.
 
-Both record a checkpoint trace (a list of ``TraceRow``: projection count,
-primal, dual, gap, elapsed seconds) and stop on a target gap, an iteration
-budget, or a wall-clock limit, checked after every ``rcd`` projection and
-every ``ap`` round.
+The loop rounds the projection budget down to whole steps, records a
+checkpoint trace (a list of ``TraceRow``: projection count, primal, dual,
+gap, elapsed seconds) and stops on a target gap, checked at checkpoints, the
+budget, or a wall-clock limit, checked after every step.  ``rcd_solve`` and
+``ap_solve`` are ``solve`` with the algorithm fixed.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
 DEFAULT_SEED = 0
 ALGORITHMS = ("rcd", "ap")
 _RNG_CHUNK = 4096
+Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +211,14 @@ def evaluate_dual_state(instance: ProblemInstance, sum_y, phis) -> StateEvaluati
 class SolveConfig:
     """Solver knobs.
 
-    ``max_iters`` counts single-component projections for both solvers (an
-    alternating-projection round spends one per component and rounds are
-    atomic: ``ap`` rounds the budget down to whole rounds and runs at least
-    one); ``None`` selects 100 projections per component.
-    ``checkpoint_stride`` controls how often the trace is extended and the
-    target gap is checked; ``None`` means once per component count.
-    ``wall_clock_limit`` is checked after every rcd projection or ap round.
+    ``max_iters`` counts single-component projections; ``None`` selects 100
+    per component.  The solve loop takes steps of one projection (``rcd``)
+    or one round of R projections (``ap``), so both solvers round the budget
+    down to whole steps and run at least one: ``ap`` with ``max_iters < R``
+    still spends R projections.  ``checkpoint_stride`` (also in projections,
+    rounded down to whole steps, at least one) controls how often the trace
+    is extended and the target gap is checked; ``None`` means once per
+    component count.  ``wall_clock_limit`` is checked after every step.
     """
 
     algorithm: str = "rcd"
@@ -266,162 +269,121 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# algorithm steps: each updates the loop's ``sum_y`` and ``phis`` in place
 
 
-def _trivial_result(instance: ProblemInstance, config: SolveConfig) -> SolveResult:
-    state = evaluate_dual_state(instance, np.zeros(instance.n), np.zeros(0))
-    trace = [TraceRow(0, state.primal, state.dual, state.gap, 0.0)]
-    converged = config.target_gap is not None and state.gap <= config.target_gap
-    return SolveResult(
-        x=state.x,
-        gap=state.gap,
-        iterations=0,
-        converged=converged,
-        primal=state.primal,
-        dual=state.dual,
-        trace=trace,
-        sum_y=np.zeros(instance.n),
-        phis=np.zeros(0),
-    )
+def _uniform_draws(rng: np.random.Generator, high: int) -> Iterator[int]:
+    """Indices drawn uniformly from 0..high−1, ``_RNG_CHUNK`` at a time."""
+    while True:
+        yield from rng.integers(0, high, size=_RNG_CHUNK).tolist()
 
 
-# ---------------------------------------------------------------------------
-# randomized coordinate descent
-
-
-def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
+def _rcd_steps(
+    instance: ProblemInstance, config: SolveConfig, tally: Counter
+) -> tuple[Step, Step | None]:
     """Randomized coordinate descent on the dual.
 
-    Each iteration draws a component uniformly at random and replaces its
-    dual block by the cone projection of what the remaining blocks leave of
-    the total 2Wa, under the metric W⁻¹.  The aggregate Σ_r y_r is updated
-    incrementally and re-accumulated at every checkpoint.
+    A step draws a component uniformly at random and replaces its dual block
+    by the cone projection of what the remaining blocks leave of the total
+    2Wa, under the metric W⁻¹.  The step updates Σ_r y_r incrementally; the
+    resync re-accumulates it from the blocks.
     """
-    n, big_r = instance.n, instance.r
-    if big_r == 0:
-        return _trivial_result(instance, config)
-    max_iters = config.max_iters if config.max_iters is not None else 100 * big_r
-    stride = config.checkpoint_stride if config.checkpoint_stride is not None else big_r
-    limit = config.wall_clock_limit
-
-    rng = np.random.default_rng(config.seed)
-    winv = instance.winv
-    two_wa = instance._two_wa
+    n = instance.n
     mems = [atom.members_arr for atom in instance.atoms]
     members = np.concatenate(mems)
-    wt_locs = [winv[mem] for mem in mems]
-    base = [two_wa[mem] for mem in mems]
-    tally: Counter = Counter()
-    projectors = bind_projectors(
-        instance.atoms, wt_locs, config.projection, config.delta, tally
-    )
-
+    base = [instance._two_wa[mem] for mem in mems]
+    wt_locs = [instance.winv[mem] for mem in mems]
+    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta, tally)
     ys = [np.zeros(mem.size) for mem in mems]
-    phis = np.zeros(big_r)
-    sum_y = np.zeros(n)
+    draws = _uniform_draws(np.random.default_rng(config.seed), instance.r)
 
-    t0 = time.perf_counter()
-    state = evaluate_dual_state(instance, sum_y, phis)
-    trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
-    converged = config.target_gap is not None and state.gap <= config.target_gap
-
-    buf = np.empty(0, dtype=np.int64)
-    pos = 0
-    it = 0
-    while not converged and it < max_iters:
-        if pos == buf.size:
-            buf = rng.integers(0, big_r, size=_RNG_CHUNK)
-            pos = 0
-        r = int(buf[pos])
-        pos += 1
+    def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
+        r = next(draws)
         mem = mems[r]
-        target = base[r] - sum_y[mem] + ys[r]
-        y_new, phi_new = projectors[r](target)
+        y_new, phis[r] = projectors[r](base[r] - sum_y[mem] + ys[r])
         sum_y[mem] += y_new - ys[r]
         ys[r] = y_new
-        phis[r] = phi_new
-        it += 1
-        out_of_time = limit is not None and time.perf_counter() - t0 >= limit
-        if it % stride == 0 or it == max_iters or out_of_time:
-            sum_y = np.bincount(members, weights=np.concatenate(ys), minlength=n)
-            state = evaluate_dual_state(instance, sum_y, phis)
-            elapsed = time.perf_counter() - t0
-            trace.append(TraceRow(it, state.primal, state.dual, state.gap, elapsed))
-            if config.target_gap is not None and state.gap <= config.target_gap:
-                converged = True
-            elif limit is not None and elapsed >= limit:
-                break
 
-    warn_unconverged(tally)
-    return SolveResult(
-        x=state.x,
-        gap=state.gap,
-        iterations=it,
-        converged=converged,
-        primal=state.primal,
-        dual=state.dual,
-        trace=trace,
-        sum_y=sum_y,
-        phis=phis,
-    )
+    def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
+        sum_y[:] = np.bincount(members, weights=np.concatenate(ys), minlength=n)
+
+    return step, resync
 
 
-# ---------------------------------------------------------------------------
-# alternating projections
-
-
-def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
+def _ap_steps(
+    instance: ProblemInstance, config: SolveConfig, tally: Counter
+) -> tuple[Step, Step | None]:
     """Round-based alternating projections on the dual.
 
-    Every round re-splits the fixed total 2Wa among the components —
-    λ_r = y_r − s restricted to the component's vertices, with
+    A step is one round: it re-splits the fixed total 2Wa among the
+    components — λ_r = y_r − s restricted to the component's vertices, with
     s = Ψ⁻¹(Σ y_r − 2Wa) and Ψ the coverage counts — and projects each λ_r
     back onto its cone under the metric Ψ·W⁻¹.  All blocks are refreshed
     from the same snapshot: block r reads only its own y_r and s, so a round
     is one ``projection.bind_round`` call on all blocks' targets at once.
     """
-    n, big_r = instance.n, instance.r
-    if big_r == 0:
-        return _trivial_result(instance, config)
-    max_iters = config.max_iters if config.max_iters is not None else 100 * big_r
-    stride = config.checkpoint_stride if config.checkpoint_stride is not None else big_r
-    rounds = max(1, max_iters // big_r) if max_iters > 0 else 0
-    stride_rounds = max(1, stride // big_r)
-    limit = config.wall_clock_limit
-
+    n = instance.n
     two_wa = instance._two_wa
     incidences = [atom.members_arr for atom in instance.atoms]
     psi = np.bincount(np.concatenate(incidences), minlength=n).astype(float)
     covered = psi > 0
-    tally: Counter = Counter()
     members, project_round = bind_round(
         instance.atoms, psi / instance.w, config.projection, config.delta, tally
     )
-
     y = np.zeros(members.size)  # every block's y_r, laid out like members
-    phis = np.zeros(big_r)
-    sum_y = np.zeros(n)
+
+    def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
+        s = np.zeros(n)
+        np.divide(sum_y - two_wa, psi, out=s, where=covered)
+        np.subtract(y, s[members], out=y)
+        phis[:] = project_round(y)
+        sum_y[:] = np.bincount(members, weights=y, minlength=n)
+
+    return step, None
+
+
+# ---------------------------------------------------------------------------
+# the solve loop
+
+
+def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
+    """Minimize ``instance`` with the algorithm named by ``config.algorithm``.
+
+    A step of ``rcd`` is one projection and a step of ``ap`` one round of R
+    projections.  The budget and the checkpoint stride are rounded down to
+    whole steps, each at least one; a budget of 0, or R = 0, takes no step.
+    The loop owns the dual state, the trace and the stopping rules: the
+    target gap at every checkpoint and the wall-clock limit after every step.
+    """
+    n, big_r = instance.n, instance.r
+    per_step = big_r if config.algorithm == "ap" else 1
+    budget = config.max_iters if config.max_iters is not None else 100 * big_r
+    stride = config.checkpoint_stride if config.checkpoint_stride is not None else big_r
+    steps = max(1, budget // per_step) if budget > 0 and big_r > 0 else 0
+    stride_steps = max(1, stride // max(per_step, 1))
+    limit, target = config.wall_clock_limit, config.target_gap
+
+    tally: Counter = Counter()
+    bind = _ap_steps if config.algorithm == "ap" else _rcd_steps
+    step, resync = bind(instance, config, tally) if big_r else (None, None)
+    sum_y, phis = np.zeros(n), np.zeros(big_r)
 
     t0 = time.perf_counter()
     state = evaluate_dual_state(instance, sum_y, phis)
     trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
-    converged = config.target_gap is not None and state.gap <= config.target_gap
-
-    rd = 0
-    while not converged and rd < rounds:
-        s = np.zeros(n)
-        np.divide(sum_y - two_wa, psi, out=s, where=covered)
-        y -= s[members]
-        phis = project_round(y)
-        sum_y = np.bincount(members, weights=y, minlength=n)
-        rd += 1
+    converged = target is not None and state.gap <= target
+    done = 0
+    while not converged and done < steps:
+        step(sum_y, phis)
+        done += 1
         out_of_time = limit is not None and time.perf_counter() - t0 >= limit
-        if rd % stride_rounds == 0 or rd == rounds or out_of_time:
+        if done % stride_steps == 0 or done == steps or out_of_time:
+            if resync is not None:
+                resync(sum_y, phis)
             state = evaluate_dual_state(instance, sum_y, phis)
             elapsed = time.perf_counter() - t0
-            trace.append(TraceRow(rd * big_r, state.primal, state.dual, state.gap, elapsed))
-            if config.target_gap is not None and state.gap <= config.target_gap:
+            trace.append(TraceRow(done * per_step, state.primal, state.dual, state.gap, elapsed))
+            if target is not None and state.gap <= target:
                 converged = True
             elif limit is not None and elapsed >= limit:
                 break
@@ -430,7 +392,7 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     return SolveResult(
         x=state.x,
         gap=state.gap,
-        iterations=rd * big_r,
+        iterations=done * per_step,
         converged=converged,
         primal=state.primal,
         dual=state.dual,
@@ -440,8 +402,11 @@ def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> 
     )
 
 
-def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
-    """Dispatch to the solver named by ``config.algorithm``."""
-    if config.algorithm == "ap":
-        return ap_solve(instance, config)
-    return rcd_solve(instance, config)
+def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
+    """``solve`` with ``algorithm="rcd"``, whatever ``config.algorithm`` says."""
+    return solve(instance, replace(config, algorithm="rcd"))
+
+
+def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
+    """``solve`` with ``algorithm="ap"``, whatever ``config.algorithm`` says."""
+    return solve(instance, replace(config, algorithm="ap"))

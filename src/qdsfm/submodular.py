@@ -4,8 +4,7 @@ Each component is a nonnegative, normalized submodular function F_r attached
 to an incidence set S_r of ground-set indices.  The module evaluates F_r,
 computes its Lovász extension f_r (the support function of the base
 polytope B_r), runs Edmonds' greedy algorithm as the linear-minimization
-oracle over B_r, and derives the condition-number style diagnostics used by
-the dual solvers.
+oracle over B_r, and tests membership in B_r for small components.
 
 Cut-type components (graph edges, hyperedges, directed hyperedges) get
 closed forms throughout; general components are handled through an explicit
@@ -14,7 +13,6 @@ value table or a user callback.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -23,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SubmodularAtom",
-    "DiagnosticBounds",
     "BoundUnavailableError",
     "graph_edge_cut",
     "hyperedge_cut",
@@ -33,9 +30,6 @@ __all__ = [
     "lovasz_extension",
     "greedy_linear_minimizer",
     "base_polytope_contains",
-    "diagnostics",
-    "max_base_norm_sq",
-    "atom_max_value",
 ]
 
 _CUT_KINDS = ("edge", "hyperedge", "directed_hyperedge")
@@ -46,7 +40,7 @@ EXHAUSTIVE_LIMIT = 20
 
 
 class BoundUnavailableError(ValueError):
-    """Raised when a diagnostic bound would require an exponential scan."""
+    """Raised when a check would require an exponential scan."""
 
 
 def _check_indices(name: str, idx: Iterable[int]) -> tuple[int, ...]:
@@ -185,7 +179,7 @@ def general_oracle(
     if table is not None:
         full = 1 << len(m)
         tbl = {int(k): float(v) for k, v in table.items()}
-        if set(tbl) != set(range(full)):
+        if len(tbl) != full or not all(0 <= k < full for k in tbl):
             raise ValueError(f"table must cover all {full} subsets of members")
         if abs(tbl[0]) > 0:
             raise ValueError("table must be normalized: value of the empty set is 0")
@@ -366,104 +360,6 @@ def base_polytope_contains(atom: SubmodularAtom, y: np.ndarray, tol: float = 1e-
         elif ys > val + tol:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-
-@dataclass(frozen=True)
-class DiagnosticBounds:
-    """Condition quantities for the dual solvers.
-
-    rho_sq_upper bounds Σ_r (max_{y∈B_r} ‖y‖₁)² via the per-component bound
-    ‖y_r‖₁ ≤ 2·max_S F_r(S); mu is the two-metric contraction constant
-    max{Σ_i W¹_ii · Σ_j 1/W²_jj, (9/4)·rho_sq_upper·Σ_i W¹_ii + 1}.
-    """
-
-    rho_sq_upper: float
-    mu: float
-    atom_max_values: tuple[float, ...]
-
-
-def atom_max_value(atom: SubmodularAtom) -> float:
-    """max_S F_r(S); closed form for cuts, exhaustive for small general atoms."""
-    if atom.is_cut:
-        if atom.size == 1:
-            return 0.0
-        if atom.kind == "directed_hyperedge":
-            h, t = set(atom.head_pos.tolist()), set(atom.tail_pos.tolist())
-            if h == t and len(h) == 1:
-                return 0.0
-        return atom.sqrt_w
-    if atom.kind == "table":
-        return atom.weight * max(atom.table.values())  # type: ignore[union-attr]
-    if atom.size > EXHAUSTIVE_LIMIT:
-        raise BoundUnavailableError(
-            f"max_S F over 2^{atom.size} subsets is unavailable (limit 2^{EXHAUSTIVE_LIMIT})"
-        )
-    best = 0.0
-    for bits in range(1 << atom.size):
-        pos = frozenset(p for p in range(atom.size) if bits >> p & 1)
-        best = max(best, _value_on_positions(atom, pos))
-    return best
-
-
-def diagnostics(atoms: Sequence[SubmodularAtom], w1, w2) -> DiagnosticBounds:
-    """Compute the solver diagnostics for a decomposition under two metrics.
-
-    Args:
-        atoms: the components of the decomposition.
-        w1, w2: positive diagonal weights, matching the ground-set length.
-
-    Returns:
-        DiagnosticBounds with rho_sq_upper = Σ_r (2·max_S F_r)² and the
-        corresponding mu value.
-    """
-    d1 = np.asarray(w1, dtype=float)
-    d2 = np.asarray(w2, dtype=float)
-    maxes = tuple(atom_max_value(a) for a in atoms)
-    rho_sq = float(sum((2.0 * v) ** 2 for v in maxes))
-    s1 = float(np.sum(d1))
-    mu = max(s1 * float(np.sum(1.0 / d2)), 2.25 * rho_sq * s1 + 1.0)
-    return DiagnosticBounds(rho_sq_upper=rho_sq, mu=mu, atom_max_values=maxes)
-
-
-def max_base_norm_sq(atom: SubmodularAtom, wtilde) -> float:
-    """Q² = max_{q ∈ B_r} ‖q‖²_wtilde, the squared metric radius of B_r.
-
-    Closed form for cut components (the vertices are sqrt(w)(e_u − e_v) for
-    u ∈ head, v ∈ tail, u ≠ v, plus possibly 0); brute force over greedy
-    vertices for small general components.
-    """
-    wt = np.asarray(wtilde, dtype=float)[atom.members_arr]
-    if atom.is_cut:
-        if atom.size == 1:
-            return 0.0
-        hp, tp = atom.head_pos, atom.tail_pos
-        best = 0.0
-        # top-2 metric weights on each side, then the best admissible pair
-        h_sorted = sorted(((float(wt[p]), int(p)) for p in hp), reverse=True)[:2]
-        t_sorted = sorted(((float(wt[p]), int(p)) for p in tp), reverse=True)[:2]
-        for wu, u in h_sorted:
-            for wv, v in t_sorted:
-                if u != v:
-                    best = max(best, wu + wv)
-        return atom.weight * best
-    if atom.size > 8:
-        raise BoundUnavailableError("vertex scan limited to |S_r| ≤ 8 for general atoms")
-    best = 0.0
-    for perm in itertools.permutations(range(atom.size)):
-        prev = 0.0
-        running: set[int] = set()
-        q = np.zeros(atom.size)
-        for p in perm:
-            running.add(p)
-            cur = _value_on_positions(atom, frozenset(running))
-            q[p] = cur - prev
-            prev = cur
-        best = max(best, float(np.dot(wt, q * q)))
-    return best
 
 
 # ---------------------------------------------------------------------------

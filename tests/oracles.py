@@ -156,12 +156,13 @@ def prox_objective(kind, members, head, tail, weight, b, metric):
     return fun
 
 
-def rho_sq_exact(value_fns_members):
-    """Exact Σ_r max_{y∈B_r} ‖y‖₂² by scanning all greedy vertices."""
-    total = 0.0
-    for value_fn, members in value_fns_members:
-        best = 0.0
-        for q in greedy_vertices(value_fn, members):
-            best = max(best, float(np.dot(q, q)))
-        total += best
-    return total
+def max_base_norm_sq(atom, wt):
+    """Q² = max_{q ∈ B} ‖q‖²_wt for a cut atom, by scanning every greedy
+    vertex: the maximum of a convex function over B sits at a vertex."""
+    head = atom.head if atom.head is not None else atom.members
+    tail = atom.tail if atom.tail is not None else atom.members
+
+    def value_fn(S):
+        return cut_value(atom.kind, atom.members, head, tail, atom.weight, S)
+
+    return max(float(np.dot(wt[: len(q)], q * q)) for q in greedy_vertices(value_fn, atom.members))

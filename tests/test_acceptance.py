@@ -44,7 +44,6 @@ from qdsfm.submodular import (
     general_oracle,
     graph_edge_cut,
     hyperedge_cut,
-    max_base_norm_sq,
 )
 
 
@@ -212,7 +211,7 @@ def test_conditional_gradient_satisfies_rate_envelope():
             record_history=True,
         )
         norm_a_sq = float(np.dot(wt, a * a))
-        q_sq = max_base_norm_sq(atom, wt)
+        q_sq = oracles.max_base_norm_sq(atom, wt)
         for k, h in enumerate(fw_report.h_history):
             assert h - exact_report.h <= 2.0 * norm_a_sq * q_sq / (k + 2)
 

@@ -404,6 +404,10 @@ def test_ingest_errors():
         ingest_tabular_dataset(rows, [("b", "categorical")])
     with pytest.raises(ValueError, match="not numeric"):
         ingest_tabular_dataset(rows, [("a", "numeric")])
+    for bad in ("nan", "inf"):
+        cells = [{"a": v} for v in ("1", "2", bad, "4", "5")]
+        with pytest.raises(ValueError, match="not numeric"):
+            ingest_tabular_dataset(cells, [("a", "numeric")], bins=2)
     with pytest.raises(ValueError, match="rows"):
         ingest_tabular_dataset([], [("a", "categorical")])
     with pytest.raises(ValueError, match="bins"):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdsfm import io as qio
 from qdsfm import projection
@@ -71,6 +72,9 @@ def test_callback_atom_refuses_serialization():
         {"type": "directed_hyperedge", "members": [0, 1], "head": [0]},
         {"type": "table", "members": [0, 1], "table": {"0": 0.0, "1": 1.0}},
         {"type": "table", "members": [0], "table": {"zero": 0.0, "1": 1.0}},
+        {"type": "hyperedge", "members": [0, 10**29]},
+        {"type": "edge", "members": [0, 1], "weight": 10**400},
+        {"type": "table", "members": list(range(40)), "table": {"0": 0.0}},
     ],
 )
 def test_malformed_atoms_name_their_index(entry):
@@ -121,6 +125,12 @@ def test_instance_scalar_and_default_weights(tmp_path):
         ({"a": [1.0], "w": {"bad": 1}}, "'w' must be"),
         ({"a": [1.0], "atoms": [{"type": "edge", "members": [0, 1]}]}, "component 0"),
         ({"a": [1.0, 2.0], "w": [1.0, -1.0], "atoms": []}, "positive"),
+        ({"a": "12"}, "'a' must be a list of numbers"),
+        ({"a": {"0": 1, "1": 2}}, "'a' must be a list of numbers"),
+        ({"a": [1.0, 2.0], "w": [None, 1]}, "'w' must be"),
+        ({"a": [1.0, 2.0], "w": [[1], 1]}, "'w' must be"),
+        ({"a": [1.0], "w": 10**400}, "'w' must be"),
+        ({"a": [1.0, 2.0], "atoms": [{"type": "edge", "members": [0, 2**63]}]}, "atom 0"),
     ],
 )
 def test_malformed_instances_rejected(tmp_path, payload, fragment):
@@ -136,6 +146,65 @@ def test_invalid_json_rejected(tmp_path):
         qio.load_instance(str(path))
     with pytest.raises(qio.InputError, match="cannot read"):
         qio.load_instance(str(tmp_path / "missing.json"))
+
+
+# JSON-shaped values: every scalar kind JSON can carry (NaN and Infinity
+# included, which Python's json reads), integers past 2⁶³ and float range,
+# and nested lists and objects.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([2**63, -(2**63) - 1, 10**29, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_index_lists = st.lists(st.integers(0, 6) | _json_scalars, max_size=6)
+_tables = st.dictionaries(st.integers(0, 70).map(str) | st.text(max_size=2), _json_scalars, max_size=9)
+_atom_entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": st.sampled_from(["edge", "hyperedge", "directed_hyperedge", "table"]) | _json_values,
+        "members": _index_lists | _json_values,
+        "head": _index_lists | _json_values,
+        "tail": _index_lists | _json_values,
+        "weight": _json_scalars,
+        "table": _tables | _json_values,
+    },
+)
+_instances = st.fixed_dictionaries(
+    {},
+    optional={
+        "a": st.lists(st.floats(-2, 2) | _json_scalars, max_size=7) | _json_values,
+        "w": _json_scalars | st.lists(st.floats(0.5, 2) | _json_scalars, max_size=7) | _json_values,
+        "atoms": st.lists(_atom_entries, max_size=3) | _json_values,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_atom_entries)
+def test_fuzz_atom_from_json_loads_or_raises_input_error(entry):
+    try:
+        qio.atom_from_json(entry, 3)
+    except qio.InputError as exc:
+        assert str(exc).startswith("atom 3: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_instances, _json_values))
+def test_fuzz_load_instance_loads_or_raises_input_error(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "fuzz_instance.json"
+    path.write_text(json.dumps(payload))
+    try:
+        qio.load_instance(str(path))
+    except qio.InputError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +256,8 @@ def test_labels_schema_vector_loaders(tmp_path):
     assert np.array_equal(qio.load_vector(vp, 2), [0.25, 0.75])
     with pytest.raises(qio.InputError, match="expected 3"):
         qio.load_vector(vp, 3)
+    with pytest.raises(qio.InputError, match="entries must be numbers"):
+        qio.load_vector(_write_json(tmp_path / "h.json", [0.5, 10**400]), 2)
 
 
 def test_table_rows_loader(tmp_path):
@@ -344,11 +415,23 @@ def test_cli_solve_rejects_malformed_instance(tmp_path, capsys):
     rc = main(["solve", "--instance", bad])
     assert rc == 1
     assert "atom 1" in capsys.readouterr().err
+    huge = _write_json(
+        tmp_path / "huge.json",
+        {"a": [1.0, 0.0], "atoms": [{"type": "edge", "members": [0, 10**29]}]},
+    )
+    assert main(["solve", "--instance", huge]) == 1
+    err = capsys.readouterr().err
+    assert "atom 0" in err and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize(
     "a,w",
-    [([float("nan"), 0.0, 1.0], 1.0), ([1.0, 0.0, 1.0], [1.0, float("inf"), 1.0])],
+    [
+        ([float("nan"), 0.0, 1.0], 1.0),
+        ([1.0, 0.0, 1.0], [1.0, float("inf"), 1.0]),
+        ([1.0, 0.0, 1.0], [None, 1.0, 1.0]),
+        ([1.0, 0.0, 1.0], [[1.0], 1.0, 1.0]),
+    ],
 )
 def test_cli_solve_rejects_non_finite_instance(tmp_path, capsys, a, w):
     bad = _write_json(

@@ -26,7 +26,6 @@ from qdsfm.submodular import (
     general_oracle,
     graph_edge_cut,
     hyperedge_cut,
-    max_base_norm_sq,
 )
 
 
@@ -312,7 +311,7 @@ def test_fw_envelope_small_batch():
             atom, wt, a, ProjectionParams(delta=1e-13, max_major=400), record_history=True
         )
         norm_a_sq = float(np.dot(wt, a * a))
-        q_sq = max_base_norm_sq(atom, wt)
+        q_sq = oracles.max_base_norm_sq(atom, wt)
         for k, h in enumerate(report.h_history):
             assert h - exact_report.h <= 2.0 * norm_a_sq * q_sq / (k + 2)
 

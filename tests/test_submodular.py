@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qdsfm.submodular import (
     BoundUnavailableError,
-    atom_max_value,
     base_polytope_contains,
-    diagnostics,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -21,7 +19,6 @@ from qdsfm.submodular import (
     greedy_linear_minimizer,
     hyperedge_cut,
     lovasz_extension,
-    max_base_norm_sq,
 )
 
 
@@ -298,58 +295,3 @@ def test_membership_capacity_error():
     atom = hyperedge_cut(range(21))
     with pytest.raises(BoundUnavailableError):
         base_polytope_contains(atom, np.zeros(21))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def test_diagnostics_single_edge_frozen():
-    d = diagnostics([graph_edge_cut(0, 1)], np.ones(2), np.ones(2))
-    assert d.rho_sq_upper == 4.0
-    assert d.mu == 19.0
-    assert d.atom_max_values == (1.0,)
-
-
-def test_diagnostics_empty_decomposition():
-    d = diagnostics([], np.ones(3), np.ones(3))
-    assert d.rho_sq_upper == 0.0
-    assert d.mu == max(9.0, 1.0)
-
-
-def test_diagnostics_bound_dominates_exact_rho():
-    atoms = [hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3])]
-    d = diagnostics(atoms, np.ones(4), np.ones(4))
-    assert d.rho_sq_upper == 8.0  # 4R for unit hyperedges
-    exact = oracles.rho_sq_exact([(_value_fn(a), a.members) for a in atoms])
-    assert exact == pytest.approx(4.0)  # 2R
-    assert d.rho_sq_upper >= exact
-    # and it also dominates the sum of squared L1 vertex norms
-    l1 = sum(
-        max(float(np.abs(q).sum()) ** 2 for q in oracles.greedy_vertices(_value_fn(a), a.members))
-        for a in atoms
-    )
-    assert d.rho_sq_upper >= l1 - 1e-12
-
-
-def test_atom_max_value_degenerate_cases():
-    assert atom_max_value(hyperedge_cut([4])) == 0.0
-    assert atom_max_value(directed_hyperedge_cut([2], [2], members=[1, 2, 3])) == 0.0
-    assert atom_max_value(directed_hyperedge_cut([2], [2, 3], weight=9.0)) == 3.0
-    with pytest.raises(BoundUnavailableError):
-        atom_max_value(general_oracle(range(21), fn=lambda S: float(len(S) > 0)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_max_base_norm_sq_matches_vertex_scan(data):
-    atom = data.draw(cut_atoms(max_size=5))
-    n = max(atom.members) + 1
-    wt = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
-    got = max_base_norm_sq(atom, wt)
-    want = 0.0
-    for q in oracles.greedy_vertices(_value_fn(atom), atom.members):
-        qq = np.zeros(n)
-        qq[: len(q)] = q
-        want = max(want, float(np.dot(wt, qq * qq)))
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
