@@ -46,17 +46,14 @@ from .solvers import (
     SolveConfig,
     SolveResult,
     TraceRow,
-    ap_solve,
     dual_objective,
     evaluate_dual_state,
     primal_from_dual,
     primal_objective,
-    rcd_solve,
     solve,
 )
 from .submodular import (
     SubmodularAtom,
-    base_polytope_contains,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -79,7 +76,6 @@ __all__ = [
     "evaluate",
     "lovasz_extension",
     "greedy_linear_minimizer",
-    "base_polytope_contains",
     # cone projection
     "ConePoint",
     "ProjectionParams",
@@ -96,8 +92,6 @@ __all__ = [
     "SolveResult",
     "TraceRow",
     "solve",
-    "rcd_solve",
-    "ap_solve",
     "primal_objective",
     "dual_objective",
     "primal_from_dual",

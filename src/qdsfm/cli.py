@@ -31,7 +31,13 @@ import numpy as np
 from . import applications as apps
 from . import io as qio
 from .io import InputError
-from .projection import ORACLES, ProjectionNumericsError, ProjectionParams, project_cone
+from .projection import (
+    DEFAULT_DELTA,
+    ORACLES,
+    ProjectionNumericsError,
+    ProjectionParams,
+    project_cone,
+)
 from .solvers import ALGORITHMS, DEFAULT_SEED, SolveConfig, solve
 
 logger = logging.getLogger("qdsfm")
@@ -110,7 +116,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="per-component projection oracle",
     )
-    parser.add_argument("--delta", type=float, default=1e-10, help="oracle tolerance")
+    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="oracle tolerance")
 
 
 def _solver_config(args: argparse.Namespace, **overrides) -> SolveConfig:
@@ -122,7 +128,7 @@ def _solver_config(args: argparse.Namespace, **overrides) -> SolveConfig:
         wall_clock_limit=getattr(args, "wall_clock_limit", None),
         seed=args.seed,
         projection=getattr(args, "projection", "auto"),
-        delta=getattr(args, "delta", 1e-10),
+        delta=args.delta,
     )
     fields.update(overrides)
     return SolveConfig(**fields)
@@ -354,7 +360,7 @@ def build_parser() -> _Parser:
         default="auto",
         help="projection oracle (auto: exact for cuts, active-set otherwise)",
     )
-    p_proj.add_argument("--delta", type=float, default=1e-10, help="oracle tolerance")
+    p_proj.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="oracle tolerance")
     p_proj.add_argument(
         "--max-iter", type=int, default=None, help="oracle iteration cap"
     )
@@ -439,7 +445,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument(
         "--checkpoint-stride", type=int, default=None, help="iterations between rows"
     )
-    p_cmp.add_argument("--delta", type=float, default=1e-10, help="oracle tolerance")
+    p_cmp.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="oracle tolerance")
     p_cmp.add_argument("--output", required=True, help="long-format CSV path")
     _add_common_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)

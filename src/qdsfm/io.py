@@ -94,6 +94,13 @@ def _as_index_list(value: Any, what: str) -> list[int]:
     return out
 
 
+def _number(value: Any, what: str) -> float:
+    """A JSON number (an int or a float, never a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Components
 
@@ -125,19 +132,17 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
             raise ValueError(f"expected an object, got {type(obj).__name__}")
         kind = obj.get("type")
         members = _as_index_list(obj.get("members"), "members")
-        weight = obj.get("weight", 1.0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ValueError(f"weight must be a number, got {weight!r}")
+        weight = _number(obj.get("weight", 1.0), "weight")
         if kind == "edge":
             if len(members) != 2:
                 raise ValueError("an edge needs exactly two members")
-            return graph_edge_cut(members[0], members[1], float(weight))
+            return graph_edge_cut(members[0], members[1], weight)
         if kind == "hyperedge":
-            return hyperedge_cut(members, float(weight))
+            return hyperedge_cut(members, weight)
         if kind == "directed_hyperedge":
             head = _as_index_list(obj.get("head"), "head")
             tail = _as_index_list(obj.get("tail"), "tail")
-            return directed_hyperedge_cut(head, tail, members, float(weight))
+            return directed_hyperedge_cut(head, tail, members, weight)
         if kind == "table":
             table = obj.get("table")
             if not isinstance(table, Mapping):
@@ -148,8 +153,8 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
                     mask = int(key)
                 except (TypeError, ValueError):
                     raise ValueError(f"table key {key!r} is not a subset bitmask")
-                parsed[mask] = float(val)
-            return general_oracle(members, table=parsed, weight=float(weight))
+                parsed[mask] = _number(val, f"table value {key!r}")
+            return general_oracle(members, table=parsed, weight=weight)
         raise ValueError(f"unknown component type {kind!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"atom {index}: {exc}") from exc
@@ -163,8 +168,8 @@ def _as_float_list(raw: Any, message: str) -> np.ndarray:
     """A JSON list as a float vector; anything else raises InputError(message)."""
     if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
         try:
-            return np.asarray([float(v) for v in raw])
-        except (TypeError, ValueError, OverflowError):
+            return np.asarray([_number(v, "entry") for v in raw])
+        except (ValueError, OverflowError):
             pass
     raise InputError(message)
 
@@ -284,10 +289,7 @@ def load_vector(path: str, n: int, what: str = "vector") -> np.ndarray:
     obj = _load_json(path)
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise InputError(f"{path}: expected a JSON list of numbers")
-    try:
-        vec = np.asarray([float(v) for v in obj])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: {what} entries must be numbers") from exc
+    vec = _as_float_list(obj, f"{path}: {what} entries must be numbers")
     if vec.size != n:
         raise InputError(f"{path}: {what} has {vec.size} entries, expected {n}")
     return vec

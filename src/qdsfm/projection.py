@@ -20,12 +20,14 @@ Three interchangeable oracles are provided:
 * ``project_exact`` — a direct two-pointer sweep for cut components
   (edges, hyperedges, directed hyperedges), exact up to roundoff.
 
-All three accept dense inputs and work on the component's incidence set
-internally.  This module owns the choice of oracle per component and the
-iteration caps; the dual solvers take per-component callables on
-pre-gathered slices from ``bind_projectors`` (``rcd``) or one callable for a
-whole round from ``bind_round`` (``ap``), which runs the exact sweep of
-equal-size edges and hyperedges as one array kernel.
+The three, and ``project_cone``, which picks one by ``ProjectionParams.method``,
+take dense inputs and share one body: it gathers the incidence-set slices,
+applies the iteration cap, runs the chosen oracle and reports.  This module
+owns the choice of oracle per component and the iteration caps; the dual
+solvers take per-component callables on pre-gathered slices from
+``bind_projectors`` (``rcd``) or one callable for a whole round from
+``bind_round`` (``ap``), which runs the exact sweep of equal-size edges and
+hyperedges as one array kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .submodular import (
     _greedy_local,
     _symmetric_cut_groups,
     as_diagonal,
-    base_polytope_contains,
 )
 
 __all__ = [
@@ -53,15 +54,14 @@ __all__ = [
     "ProjectionParams",
     "ProjectionReport",
     "ProjectionNumericsError",
-    "affine_minimizer",
     "project_mnp",
     "project_fw",
     "project_exact",
     "project_cone",
-    "projection_objective",
 ]
 
 ORACLES = ("auto", "exact", "mnp", "fw")
+DEFAULT_DELTA = 1e-10  # oracle certificate tolerance δ, for the library and the CLI
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
@@ -93,15 +93,6 @@ class ConePoint:
         out[list(self.members)] = self.y
         return out
 
-    def feasible(self, atom: SubmodularAtom, tol: float = 1e-8) -> bool:
-        """Check φ ≥ 0 and y ∈ φ·B (exhaustive; small components only)."""
-        if self.phi < -tol:
-            return False
-        n = max(self.members) + 1
-        if self.phi <= tol:
-            return bool(np.max(np.abs(self.y), initial=0.0) <= tol)
-        return base_polytope_contains(atom, self.dense(n) / self.phi, tol=tol)
-
 
 @dataclass(frozen=True)
 class ProjectionParams:
@@ -112,7 +103,7 @@ class ProjectionParams:
     100·|S_r| and 100·|S_r|² respectively.
     """
 
-    delta: float = 1e-10
+    delta: float = DEFAULT_DELTA
     max_major: int | None = None
     method: str = "auto"
 
@@ -133,14 +124,6 @@ class ProjectionReport:
     certificate: float
     h: float
     h_history: tuple[float, ...] = field(default=())
-
-
-def projection_objective(atom: SubmodularAtom, wtilde, a, point: ConePoint) -> float:
-    """h(y, φ) = ‖y − a‖²_W̃ + φ² evaluated on the incidence set."""
-    a = np.asarray(a, dtype=float)
-    wt = as_diagonal(wtilde, len(a))[atom.members_arr]
-    d = point.y - a[atom.members_arr]
-    return float(np.dot(wt, d * d) + point.phi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +153,6 @@ def _affine_minimizer_local(points: list[np.ndarray], wt: np.ndarray, a: np.ndar
                 f"affine subproblem residual {resid:.3e} exceeds tolerance"
             )
     return alpha
-
-
-def affine_minimizer(points: Sequence[np.ndarray], wtilde, a) -> np.ndarray:
-    """Dense-input wrapper for the affine coefficient subproblem."""
-    a = np.asarray(a, dtype=float)
-    wt = as_diagonal(wtilde, len(a))
-    return _affine_minimizer_local([np.asarray(p, dtype=float) for p in points], wt, a)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +287,10 @@ def _fw_local(
         if record:
             hist.append(best[0])
     return y, phi, tuple(hist), cert, converged, iters
+
+
+# the iterative oracles by name; both take (atom, wt, a, δ, cap, record)
+_ITERATIVE = {"mnp": _mnp_local, "fw": _fw_local}
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +507,7 @@ def bind_projectors(
             projectors.append(partial(_sweep_cut_local, atom, wt))
             continue
 
-        local = _mnp_local if chosen == "mnp" else _fw_local
+        local = _ITERATIVE[chosen]
 
         cap = _iteration_cap(atom, chosen, None)
 
@@ -611,10 +591,33 @@ def warn_unconverged(tally: Counter) -> None:
             )
 
 
-def _gather(atom: SubmodularAtom, wtilde, a) -> tuple[np.ndarray, np.ndarray]:
+def _project(
+    atom: SubmodularAtom,
+    wtilde,
+    a,
+    method: str,
+    params: ProjectionParams = ProjectionParams(),
+    record: bool = False,
+) -> tuple[ConePoint, ProjectionReport]:
+    """The body behind the four public entry points: gather the incidence-set
+    slices of ``wtilde`` and ``a``, run the oracle ``method`` resolves to
+    under the iteration cap, and report the point with its objective h."""
+    method = _choose_oracle(atom, method)
     a = np.asarray(a, dtype=float)
-    wt = as_diagonal(wtilde, len(a))
-    return wt[atom.members_arr], a[atom.members_arr]
+    wt = as_diagonal(wtilde, len(a))[atom.members_arr]
+    al = a[atom.members_arr]
+    if method == "exact":
+        y, phi = _sweep_cut_local(atom, wt, al)
+        c = wt * (y - al)
+        cert = float(np.dot(c, _greedy_local(atom, c))) + phi
+        hist, conv, iters = (), True, 1
+    else:
+        cap = _iteration_cap(atom, method, params.max_major)
+        y, phi, hist, cert, conv, iters = _ITERATIVE[method](
+            atom, wt, al, params.delta, cap, record
+        )
+    point = ConePoint(atom.members, y, phi)
+    return point, ProjectionReport(method, conv, iters, cert, _h_val(wt, y, al, phi), hist)
 
 
 def project_mnp(
@@ -637,11 +640,7 @@ def project_mnp(
         (ConePoint, ProjectionReport); on a cap hit the best iterate so far
         is returned with ``converged=False``.
     """
-    wt, al = _gather(atom, wtilde, a)
-    cap = _iteration_cap(atom, "mnp", params.max_major)
-    y, phi, hist, cert, conv, iters = _mnp_local(atom, wt, al, params.delta, cap, record_history)
-    point = ConePoint(atom.members, y, phi)
-    return point, ProjectionReport("mnp", conv, iters, cert, _h_val(wt, y, al, phi), hist)
+    return _project(atom, wtilde, a, "mnp", params, record_history)
 
 
 def project_fw(
@@ -652,22 +651,12 @@ def project_fw(
     record_history: bool = False,
 ) -> tuple[ConePoint, ProjectionReport]:
     """Conditional-gradient cone projection (see module docstring)."""
-    wt, al = _gather(atom, wtilde, a)
-    cap = _iteration_cap(atom, "fw", params.max_major)
-    y, phi, hist, cert, conv, iters = _fw_local(atom, wt, al, params.delta, cap, record_history)
-    point = ConePoint(atom.members, y, phi)
-    return point, ProjectionReport("fw", conv, iters, cert, _h_val(wt, y, al, phi), hist)
+    return _project(atom, wtilde, a, "fw", params, record_history)
 
 
 def project_exact(atom: SubmodularAtom, wtilde, a) -> tuple[ConePoint, ProjectionReport]:
     """Exact sweep projection for cut components (edge, hyperedge, directed)."""
-    _choose_oracle(atom, "exact")
-    wt, al = _gather(atom, wtilde, a)
-    y, phi = _sweep_cut_local(atom, wt, al)
-    c = wt * (y - al)
-    cert = float(np.dot(c, _greedy_local(atom, c))) + phi
-    point = ConePoint(atom.members, y, phi)
-    return point, ProjectionReport("exact", True, 1, cert, _h_val(wt, y, al, phi), ())
+    return _project(atom, wtilde, a, "exact")
 
 
 def project_cone(
@@ -677,8 +666,6 @@ def project_cone(
     params: ProjectionParams = ProjectionParams(),
 ) -> tuple[ConePoint, ProjectionReport]:
     """Dispatch on ``params.method``; ``auto`` uses the exact sweep for cut
-    components and the active-set method otherwise."""
-    method = _choose_oracle(atom, params.method)
-    if method == "exact":
-        return project_exact(atom, wtilde, a)
-    return (project_mnp if method == "mnp" else project_fw)(atom, wtilde, a, params)
+    components and the active-set method otherwise.  No objective history is
+    recorded."""
+    return _project(atom, wtilde, a, params.method, params)

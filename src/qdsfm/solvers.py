@@ -28,21 +28,20 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
 The loop rounds the projection budget down to whole steps, records a
 checkpoint trace (a list of ``TraceRow``: projection count, primal, dual,
 gap, elapsed seconds) and stops on a target gap, checked at checkpoints, the
-budget, or a wall-clock limit, checked after every step.  ``rcd_solve`` and
-``ap_solve`` are ``solve`` with the algorithm fixed.
+budget, or a wall-clock limit, checked after every step.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .projection import ORACLES, bind_projectors, bind_round, warn_unconverged
+from .projection import DEFAULT_DELTA, ORACLES, bind_projectors, bind_round, warn_unconverged
 from .submodular import SubmodularAtom, _symmetric_cut_groups, lovasz_extension
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
     "dual_objective",
     "primal_from_dual",
     "evaluate_dual_state",
-    "rcd_solve",
-    "ap_solve",
     "solve",
 ]
 
@@ -228,7 +225,7 @@ class SolveConfig:
     wall_clock_limit: float | None = None
     seed: int = DEFAULT_SEED
     projection: str = "auto"
-    delta: float = 1e-10
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -400,13 +397,3 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
         sum_y=sum_y,
         phis=phis,
     )
-
-
-def rcd_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
-    """``solve`` with ``algorithm="rcd"``, whatever ``config.algorithm`` says."""
-    return solve(instance, replace(config, algorithm="rcd"))
-
-
-def ap_solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
-    """``solve`` with ``algorithm="ap"``, whatever ``config.algorithm`` says."""
-    return solve(instance, replace(config, algorithm="ap"))

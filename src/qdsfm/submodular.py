@@ -3,8 +3,8 @@
 Each component is a nonnegative, normalized submodular function F_r attached
 to an incidence set S_r of ground-set indices.  The module evaluates F_r,
 computes its Lovász extension f_r (the support function of the base
-polytope B_r), runs Edmonds' greedy algorithm as the linear-minimization
-oracle over B_r, and tests membership in B_r for small components.
+polytope B_r), and runs Edmonds' greedy algorithm as the linear-minimization
+oracle over B_r.
 
 Cut-type components (graph edges, hyperedges, directed hyperedges) get
 closed forms throughout; general components are handled through an explicit
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SubmodularAtom",
-    "BoundUnavailableError",
     "graph_edge_cut",
     "hyperedge_cut",
     "directed_hyperedge_cut",
@@ -29,18 +28,10 @@ __all__ = [
     "evaluate",
     "lovasz_extension",
     "greedy_linear_minimizer",
-    "base_polytope_contains",
 ]
 
 _CUT_KINDS = ("edge", "hyperedge", "directed_hyperedge")
 _ALL_KINDS = _CUT_KINDS + ("table", "oracle")
-
-# Exhaustive subset enumeration is capped here (2^20 evaluations).
-EXHAUSTIVE_LIMIT = 20
-
-
-class BoundUnavailableError(ValueError):
-    """Raised when a check would require an exponential scan."""
 
 
 def _check_indices(name: str, idx: Iterable[int]) -> tuple[int, ...]:
@@ -91,7 +82,10 @@ class SubmodularAtom:
             raise ValueError("members must be nonempty")
         if any(b <= a for a, b in zip(self.members, self.members[1:])):
             raise ValueError("members must be strictly increasing")
-        members = np.asarray(self.members, dtype=np.intp)
+        try:
+            members = np.asarray(self.members, dtype=np.intp)
+        except OverflowError as exc:
+            raise ValueError("member indices must fit in a machine integer") from exc
         object.__setattr__(self, "_members_arr", members)
         pos_of = {g: p for p, g in enumerate(self.members)}
         if self.kind in _CUT_KINDS:
@@ -331,35 +325,6 @@ def lovasz_extension(atom: SubmodularAtom, x: np.ndarray) -> float:
         total += (cur - prev) * float(xl[p])
         prev = cur
     return total
-
-
-def base_polytope_contains(atom: SubmodularAtom, y: np.ndarray, tol: float = 1e-9) -> bool:
-    """Exhaustively test y ∈ B_r (test helper; |S_r| ≤ 20 only).
-
-    Checks y(S) ≤ F(S) + tol for every S ⊆ S_r, |y(S_r) − F(S_r)| ≤ tol,
-    and that y vanishes off the incidence set.
-    """
-    if atom.size > EXHAUSTIVE_LIMIT:
-        raise BoundUnavailableError(
-            f"membership check needs 2^{atom.size} subsets (limit 2^{EXHAUSTIVE_LIMIT})"
-        )
-    y = np.asarray(y, dtype=float)
-    off = np.ones(len(y), dtype=bool)
-    off[atom.members_arr] = False
-    if np.any(np.abs(y[off]) > tol):
-        return False
-    yl = y[atom.members_arr]
-    m = atom.size
-    for bits in range(1 << m):
-        pos = frozenset(p for p in range(m) if bits >> p & 1)
-        val = _value_on_positions(atom, pos)
-        ys = float(sum(yl[p] for p in pos))
-        if bits == (1 << m) - 1:
-            if abs(ys - val) > tol:
-                return False
-        elif ys > val + tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

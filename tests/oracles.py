@@ -70,6 +70,17 @@ def min_linear_over_base(value_fn, members, c):
     return best, best_q
 
 
+def atom_value_fn(atom):
+    """F of a cut or table atom on a set of global indices, read from the
+    atom's fields: ``cut_value`` for cuts, the bitmask table for tables."""
+    if atom.kind == "table":
+        pos = {g: p for p, g in enumerate(atom.members)}
+        return lambda S: atom.weight * atom.table[sum(1 << pos[g] for g in S if g in pos)]
+    head = atom.head if atom.head is not None else atom.members
+    tail = atom.tail if atom.tail is not None else atom.members
+    return lambda S: cut_value(atom.kind, atom.members, head, tail, atom.weight, S)
+
+
 def in_base_polytope(value_fn, members, y, tol=1e-9):
     """Direct subset-inequality check for y ∈ B."""
     members = sorted(members)
@@ -84,6 +95,17 @@ def in_base_polytope(value_fn, members, y, tol=1e-9):
             elif ys > fv + tol:
                 return False
     return True
+
+
+def in_cone(atom, point, tol=1e-8):
+    """φ ≥ 0 and y ∈ φ·B for a projection's (members, y, φ), judged by
+    ``in_base_polytope``; a point at the apex (φ ≈ 0) must have y ≈ 0."""
+    if point.phi < -tol:
+        return False
+    if point.phi <= tol:
+        return bool(np.max(np.abs(point.y), initial=0.0) <= tol)
+    y = dict(zip(point.members, point.y / point.phi))
+    return in_base_polytope(atom_value_fn(atom), atom.members, y, tol=tol)
 
 
 def nested_grid_minimize(fun, lo, hi, points=17, rounds=25, shrink=0.6):
@@ -159,10 +181,5 @@ def prox_objective(kind, members, head, tail, weight, b, metric):
 def max_base_norm_sq(atom, wt):
     """Q² = max_{q ∈ B} ‖q‖²_wt for a cut atom, by scanning every greedy
     vertex: the maximum of a convex function over B sits at a vertex."""
-    head = atom.head if atom.head is not None else atom.members
-    tail = atom.tail if atom.tail is not None else atom.members
-
-    def value_fn(S):
-        return cut_value(atom.kind, atom.members, head, tail, atom.weight, S)
-
-    return max(float(np.dot(wt[: len(q)], q * q)) for q in greedy_vertices(value_fn, atom.members))
+    vertices = greedy_vertices(atom_value_fn(atom), atom.members)
+    return max(float(np.dot(wt[: len(q)], q * q)) for q in vertices)

@@ -36,7 +36,6 @@ from qdsfm.solvers import (
     ProblemInstance,
     SolveConfig,
     dual_objective,
-    rcd_solve,
     solve,
 )
 from qdsfm.submodular import (
@@ -113,11 +112,11 @@ def test_single_edge_worked_example_is_exact_and_fast():
         a=np.array([1.0, 0.0]), w=np.ones(2), atoms=(graph_edge_cut(0, 1),)
     )
     config = SolveConfig(max_iters=50, target_gap=1e-10)
-    rcd_solve(instance, config)  # warm caches before timing
+    solve(instance, config)  # warm caches before timing
     elapsed = []
     for _ in range(3):
         t0 = time.perf_counter()
-        result = rcd_solve(instance, config)
+        result = solve(instance, config)
         elapsed.append(time.perf_counter() - t0)
     assert abs(result.x[0] - 2.0 / 3.0) <= 1e-8
     assert abs(result.x[1] - 1.0 / 3.0) <= 1e-8
@@ -147,7 +146,7 @@ def test_small_instances_match_grid_search():
             w=rng.uniform(0.5, 2.0, size=n),
             atoms=tuple(atoms),
         )
-        result = rcd_solve(
+        result = solve(
             instance, SolveConfig(max_iters=8000 * instance.r, target_gap=1e-10)
         )
         assert result.converged
@@ -235,7 +234,7 @@ def test_gap_decays_linearly_and_tracks_fidelity_weight():
     t0 = time.perf_counter()
     instance = _decay_instance()
     big_r = instance.r
-    result = rcd_solve(
+    result = solve(
         instance, SolveConfig(max_iters=300 * big_r, checkpoint_stride=big_r)
     )
     gaps = {row.iteration: row.gap for row in result.trace}
@@ -248,7 +247,7 @@ def test_gap_decays_linearly_and_tracks_fidelity_weight():
     # shrinking the fidelity weight slows convergence at a fixed budget
     final = {}
     for beta in (1.0, 0.1, 0.01):
-        res = rcd_solve(
+        res = solve(
             _decay_instance(beta),
             SolveConfig(max_iters=100 * big_r, checkpoint_stride=100 * big_r),
         )

@@ -10,7 +10,7 @@ from qdsfm import io as qio
 from qdsfm import projection
 from qdsfm.applications import Hypergraph
 from qdsfm.cli import main
-from qdsfm.solvers import ProblemInstance, TraceRow, rcd_solve
+from qdsfm.solvers import ProblemInstance, TraceRow, solve
 from qdsfm.submodular import (
     directed_hyperedge_cut,
     general_oracle,
@@ -131,6 +131,22 @@ def test_instance_scalar_and_default_weights(tmp_path):
         ({"a": [1.0, 2.0], "w": [[1], 1]}, "'w' must be"),
         ({"a": [1.0], "w": 10**400}, "'w' must be"),
         ({"a": [1.0, 2.0], "atoms": [{"type": "edge", "members": [0, 2**63]}]}, "atom 0"),
+        # JSON strings and bools are not numbers, wherever a number is read
+        ({"a": ["1", 2.0]}, "'a' must be a list of numbers"),
+        ({"a": [True, 2.0]}, "'a' must be a list of numbers"),
+        ({"a": [1.0, 2.0], "w": ["2", 1]}, "'w' must be"),
+        ({"a": [1.0, 2.0], "w": [1, False]}, "'w' must be"),
+        ({"a": [1.0, 2.0], "w": True}, "'w' must be"),
+        (
+            {"a": [1.0, 2.0], "atoms": [{"type": "table", "members": [0, 1],
+                                         "table": {"0": 0, "1": "1", "2": 1, "3": 0}}]},
+            "atom 0: table value",
+        ),
+        (
+            {"a": [1.0, 2.0], "atoms": [{"type": "table", "members": [0, 1],
+                                         "table": {"0": 0, "1": True, "2": 1, "3": 0}}]},
+            "atom 0: table value",
+        ),
     ],
 )
 def test_malformed_instances_rejected(tmp_path, payload, fragment):
@@ -204,7 +220,11 @@ def test_fuzz_load_instance_loads_or_raises_input_error(tmp_path_factory, payloa
     try:
         qio.load_instance(str(path))
     except qio.InputError:
-        pass
+        return
+    # a file that loads held JSON numbers, not strings or bools, in 'a' and 'w'
+    w = payload.get("w")
+    values = list(payload["a"]) + (w if isinstance(w, list) else [] if w is None else [w])
+    assert all(type(v) in (int, float) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +278,8 @@ def test_labels_schema_vector_loaders(tmp_path):
         qio.load_vector(vp, 3)
     with pytest.raises(qio.InputError, match="entries must be numbers"):
         qio.load_vector(_write_json(tmp_path / "h.json", [0.5, 10**400]), 2)
+    with pytest.raises(qio.InputError, match="entries must be numbers"):
+        qio.load_vector(_write_json(tmp_path / "b.json", [True, "2"]), 2)
 
 
 def test_table_rows_loader(tmp_path):
@@ -277,7 +299,7 @@ def test_solution_and_trace_round_trip(tmp_path):
     instance = ProblemInstance(
         a=np.array([1.0, 0.0]), w=np.ones(2), atoms=(graph_edge_cut(0, 1),)
     )
-    result = rcd_solve(instance)
+    result = solve(instance)
     sol_path = tmp_path / "sol.json"
     qio.write_solution(result, str(sol_path))
     loaded = qio.read_solution(str(sol_path))

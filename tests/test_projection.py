@@ -11,16 +11,15 @@ from qdsfm import projection
 from qdsfm.projection import (
     ConePoint,
     ProjectionParams,
+    _affine_minimizer_local,
     _sweep_cut_batch,
     _sweep_cut_local,
-    affine_minimizer,
     project_cone,
     project_exact,
     project_fw,
     project_mnp,
-    projection_objective,
 )
-from qdsfm.solvers import ProblemInstance, SolveConfig, ap_solve
+from qdsfm.solvers import ProblemInstance, SolveConfig, solve
 from qdsfm.submodular import (
     directed_hyperedge_cut,
     general_oracle,
@@ -60,7 +59,8 @@ def test_edge_worked_example_all_methods():
         assert np.allclose(point.y, [1 / 3, -1 / 3], atol=1e-9)
         assert point.phi == pytest.approx(1 / 3, abs=1e-9)
         assert report.h == pytest.approx(2 / 3, abs=1e-9)
-        assert projection_objective(atom, wt, a, point) == pytest.approx(2 / 3, abs=1e-9)
+        d = point.y - a
+        assert float(np.dot(wt, d * d)) + point.phi**2 == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_edge_symmetric_target():
@@ -188,7 +188,7 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     rng = np.random.default_rng(4)
     n = 7  # vertex 6 is in no component
     inst = ProblemInstance(a=rng.normal(size=n), w=rng.uniform(0.5, 2.0, size=n), atoms=atoms)
-    res = ap_solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
+    res = solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
     assert res.iterations == inst.r
     # the five edges are one batched group; the two 3-member hyperedges are
     # fewer than _BATCH_MIN_ROWS and stay on the scalar sweep
@@ -219,11 +219,11 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
 def test_affine_minimizer_examples():
     wt = np.ones(2)
     a = np.array([1.0, 0.0])
-    alpha = affine_minimizer([np.array([1.0, -1.0])], wt, a)
+    alpha = _affine_minimizer_local([np.array([1.0, -1.0])], wt, a)
     assert alpha == pytest.approx([1 / 3])
-    alpha = affine_minimizer([np.array([1.0, -1.0])], wt, np.zeros(2))
+    alpha = _affine_minimizer_local([np.array([1.0, -1.0])], wt, np.zeros(2))
     assert alpha == pytest.approx([0.0])
-    alpha = affine_minimizer([np.array([1.0, -1.0]), np.array([-1.0, 1.0])], wt, a)
+    alpha = _affine_minimizer_local([np.array([1.0, -1.0]), np.array([-1.0, 1.0])], wt, a)
     assert alpha == pytest.approx([0.25, -0.25])
 
 
@@ -231,7 +231,7 @@ def test_affine_minimizer_rank_deficient_least_norm():
     wt = np.ones(2)
     a = np.array([1.0, 0.0])
     q = np.array([1.0, -1.0])
-    alpha = affine_minimizer([q, q.copy()], wt, a)  # duplicated point
+    alpha = _affine_minimizer_local([q, q.copy()], wt, a)  # duplicated point
     resid = np.array([[3.0, 3.0], [3.0, 3.0]]) @ alpha - np.array([1.0, 1.0])
     assert np.linalg.norm(resid) <= 1e-8 * 2
     assert alpha[0] == pytest.approx(alpha[1])  # least-norm splits evenly
@@ -267,7 +267,7 @@ def test_exact_sweep_matches_grid_oracle(case):
     point, report = project_exact(atom, wt, a)
     h_star = _h_star_by_grid(atom, wt, a)
     assert report.h == pytest.approx(h_star, abs=2e-6)
-    assert point.feasible(atom, tol=1e-7)
+    assert oracles.in_cone(atom, point, tol=1e-7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -277,7 +277,7 @@ def test_mnp_matches_exact(case):
     _, exact_report = project_exact(atom, wt, a)
     point, report = project_mnp(atom, wt, a)
     assert abs(report.h - exact_report.h) <= 1e-9 * (1.0 + abs(exact_report.h))
-    assert point.feasible(atom, tol=1e-7)
+    assert oracles.in_cone(atom, point, tol=1e-7)
     # MAJOR-loop objective never increases
     hs = report.h_history
     for i in range(len(hs) - 1):
@@ -296,7 +296,7 @@ def test_fw_approaches_exact(case):
     )
     assert report.h - exact_report.h <= 1e-6 * (1.0 + abs(exact_report.h))
     assert report.h >= exact_report.h - 1e-9
-    assert point.feasible(atom, tol=1e-5)
+    assert oracles.in_cone(atom, point, tol=1e-5)
 
 
 def test_fw_envelope_small_batch():
@@ -348,7 +348,7 @@ def test_mnp_on_general_component_agrees_with_fw():
         p_mnp, r_mnp = project_mnp(atom, wt, a)
         p_fw, r_fw = project_fw(atom, wt, a, ProjectionParams(delta=1e-13, max_major=20_000))
         assert abs(r_mnp.h - r_fw.h) <= 1e-6 * (1 + abs(r_mnp.h))
-        assert p_mnp.feasible(atom, tol=1e-6)
+        assert oracles.in_cone(atom, p_mnp, tol=1e-6)
         assert r_mnp.certificate >= -1e-10 or not r_mnp.converged
 
 
@@ -370,7 +370,7 @@ def test_dispatch_and_validation():
     gen = general_oracle([0, 1], table=tbl)
     _, report = project_cone(gen, np.ones(2), a, ProjectionParams(method="auto"))
     assert report.method == "mnp"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact projection requires cut components"):
         project_exact(gen, np.ones(2), a)
     with pytest.raises(ValueError):
         ProjectionParams(delta=0.0)
@@ -380,11 +380,42 @@ def test_dispatch_and_validation():
         ProjectionParams(method="newton")
 
 
+_CUT = directed_hyperedge_cut([0, 2], [2, 3], members=[0, 2, 3], weight=2.0)
+_COVERS = ({0, 1}, {1, 2}, {3})  # F(S) = |union of the covers of S's members|
+_TABLE = general_oracle(
+    (0, 2, 3),
+    table={
+        bits: float(len(set().union(*(c for p, c in enumerate(_COVERS) if bits >> p & 1))))
+        for bits in range(8)
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "atom,method",
+    [(_CUT, "exact"), (_CUT, "mnp"), (_CUT, "fw"), (_TABLE, "mnp"), (_TABLE, "fw")],
+)
+def test_entry_points_agree(atom, method):
+    # at this seed mnp runs two MAJOR loops on both atoms, so the check on
+    # h_history below has two entries to compare
+    rng = np.random.default_rng(13)
+    a, wt = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+    project = {"exact": project_exact, "mnp": project_mnp, "fw": project_fw}[method]
+    point, report = project(atom, wt, a)
+    cone_point, cone_report = project_cone(atom, wt, a, ProjectionParams(method=method))
+    assert np.array_equal(point.y, cone_point.y) and point.phi == cone_point.phi
+    fields = ("method", "converged", "iterations", "certificate", "h")
+    assert [getattr(report, f) for f in fields] == [getattr(cone_report, f) for f in fields]
+    assert report.method == method
+    if method == "mnp":  # recorded by default, one entry per completed MAJOR loop
+        assert len(report.h_history) >= max(2, report.iterations)
+
+
 def test_cone_point_dense_and_feasibility():
     point = ConePoint((1, 3), np.array([0.5, -0.5]), 0.5)
     dense = point.dense(5)
     assert np.allclose(dense, [0.0, 0.5, 0.0, -0.5, 0.0])
     atom = hyperedge_cut([1, 3])
-    assert point.feasible(atom)
+    assert oracles.in_cone(atom, point)
     bad = ConePoint((1, 3), np.array([2.0, -2.0]), 0.5)
-    assert not bad.feasible(atom)
+    assert not oracles.in_cone(atom, bad)

@@ -11,12 +11,10 @@ import oracles
 from qdsfm.solvers import (
     ProblemInstance,
     SolveConfig,
-    ap_solve,
     dual_objective,
     evaluate_dual_state,
     primal_from_dual,
     primal_objective,
-    rcd_solve,
     solve,
 )
 from qdsfm.submodular import (
@@ -137,7 +135,7 @@ def test_penalty_groups_and_fallback_agree():
 
 def test_rcd_solves_single_edge():
     inst = _edge_instance()
-    res = rcd_solve(
+    res = solve(
         inst, SolveConfig(max_iters=5, target_gap=1e-12, checkpoint_stride=1)
     )
     assert np.allclose(res.x, [2 / 3, 1 / 3], atol=1e-10)
@@ -157,11 +155,10 @@ def test_rcd_solves_single_edge():
 def test_ap_single_component_is_one_projection():
     inst = _edge_instance()
     cfg = SolveConfig(algorithm="ap", max_iters=1, target_gap=1e-12)
-    res = ap_solve(inst, cfg)
-    ref = rcd_solve(inst, SolveConfig(max_iters=1, checkpoint_stride=1))
+    res = solve(inst, cfg)
+    ref = solve(inst, SolveConfig(max_iters=1, checkpoint_stride=1))
     assert np.array_equal(res.x, ref.x)
     assert res.converged and res.iterations == 1
-    assert solve(inst, cfg).gap == res.gap  # dispatcher routes on algorithm
 
 
 def test_empty_instance_returns_anchor():
@@ -181,7 +178,7 @@ def test_empty_instance_returns_anchor():
 def test_rcd_matches_grid_optimum(seed):
     rng = np.random.default_rng(seed)
     inst = _random_cut_instance(rng, int(rng.integers(3, 5)), int(rng.integers(2, 4)))
-    res = rcd_solve(inst, SolveConfig(max_iters=6000 * inst.r, target_gap=1e-11))
+    res = solve(inst, SolveConfig(max_iters=6000 * inst.r, target_gap=1e-11))
     assert res.converged
     assert res.gap >= -1e-9
     x_star, p_star = _grid_optimum(inst)
@@ -193,7 +190,7 @@ def test_rcd_matches_grid_optimum(seed):
 def test_ap_matches_grid_optimum(seed):
     rng = np.random.default_rng(seed)
     inst = _random_cut_instance(rng, 4, 3)
-    res = ap_solve(
+    res = solve(
         inst,
         SolveConfig(algorithm="ap", max_iters=4000 * inst.r, target_gap=1e-11),
     )
@@ -211,8 +208,8 @@ def test_general_component_equals_its_cut_twin():
     edge_atoms = (hyperedge_cut([0, 1]), graph_edge_cut(1, 2, 2.0))
     table_atoms = (general_oracle([0, 1], table=tbl), graph_edge_cut(1, 2, 2.0))
     cfg = SolveConfig(max_iters=4000, target_gap=1e-11, seed=1)
-    res_cut = rcd_solve(ProblemInstance(a, w, edge_atoms), cfg)
-    res_tbl = rcd_solve(ProblemInstance(a, w, table_atoms), cfg)
+    res_cut = solve(ProblemInstance(a, w, edge_atoms), cfg)
+    res_tbl = solve(ProblemInstance(a, w, table_atoms), cfg)
     assert res_cut.converged and res_tbl.converged
     assert np.allclose(res_cut.x, res_tbl.x, atol=1e-5)
 
@@ -221,8 +218,8 @@ def test_projection_method_override_agrees():
     rng = np.random.default_rng(12)
     inst = _random_cut_instance(rng, 4, 3)
     base = SolveConfig(max_iters=3000 * inst.r, target_gap=1e-10)
-    res_exact = rcd_solve(inst, base)
-    res_mnp = rcd_solve(
+    res_exact = solve(inst, base)
+    res_mnp = solve(
         inst, SolveConfig(max_iters=3000 * inst.r, target_gap=1e-10, projection="mnp")
     )
     assert res_exact.converged and res_mnp.converged
@@ -232,7 +229,7 @@ def test_projection_method_override_agrees():
         bad = ProblemInstance(
             np.zeros(2), np.ones(2), (general_oracle([0, 1], table=tbl),)
         )
-        rcd_solve(bad, SolveConfig(max_iters=2, projection="exact"))
+        solve(bad, SolveConfig(max_iters=2, projection="exact"))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def test_projection_method_override_agrees():
 def test_trace_checkpoints_and_budget_rcd():
     rng = np.random.default_rng(2)
     inst = _random_cut_instance(rng, 5, 4)
-    res = rcd_solve(inst, SolveConfig(max_iters=57, checkpoint_stride=10))
+    res = solve(inst, SolveConfig(max_iters=57, checkpoint_stride=10))
     assert not res.converged
     assert res.iterations == 57
     assert [row.iteration for row in res.trace] == [0, 10, 20, 30, 40, 50, 57]
@@ -256,7 +253,7 @@ def test_trace_checkpoints_and_budget_ap():
     rng = np.random.default_rng(2)
     inst = _random_cut_instance(rng, 5, 4)
     r = inst.r
-    res = ap_solve(
+    res = solve(
         inst,
         SolveConfig(algorithm="ap", max_iters=5 * r + 3, checkpoint_stride=2 * r),
     )
@@ -264,7 +261,7 @@ def test_trace_checkpoints_and_budget_ap():
     assert [row.iteration for row in res.trace] == [0, 2 * r, 4 * r, 5 * r]
     # rounds are atomic and at least one runs: a budget below R still spends R
     assert r > 1
-    res = ap_solve(inst, SolveConfig(algorithm="ap", max_iters=1))
+    res = solve(inst, SolveConfig(algorithm="ap", max_iters=1))
     assert res.iterations == r
     assert [row.iteration for row in res.trace] == [0, r]
 
@@ -272,7 +269,7 @@ def test_trace_checkpoints_and_budget_ap():
 def test_wall_clock_limit_stops_early():
     rng = np.random.default_rng(2)
     inst = _random_cut_instance(rng, 5, 4)
-    res = rcd_solve(
+    res = solve(
         inst,
         SolveConfig(max_iters=100_000, checkpoint_stride=1, wall_clock_limit=0.0),
     )
@@ -280,13 +277,13 @@ def test_wall_clock_limit_stops_early():
     assert not res.converged
     # the clock is checked after every projection (rcd) or round (ap), not
     # only at checkpoints, and the stopping iteration gets a trace row
-    res = rcd_solve(
+    res = solve(
         inst,
         SolveConfig(max_iters=1000, checkpoint_stride=1000, wall_clock_limit=0.0),
     )
     assert res.iterations == 1
     assert [row.iteration for row in res.trace] == [0, 1]
-    res = ap_solve(
+    res = solve(
         inst,
         SolveConfig(
             algorithm="ap",
@@ -303,13 +300,13 @@ def test_same_seed_reproduces_run():
     rng = np.random.default_rng(21)
     inst = _random_cut_instance(rng, 8, 6)
     cfg = SolveConfig(max_iters=200, checkpoint_stride=25, seed=7)
-    res1 = rcd_solve(inst, cfg)
-    res2 = rcd_solve(inst, cfg)
+    res1 = solve(inst, cfg)
+    res2 = solve(inst, cfg)
     assert np.array_equal(res1.x, res2.x)
     rows1 = [(t.iteration, t.primal, t.dual, t.gap) for t in res1.trace]
     rows2 = [(t.iteration, t.primal, t.dual, t.gap) for t in res2.trace]
     assert rows1 == rows2
-    res3 = rcd_solve(inst, SolveConfig(max_iters=200, checkpoint_stride=25, seed=8))
+    res3 = solve(inst, SolveConfig(max_iters=200, checkpoint_stride=25, seed=8))
     rows3 = [(t.iteration, t.primal, t.dual, t.gap) for t in res3.trace]
     assert rows3 != rows1
 
@@ -339,9 +336,9 @@ def test_unconverged_oracle_calls_are_logged(caplog):
     single = ProblemInstance(a=a, w=np.ones(5), atoms=(atom,))
     pair = ProblemInstance(a=a, w=np.ones(5), atoms=(atom, hyperedge_cut([0, 1, 2])))
     with caplog.at_level(logging.WARNING, logger="qdsfm"):
-        rcd_solve(single, SolveConfig(max_iters=1, projection="fw"))
-        ap_solve(pair, SolveConfig(algorithm="ap", max_iters=2, projection="fw"))
-        rcd_solve(single, SolveConfig(max_iters=2, projection="mnp"))  # converges: no warning
+        solve(single, SolveConfig(max_iters=1, projection="fw"))
+        solve(pair, SolveConfig(algorithm="ap", max_iters=2, projection="fw"))
+        solve(single, SolveConfig(max_iters=2, projection="mnp"))  # converges: no warning
     tail = "fw projections stopped before meeting delta (iteration cap or stall)"
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("qdsfm.projection", logging.WARNING, f"1 of 1 {tail}"),

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm.submodular import (
-    BoundUnavailableError,
-    base_polytope_contains,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -20,17 +18,6 @@ from qdsfm.submodular import (
     hyperedge_cut,
     lovasz_extension,
 )
-
-
-def _spec_of(atom):
-    head = atom.head if atom.head is not None else atom.members
-    tail = atom.tail if atom.tail is not None else atom.members
-    return atom.kind, atom.members, head, tail, atom.weight
-
-
-def _value_fn(atom):
-    kind, members, head, tail, weight = _spec_of(atom)
-    return lambda S: oracles.cut_value(kind, members, head, tail, weight, S)
 
 
 @st.composite
@@ -78,7 +65,7 @@ def test_evaluate_directed_all_subsets():
 def test_evaluate_matches_reference_on_all_subsets(atom):
     import itertools
 
-    fn = _value_fn(atom)
+    fn = oracles.atom_value_fn(atom)
     for r in range(atom.size + 1):
         for combo in itertools.combinations(atom.members, r):
             assert evaluate(atom, combo) == pytest.approx(fn(set(combo)), abs=1e-12)
@@ -89,7 +76,7 @@ def test_evaluate_matches_reference_on_all_subsets(atom):
 def test_cut_functions_are_normalized_nonnegative_submodular(atom):
     import itertools
 
-    fn = _value_fn(atom)
+    fn = oracles.atom_value_fn(atom)
     subsets = [set(c) for r in range(atom.size + 1) for c in itertools.combinations(atom.members, r)]
     assert fn(set()) == 0.0
     for A in subsets:
@@ -119,7 +106,7 @@ def test_lovasz_equals_prefix_formula_and_greedy_support(data):
     atom = data.draw(cut_atoms())
     n = max(atom.members) + 1
     x = data.draw(_vectors(n))
-    want = oracles.lovasz_by_prefix(_value_fn(atom), atom.members, x)
+    want = oracles.lovasz_by_prefix(oracles.atom_value_fn(atom), atom.members, x)
     got = lovasz_extension(atom, x)
     assert got == pytest.approx(want, abs=1e-10)
     # support-function identity: f(x) = <x, argmax_{q in B} <q, x>>
@@ -161,7 +148,7 @@ def test_greedy_examples():
     assert np.dot(q, [3.0, 1.0, 2.0]) == -2.0
     # c = 0: output must still be a base-polytope point
     q = greedy_linear_minimizer(h, np.zeros(3))
-    assert base_polytope_contains(h, q, tol=1e-12)
+    assert oracles.in_base_polytope(oracles.atom_value_fn(h), h.members, q, tol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +158,7 @@ def test_greedy_attains_bruteforce_minimum(data):
     n = max(atom.members) + 1
     c = data.draw(_vectors(n))
     got = float(np.dot(c, greedy_linear_minimizer(atom, c)))
-    want, _ = oracles.min_linear_over_base(_value_fn(atom), atom.members, c)
+    want, _ = oracles.min_linear_over_base(oracles.atom_value_fn(atom), atom.members, c)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -181,7 +168,7 @@ def test_greedy_bruteforce_size_seven_directed():
     for _ in range(3):
         c = rng.normal(size=7)
         got = float(np.dot(c, greedy_linear_minimizer(atom, c)))
-        want, _ = oracles.min_linear_over_base(_value_fn(atom), atom.members, c)
+        want, _ = oracles.min_linear_over_base(oracles.atom_value_fn(atom), atom.members, c)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -192,8 +179,8 @@ def test_greedy_outputs_lie_in_base_polytope(data):
     n = max(atom.members) + 1
     c = data.draw(_vectors(n))
     q = greedy_linear_minimizer(atom, c)
-    assert base_polytope_contains(atom, q, tol=1e-9)
-    assert oracles.in_base_polytope(_value_fn(atom), atom.members, q, tol=1e-9)
+    assert not np.any(np.abs(np.delete(q, atom.members)) > 1e-9)  # zero off the members
+    assert oracles.in_base_polytope(oracles.atom_value_fn(atom), atom.members, q, tol=1e-9)
 
 
 def test_greedy_tie_break_is_stable_by_index():
@@ -257,7 +244,7 @@ def test_callback_atom_square_root_of_cardinality():
     )
     assert lovasz_extension(atom, x) == pytest.approx(want, abs=1e-10)
     q = greedy_linear_minimizer(atom, x)
-    assert base_polytope_contains(atom, q, tol=1e-9)
+    assert oracles.in_base_polytope(lambda S: 3.0 * math.sqrt(len(S)), members, q, tol=1e-9)
 
 
 def test_constructor_validation():
@@ -277,21 +264,5 @@ def test_constructor_validation():
         general_oracle([0, 1], fn=lambda S: float(len(S)), table={0: 0.0})
     with pytest.raises(ValueError):
         hyperedge_cut([0, 1], weight=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# base polytope membership
-
-
-def test_membership_examples():
-    e = graph_edge_cut(0, 1)
-    assert base_polytope_contains(e, np.array([0.5, -0.5]))
-    assert not base_polytope_contains(e, np.array([2.0, -2.0]))
-    assert base_polytope_contains(e, np.array([0.0, 0.0]))
-    assert not base_polytope_contains(e, np.array([0.0, 0.0, 0.3]))  # off-support
-
-
-def test_membership_capacity_error():
-    atom = hyperedge_cut(range(21))
-    with pytest.raises(BoundUnavailableError):
-        base_polytope_contains(atom, np.zeros(21))
+    with pytest.raises(ValueError, match="machine integer"):
+        hyperedge_cut([0, 2**64])  # past np.intp
