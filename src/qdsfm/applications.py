@@ -107,12 +107,6 @@ class LabeledDataset:
         object.__setattr__(self, "labels", MappingProxyType(labels))
         object.__setattr__(self, "num_classes", k_total)
 
-    def class_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_classes, dtype=int)
-        for k in self.labels.values():
-            counts[k] += 1
-        return counts
-
     def anchor(self, k: int) -> np.ndarray:
         """The ±1/0 vector for class k: +1 on class-k labels, −1 on labels
         of any other class, 0 on unlabeled samples."""

@@ -27,7 +27,9 @@ owns the choice of oracle per component and the iteration caps; the dual
 solvers take per-component callables on pre-gathered slices from
 ``bind_projectors`` (``rcd``) or one callable for a whole round from
 ``bind_round`` (``ap``), which runs the exact sweep of equal-size edges and
-hyperedges as one array kernel.
+hyperedges as one array kernel.  The scalar exact sweep is bound once per
+component per solve (``_bind_sweep``), so a call repeats none of the work
+that depends only on the component and its metric.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -297,36 +299,50 @@ _ITERATIVE = {"mnp": _mnp_local, "fw": _fw_local}
 # Exact sweep for cut components
 
 
-def _sweep_cut_local(atom: SubmodularAtom, wt: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact cone projection for cut components.
+def _bind_sweep(
+    atom: SubmodularAtom, wt: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """Exact cone projection for a cut component under the metric ``wt``, as
+    a callable target ↦ (y, φ) in local coordinates.
 
     Reduces to the proximal problem min_z ‖z − b‖²_M + w·f₁(z)² with
     b = W̃a/2 and M = W̃⁻¹ (f₁ the unit-weight cut extension), solved by a
     two-pointer sweep that caps head values at γ and floors tail values at δ
     while walking the balanced path dδ = −(w_H/w_T)dγ; recovery is
-    y = a − 2Mz, φ = 2√w·f₁(z).
+    y = a − 2Mz, φ = 2√w·f₁(z).  The rows W̃/2, 2M and M/w (the sweep's
+    masses) depend only on the component and ``wt``, so they are computed here.
     """
-    m = atom.size
-    w = atom.weight
+    m, w = atom.size, atom.weight
     if m == 1 or w == 0.0:
-        return np.zeros(m), 0.0
+        return lambda a: (np.zeros(m), 0.0)
     metric = 1.0 / wt
-    b = 0.5 * wt * a
+    rows = np.array((0.5 * wt, 2.0 * metric, metric / w))
     hp, tp = atom.head_pos, atom.tail_pos
-    bh = b[hp]
-    bt = b[tp]
-    gamma = float(np.max(bh))
-    delta = float(np.min(bt))
-    if gamma <= delta:
-        return np.zeros(m), 0.0
+    sides = (hp, tp, rows[2, hp], rows[2, tp]) if atom.kind == "directed_hyperedge" else None
+    return partial(_sweep, rows, 2.0 * math.sqrt(w), sides)
 
-    mw = metric / w
+
+def _sweep(
+    rows: np.ndarray, root_w: float, sides: tuple | None, a: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The sweep bound by ``_bind_sweep``: ``root_w`` is 2√w, and ``sides`` is
+    None for an undirected atom, else its head and tail positions and masses."""
+    b = rows[0] * a
+    if sides is None:
+        bh = bt = b
+        mwh = mwt = rows[2]
+    else:
+        hp, tp, mwh, mwt = sides
+        bh, bt = b[hp], b[tp]
     oh = np.argsort(-bh, kind="stable")
     hvals = bh[oh].tolist()
-    hmass = mw[hp[oh]].tolist()
     ot = np.argsort(bt, kind="stable")
     tvals = bt[ot].tolist()
-    tmass = mw[tp[ot]].tolist()
+    gamma, delta = hvals[0], tvals[0]
+    if gamma <= delta:
+        return np.zeros(a.size), 0.0
+    hmass = mwh[oh].tolist()
+    tmass = mwt[ot].tolist()
     nh, nt = len(hvals), len(tvals)
 
     # absorb the arg-extreme ties
@@ -375,13 +391,17 @@ def _sweep_cut_local(atom: SubmodularAtom, wt: np.ndarray, a: np.ndarray) -> tup
     gs = gamma - grad * wT / denom
     ds = delta + grad * wH / denom
 
-    z = b.copy()
-    z[hp] = np.minimum(z[hp], gs)
-    z[tp] = np.maximum(z[tp], ds)
-    f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
-    y = a - 2.0 * metric * z
-    phi = 2.0 * math.sqrt(w) * f1
-    return y, phi
+    if sides is None:
+        z = np.minimum(b, gs)
+        np.maximum(z, ds, out=z)
+        # z is monotone in b, so its ends are the clipped ends of b
+        f1 = max(0.0, max(min(hvals[0], gs), ds) - max(min(tvals[0], gs), ds))
+    else:
+        z = b.copy()
+        z[hp] = np.minimum(z[hp], gs)
+        z[tp] = np.maximum(z[tp], ds)
+        f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
+    return a - rows[1] * z, root_w * f1
 
 
 def _sweep_cut_batch(
@@ -391,7 +411,7 @@ def _sweep_cut_batch(
 
     ``a`` and ``wt`` are k × m (targets and metrics in local coordinates),
     ``weight`` holds the k atom weights; returns y (k × m) and φ (k).  Row i
-    solves the proximal problem of ``_sweep_cut_local``.  Rows are processed
+    solves the proximal problem of ``_bind_sweep``.  Rows are processed
     in blocks of ``_BATCH_ROWS`` so the working memory stays bounded.
     """
     y = np.empty(a.shape)
@@ -489,13 +509,13 @@ def _iteration_cap(atom: SubmodularAtom, method: str, max_major: int | None) -> 
 
 def bind_projectors(
     atoms: Sequence[SubmodularAtom],
-    wt_locs: Sequence[np.ndarray],
+    wt_locs: Iterable[np.ndarray],
     method: str,
     delta: float,
     tally: Counter,
 ) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
     """Per-component callables target ↦ (y, φ) in local coordinates under the
-    metric ``wt_locs[r]``; each component's oracle is chosen here, once.
+    matching metric of ``wt_locs``; each component's oracle is chosen here, once.
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
@@ -504,7 +524,7 @@ def bind_projectors(
     for atom, wt in zip(atoms, wt_locs):
         chosen = _choose_oracle(atom, method)
         if chosen == "exact":
-            projectors.append(partial(_sweep_cut_local, atom, wt))
+            projectors.append(_bind_sweep(atom, wt))
             continue
 
         local = _ITERATIVE[chosen]
@@ -607,7 +627,7 @@ def _project(
     wt = as_diagonal(wtilde, len(a))[atom.members_arr]
     al = a[atom.members_arr]
     if method == "exact":
-        y, phi = _sweep_cut_local(atom, wt, al)
+        y, phi = _bind_sweep(atom, wt)(al)
         c = wt * (y - al)
         cert = float(np.dot(c, _greedy_local(atom, c))) + phi
         hist, conv, iters = (), True, 1

@@ -289,7 +289,7 @@ def _rcd_steps(
     mems = [atom.members_arr for atom in instance.atoms]
     members = np.concatenate(mems)
     base = [instance._two_wa[mem] for mem in mems]
-    wt_locs = [instance.winv[mem] for mem in mems]
+    wt_locs = (instance.winv[mem] for mem in mems)
     projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta, tally)
     ys = [np.zeros(mem.size) for mem in mems]
     draws = _uniform_draws(np.random.default_rng(config.seed), instance.r)

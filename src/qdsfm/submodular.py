@@ -14,6 +14,7 @@ value table or a user callback.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -172,6 +173,8 @@ def general_oracle(
         raise ValueError("provide exactly one of fn or table")
     if table is not None:
         full = 1 << len(m)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in table.values()):
+            raise ValueError("table values must be numbers, not bools or strings")
         tbl = {int(k): float(v) for k, v in table.items()}
         if len(tbl) != full or not all(0 <= k < full for k in tbl):
             raise ValueError(f"table must cover all {full} subsets of members")

@@ -183,3 +183,92 @@ def max_base_norm_sq(atom, wt):
     vertex: the maximum of a convex function over B sits at a vertex."""
     vertices = greedy_vertices(atom_value_fn(atom), atom.members)
     return max(float(np.dot(wt[: len(q)], q * q)) for q in vertices)
+
+
+def sweep_cut_reference(atom, wt, a):
+    """Exact cone projection for cut components, recomputing everything
+    from the atom and the metric on each call: the judge that the package's
+    bound sweep (``projection._bind_sweep``) must match bit for bit.
+
+    Reduces to the proximal problem min_z ‖z − b‖²_M + w·f₁(z)² with
+    b = W̃a/2 and M = W̃⁻¹ (f₁ the unit-weight cut extension), solved by a
+    two-pointer sweep that caps head values at γ and floors tail values at δ
+    while walking the balanced path dδ = −(w_H/w_T)dγ; recovery is
+    y = a − 2Mz, φ = 2√w·f₁(z).
+    """
+    m = atom.size
+    w = atom.weight
+    if m == 1 or w == 0.0:
+        return np.zeros(m), 0.0
+    metric = 1.0 / wt
+    b = 0.5 * wt * a
+    hp, tp = atom.head_pos, atom.tail_pos
+    bh = b[hp]
+    bt = b[tp]
+    gamma = float(np.max(bh))
+    delta = float(np.min(bt))
+    if gamma <= delta:
+        return np.zeros(m), 0.0
+
+    mw = metric / w
+    oh = np.argsort(-bh, kind="stable")
+    hvals = bh[oh].tolist()
+    hmass = mw[hp[oh]].tolist()
+    ot = np.argsort(bt, kind="stable")
+    tvals = bt[ot].tolist()
+    tmass = mw[tp[ot]].tolist()
+    nh, nt = len(hvals), len(tvals)
+
+    # absorb the arg-extreme ties
+    ih = 0
+    wH = 0.0
+    sH = 0.0
+    while ih < nh and hvals[ih] == gamma:
+        wH += hmass[ih]
+        sH += hmass[ih] * hvals[ih]
+        ih += 1
+    it = 0
+    wT = 0.0
+    while it < nt and tvals[it] == delta:
+        wT += tmass[it]
+        it += 1
+
+    while True:
+        gn = hvals[ih] if ih < nh else None
+        dn = tvals[it] if it < nt else None
+        if gn is None and dn is None:
+            break
+        cand_t = gamma - (dn - delta) * wT / wH if dn is not None else None
+        if cand_t is None or (gn is not None and gn >= cand_t):
+            g_c = gn
+            d_c = delta + (gamma - gn) * wH / wT
+            from_head = True
+        else:
+            g_c = cand_t
+            d_c = dn
+            from_head = False
+        if (g_c - d_c) + wH * g_c - sH <= 0.0:
+            break
+        gamma, delta = g_c, d_c
+        if from_head:
+            while ih < nh and hvals[ih] == gn:
+                wH += hmass[ih]
+                sH += hmass[ih] * hvals[ih]
+                ih += 1
+        else:
+            while it < nt and tvals[it] == dn:
+                wT += tmass[it]
+                it += 1
+
+    grad = (gamma - delta) + wH * gamma - sH
+    denom = wH * wT + wH + wT
+    gs = gamma - grad * wT / denom
+    ds = delta + grad * wH / denom
+
+    z = b.copy()
+    z[hp] = np.minimum(z[hp], gs)
+    z[tp] = np.maximum(z[tp], ds)
+    f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
+    y = a - 2.0 * metric * z
+    phi = 2.0 * math.sqrt(w) * f1
+    return y, phi

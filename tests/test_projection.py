@@ -12,8 +12,8 @@ from qdsfm.projection import (
     ConePoint,
     ProjectionParams,
     _affine_minimizer_local,
+    _bind_sweep,
     _sweep_cut_batch,
-    _sweep_cut_local,
     project_cone,
     project_exact,
     project_fw,
@@ -153,12 +153,31 @@ def test_sweep_batch_matches_scalar_sweep(m):
     y, phi = _sweep_cut_batch(a, wt, weight)
     for i in range(len(a)):
         atom = graph_edge_cut(0, 1, weight[i]) if m == 2 else hyperedge_cut(range(m), weight[i])
-        y_ref, phi_ref = _sweep_cut_local(atom, wt[i], a[i])
+        y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
         assert np.max(np.abs(y[i] - y_ref)) <= 1e-12
         assert abs(phi[i] - phi_ref) <= 1e-12
     idle = (weight == 0.0) | (np.ptp(0.5 * wt * a, axis=1) == 0.0)
     assert idle[-5:].all() and (m == 1 or not idle.all())
     assert np.all(y[idle] == 0.0) and np.all(phi[idle] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
+@pytest.mark.parametrize("directed", [False, True])
+def test_bound_sweep_is_bitwise_reference(m, directed):
+    rng = np.random.default_rng(100 + m)
+    a, wt, weight = _batch_rows(rng, m + 1 if directed else m)
+    for i in range(len(a)):
+        if directed:
+            # overlapping head and tail, and a member in neither
+            atom = directed_hyperedge_cut(
+                range(0, m, 2), range(m // 2, m), members=range(m + 1), weight=weight[i])
+        elif m == 2:
+            atom = graph_edge_cut(0, 1, weight[i])
+        else:
+            atom = hyperedge_cut(range(m), weight[i])
+        y, phi = _bind_sweep(atom, wt[i])(a[i])
+        y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
+        assert np.array_equal(y, y_ref) and phi == phi_ref
 
 
 def test_ap_round_matches_per_atom_projections(monkeypatch):

@@ -262,6 +262,11 @@ def test_constructor_validation():
         general_oracle([0, 1], table={0: 0.5, 1: 1.0, 2: 1.0, 3: 1.0})  # not normalized
     with pytest.raises(ValueError):
         general_oracle([0, 1], fn=lambda S: float(len(S)), table={0: 0.0})
+    for bad in ("1", True, np.True_):
+        with pytest.raises(ValueError, match="must be numbers"):
+            general_oracle([0, 1], table={0: 0, 1: bad, 2: 1.0, 3: 0})
+    assert general_oracle([0, 1], table={0: 0, 1: np.int64(1), 2: 1, 3: 0}).table == {
+        0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}
     with pytest.raises(ValueError):
         hyperedge_cut([0, 1], weight=-1.0)
     with pytest.raises(ValueError, match="machine integer"):
