@@ -68,19 +68,38 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
+    def incidence(self) -> np.ndarray:
+        """Every hyperedge's ``members_arr``, concatenated in edge order (read-only)."""
+        if not self.edges:
+            out = np.empty(0, dtype=np.intp)
+        else:
+            out = np.concatenate([edge.members_arr for edge in self.edges])
+        out.flags.writeable = False
+        return out
+
+    def _sizes(self) -> np.ndarray:
+        return np.fromiter((edge.size for edge in self.edges), dtype=np.intp, count=self.r)
+
+    def _weights(self) -> np.ndarray:
+        return np.fromiter((edge.weight for edge in self.edges), dtype=float, count=self.r)
+
+    def _incidence_sum(self, values: np.ndarray | None = None) -> np.ndarray:
+        """Per-vertex float sums of ``values`` (one per incidence, 1 if None),
+        each vertex's terms added in edge order."""
+        # the bincount of an empty array (no edges) is integer even with weights
+        out = np.bincount(self.incidence, weights=values, minlength=self.n)
+        return out.astype(float, copy=False)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """d_i = number of incident hyperedges (weights ignored)."""
-        d = np.zeros(self.n)
-        for edge in self.edges:
-            d[edge.members_arr] += 1.0
+        d = self._incidence_sum()
         d.flags.writeable = False
         return d
 
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for edge in self.edges:
-            d[edge.members_arr] += edge.weight
+        d = self._incidence_sum(np.repeat(self._weights(), self._sizes()))
         d.flags.writeable = False
         return d
 
@@ -207,12 +226,10 @@ def _require_graph(hg: Hypergraph) -> None:
 def adjacency_multiply(hg: Hypergraph, v: np.ndarray) -> np.ndarray:
     """(A·v) for the weighted adjacency of a graph-shaped hypergraph."""
     _require_graph(hg)
-    out = np.zeros(hg.n)
-    for edge in hg.edges:
-        i, j = edge.members
-        out[i] += edge.weight * v[j]
-        out[j] += edge.weight * v[i]
-    return out
+    v = np.asarray(v, dtype=float)
+    # a graph's incidence is [i₀, j₀, i₁, j₁, …]; each endpoint gets w·v[other end]
+    far = v[hg.incidence.reshape(-1, 2)[:, ::-1]].ravel()
+    return hg._incidence_sum(np.repeat(hg._weights(), 2) * far)
 
 
 def build_pagerank_instance(
@@ -288,8 +305,14 @@ def cheeger_sweep(hg: Hypergraph, w, x) -> SweepCut:
 
         c(S_j) = #{r: S_r crosses the cut} / min(Σ_r |S_r ∩ S_j|, Σ_r |S_r ∩ S̄_j|)
 
-    is computed incrementally, and the first minimizer is returned.  A side
-    with no incidence mass cannot anchor a meaningful cut and scores ∞.
+    is computed for all j at once, and the first minimizer is returned.  A
+    hyperedge whose ``members`` (for a directed hyperedge too) take the
+    ranks first ≤ last in the order crosses S_j exactly while
+    first < j ≤ last, so the crossing counts are a running sum of +1 at every
+    first rank and −1 at every last; a size-1 hyperedge has first = last and
+    never crosses.  The volumes Σ_r |S_r ∩ S_j| are the running sum of the
+    degrees in order.  A side with no incidence mass cannot anchor a
+    meaningful cut and scores ∞.
     """
     if hg.r == 0:
         raise ValueError("cannot sweep a hypergraph with no hyperedges")
@@ -299,30 +322,23 @@ def cheeger_sweep(hg: Hypergraph, w, x) -> SweepCut:
     scores = np.asarray(x, dtype=float) / np.sqrt(wdiag)
     order = np.argsort(-scores, kind="stable")
 
-    incident: list[list[int]] = [[] for _ in range(hg.n)]
-    sizes = np.empty(hg.r, dtype=int)
-    for e_idx, edge in enumerate(hg.edges):
-        sizes[e_idx] = edge.size
-        for v in edge.members:
-            incident[v].append(e_idx)
+    rank = np.empty(hg.n, dtype=np.intp)
+    rank[order] = np.arange(hg.n)
+    sizes = hg._sizes()
+    starts = np.cumsum(sizes) - sizes
+    ranks = rank[hg.incidence]
+    first = np.minimum.reduceat(ranks, starts)
+    last = np.maximum.reduceat(ranks, starts)
+    crossing = np.cumsum(
+        np.bincount(first, minlength=hg.n) - np.bincount(last, minlength=hg.n)
+    )[:-1]
 
     degrees = hg.degrees
     vol_total = float(degrees.sum())
-    counts = np.zeros(hg.r, dtype=int)
-    crossing = 0
-    vol_in = 0.0
-    conductances = np.empty(hg.n - 1)
-    for j, v in enumerate(order[:-1]):
-        for e_idx in incident[v]:
-            counts[e_idx] += 1
-            if sizes[e_idx] > 1:
-                if counts[e_idx] == 1:
-                    crossing += 1
-                if counts[e_idx] == sizes[e_idx]:
-                    crossing -= 1
-        vol_in += degrees[v]
-        denom = min(vol_in, vol_total - vol_in)
-        conductances[j] = crossing / denom if denom > 0 else np.inf
+    vol_in = np.cumsum(degrees[order[:-1]])
+    denom = np.minimum(vol_in, vol_total - vol_in)
+    conductances = np.full(hg.n - 1, np.inf)
+    np.divide(crossing, denom, out=conductances, where=denom > 0)
     best = int(np.argmin(conductances))
     return SweepCut(
         order=order,
@@ -364,10 +380,10 @@ def generate_synthetic_hypergraph(
     for start in (0, half):
         for _ in range(within_per_cluster):
             members = rng.choice(half, size=edge_size, replace=False) + start
-            edges.append(hyperedge_cut(sorted(int(v) for v in members)))
+            edges.append(hyperedge_cut(members.tolist()))
     for _ in range(across):
         members = rng.choice(n, size=edge_size, replace=False)
-        edges.append(hyperedge_cut(sorted(int(v) for v in members)))
+        edges.append(hyperedge_cut(members.tolist()))
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
     labels: dict[int, int] = {}

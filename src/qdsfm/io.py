@@ -42,9 +42,7 @@ __all__ = [
     "atom_to_json",
     "atom_from_json",
     "load_instance",
-    "save_instance",
     "load_hypergraph",
-    "save_hypergraph",
     "load_labels",
     "load_schema",
     "load_table_rows",
@@ -53,7 +51,6 @@ __all__ = [
     "write_solution",
     "read_solution",
     "write_trace",
-    "read_trace",
     "write_comparison",
 ]
 
@@ -201,15 +198,6 @@ def load_instance(path: str) -> ProblemInstance:
         raise InputError(str(exc)) from exc
 
 
-def save_instance(instance: ProblemInstance, path: str) -> None:
-    payload = {
-        "a": [float(v) for v in instance.a],
-        "w": [float(v) for v in instance.w],
-        "atoms": [atom_to_json(atom) for atom in instance.atoms],
-    }
-    write_json(payload, path)
-
-
 # ---------------------------------------------------------------------------
 # Hypergraphs, labels, schemas, tables
 
@@ -229,14 +217,6 @@ def load_hypergraph(path: str) -> Hypergraph:
         return Hypergraph(n=n, edges=edges)
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-
-
-def save_hypergraph(hypergraph: Hypergraph, path: str) -> None:
-    payload = {
-        "n": int(hypergraph.n),
-        "edges": [atom_to_json(atom) for atom in hypergraph.edges],
-    }
-    write_json(payload, path)
 
 
 def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDataset:
@@ -333,32 +313,6 @@ def write_trace(trace: Iterable[TraceRow], path: str) -> None:
                     repr(float(row.seconds)),
                 ]
             )
-
-
-def read_trace(path: str) -> list[TraceRow]:
-    trace = []
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != _TRACE_HEADER:
-                raise InputError(
-                    f"{path}: expected header {','.join(_TRACE_HEADER)}"
-                )
-            for row in reader:
-                trace.append(
-                    TraceRow(
-                        int(row["iter"]),
-                        float(row["primal"]),
-                        float(row["dual"]),
-                        float(row["gap"]),
-                        float(row["seconds"]),
-                    )
-                )
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed trace row ({exc})") from exc
-    return trace
 
 
 def write_comparison(

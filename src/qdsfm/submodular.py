@@ -39,7 +39,7 @@ def _check_indices(name: str, idx: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(int(i) for i in idx))
     if len(out) == 0:
         raise ValueError(f"{name} must be nonempty")
-    if any(i < 0 for i in out):
+    if out[0] < 0:
         raise ValueError(f"{name} contains negative indices")
     if len(set(out)) != len(out):
         raise ValueError(f"{name} contains duplicate indices")
@@ -87,20 +87,25 @@ class SubmodularAtom:
             members = np.asarray(self.members, dtype=np.intp)
         except OverflowError as exc:
             raise ValueError("member indices must fit in a machine integer") from exc
+        members.flags.writeable = False
         object.__setattr__(self, "_members_arr", members)
-        pos_of = {g: p for p, g in enumerate(self.members)}
         if self.kind in _CUT_KINDS:
-            head = self.head if self.head is not None else self.members
-            tail = self.tail if self.tail is not None else self.members
-            object.__setattr__(
-                self, "_head_pos", np.asarray([pos_of[g] for g in head], dtype=np.intp)
-            )
-            object.__setattr__(
-                self, "_tail_pos", np.asarray([pos_of[g] for g in tail], dtype=np.intp)
-            )
+            if self.head is None and self.tail is None:
+                head_pos = tail_pos = np.arange(len(self.members), dtype=np.intp)
+            else:
+                pos_of = {g: p for p, g in enumerate(self.members)}
+                head = self.head if self.head is not None else self.members
+                tail = self.tail if self.tail is not None else self.members
+                head_pos = np.asarray([pos_of[g] for g in head], dtype=np.intp)
+                tail_pos = np.asarray([pos_of[g] for g in tail], dtype=np.intp)
+            head_pos.flags.writeable = False
+            tail_pos.flags.writeable = False
+            object.__setattr__(self, "_head_pos", head_pos)
+            object.__setattr__(self, "_tail_pos", tail_pos)
         object.__setattr__(self, "_sqrt_w", math.sqrt(self.weight))
 
-    # Derived arrays (set in __post_init__).
+    # Derived read-only arrays (set in __post_init__); an atom without head
+    # and tail shares one position array between head_pos and tail_pos.
     @property
     def members_arr(self) -> np.ndarray:
         return self._members_arr  # type: ignore[attr-defined]

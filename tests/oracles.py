@@ -2,12 +2,15 @@
 
 Everything here is written directly from the set-function definitions and
 first principles (enumeration, grid refinement), deliberately sharing no code
-with the package under test.
+with the package under test.  The ``*_reference`` functions are earlier
+loop versions of package routines, kept as bitwise judges of the array
+versions that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -272,3 +275,122 @@ def sweep_cut_reference(atom, wt, a):
     y = a - 2.0 * metric * z
     phi = 2.0 * math.sqrt(w) * f1
     return y, phi
+
+
+def cheeger_sweep_reference(hg, w, x):
+    """The prefix sweep walked one vertex at a time, each incidence updating
+    its hyperedge's count: the judge that ``applications.cheeger_sweep``
+    must match bit for bit.  ``w`` is None or a per-vertex vector.  Returns
+    (order, conductances, best_index)."""
+    if hg.r == 0:
+        raise ValueError("cannot sweep a hypergraph with no hyperedges")
+    if hg.n < 2:
+        raise ValueError("need at least two vertices to form a cut")
+    wdiag = np.ones(hg.n) if w is None else np.asarray(w, dtype=float)
+    scores = np.asarray(x, dtype=float) / np.sqrt(wdiag)
+    order = np.argsort(-scores, kind="stable")
+
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    sizes = np.empty(hg.r, dtype=int)
+    for e_idx, edge in enumerate(hg.edges):
+        sizes[e_idx] = edge.size
+        for v in edge.members:
+            incident[v].append(e_idx)
+
+    degrees = np.zeros(hg.n)
+    for edge in hg.edges:
+        degrees[list(edge.members)] += 1.0
+    vol_total = float(degrees.sum())
+    counts = np.zeros(hg.r, dtype=int)
+    crossing = 0
+    vol_in = 0.0
+    conductances = np.empty(hg.n - 1)
+    for j, v in enumerate(order[:-1]):
+        for e_idx in incident[v]:
+            counts[e_idx] += 1
+            if sizes[e_idx] > 1:
+                if counts[e_idx] == 1:
+                    crossing += 1
+                if counts[e_idx] == sizes[e_idx]:
+                    crossing -= 1
+        vol_in += degrees[v]
+        denom = min(vol_in, vol_total - vol_in)
+        conductances[j] = crossing / denom if denom > 0 else np.inf
+    best = int(np.argmin(conductances))
+    return order, conductances, best + 1
+
+
+def synthetic_hypergraph_reference(
+    n, within_per_cluster, across, edge_size, labeled_per_cluster, seed
+):
+    """The two-cluster generator's draws, one hyperedge at a time: the judge
+    that ``applications.generate_synthetic_hypergraph`` must match exactly.
+    Returns (member tuples, labels dict, truth)."""
+    half = n // 2
+    rng = np.random.default_rng(seed)
+    edges = []
+    for start in (0, half):
+        for _ in range(within_per_cluster):
+            members = rng.choice(half, size=edge_size, replace=False) + start
+            edges.append(tuple(sorted(int(v) for v in members)))
+    for _ in range(across):
+        members = rng.choice(n, size=edge_size, replace=False)
+        edges.append(tuple(sorted(int(v) for v in members)))
+    truth = np.zeros(n, dtype=int)
+    truth[half:] = 1
+    labels: dict[int, int] = {}
+    for start, klass in ((0, 0), (half, 1)):
+        picks = rng.choice(half, size=labeled_per_cluster, replace=False) + start
+        for v in picks:
+            labels[int(v)] = klass
+    return edges, labels, truth
+
+
+def weighted_degrees_reference(hg):
+    """Σ of incident edge weights, accumulated edge by edge."""
+    d = np.zeros(hg.n)
+    for edge in hg.edges:
+        d[list(edge.members)] += edge.weight
+    return d
+
+
+def adjacency_multiply_reference(hg, v):
+    """(A·v) for a graph-shaped hypergraph, accumulated edge by edge."""
+    out = np.zeros(hg.n)
+    for edge in hg.edges:
+        i, j = edge.members
+        out[i] += edge.weight * v[j]
+        out[j] += edge.weight * v[i]
+    return out
+
+
+def _atom_json(atom):
+    entry = {"type": atom.kind, "members": list(atom.members), "weight": atom.weight}
+    if atom.kind == "directed_hyperedge":
+        entry["head"] = list(atom.head)
+        entry["tail"] = list(atom.tail)
+    elif atom.kind == "table":
+        entry["table"] = {str(k): v for k, v in sorted(atom.table.items())}
+    return entry
+
+
+def _write_json(payload, path):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+
+
+def write_instance_json(instance, path):
+    """Write an instance file (anchor, vertex weights, components)."""
+    _write_json(
+        {
+            "a": instance.a.tolist(),
+            "w": instance.w.tolist(),
+            "atoms": [_atom_json(atom) for atom in instance.atoms],
+        },
+        path,
+    )
+
+
+def write_hypergraph_json(hg, path):
+    """Write a hypergraph file (vertex count and cut components)."""
+    _write_json({"n": hg.n, "edges": [_atom_json(edge) for edge in hg.edges]}, path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from qdsfm.applications import (
     Hypergraph,
     LabeledDataset,
@@ -19,7 +20,20 @@ from qdsfm.applications import (
     ssl_score_matrix,
 )
 from qdsfm.solvers import SolveConfig, primal_objective, solve
-from qdsfm.submodular import graph_edge_cut, hyperedge_cut, lovasz_extension
+from qdsfm.submodular import (
+    directed_hyperedge_cut,
+    graph_edge_cut,
+    hyperedge_cut,
+    lovasz_extension,
+)
+
+
+def _same_bits(left, right) -> bool:
+    left, right = np.asarray(left), np.asarray(right)
+    return left.dtype == right.dtype and left.shape == right.shape and (
+        left.tobytes() == right.tobytes()
+    )
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -38,6 +52,55 @@ def test_hypergraph_degrees():
         from qdsfm.submodular import general_oracle
 
         Hypergraph(2, (general_oracle([0, 1], table={0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}),))
+
+
+def test_incidence_arrays_are_read_only():
+    undirected = hyperedge_cut([0, 2, 3])
+    directed = directed_hyperedge_cut([0, 1], [1, 3], members=[0, 1, 2, 3])
+    hg = Hypergraph(4, (undirected, directed, graph_edge_cut(1, 2)))
+    assert undirected.head_pos is undirected.tail_pos
+    assert np.array_equal(hg.incidence, [0, 2, 3, 0, 1, 2, 3, 1, 2])
+    for atom in (undirected, directed):
+        for arr in (atom.members_arr, atom.head_pos, atom.tail_pos):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    for arr in (hg.incidence, hg.degrees, hg.weighted_degrees):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert np.array_equal(hg.degrees, [2, 2, 3, 2])
+    edgeless = Hypergraph(3, ())
+    assert _same_bits(edgeless.degrees, np.zeros(3))
+    assert _same_bits(edgeless.weighted_degrees, np.zeros(3))
+
+
+def test_degrees_and_adjacency_are_bitwise_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(2, 12))
+        pairs = [rng.choice(n, 2, replace=False) for _ in range(int(rng.integers(0, 30)))]
+        weights = rng.uniform(0.0, 3.0, size=len(pairs))
+        if trial % 2:
+            weights = np.round(weights, 1)
+        graph = Hypergraph(
+            n, tuple(graph_edge_cut(i, j, wt) for (i, j), wt in zip(pairs, weights))
+        )
+        v = rng.normal(size=n)
+        assert _same_bits(graph.weighted_degrees, oracles.weighted_degrees_reference(graph))
+        assert _same_bits(adjacency_multiply(graph, v), oracles.adjacency_multiply_reference(graph, v))
+        edges = []
+        for _ in range(int(rng.integers(0, 15))):
+            members = rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()
+            weight = float(rng.uniform(0.0, 3.0))
+            if len(members) > 1 and rng.random() < 0.3:
+                edges.append(directed_hyperedge_cut(members[:1], members[1:], weight=weight))
+            else:
+                edges.append(hyperedge_cut(members, weight))
+        hg = Hypergraph(n, tuple(edges))
+        assert _same_bits(hg.weighted_degrees, oracles.weighted_degrees_reference(hg))
+        counts = np.zeros(n)
+        for edge in edges:
+            counts[list(edge.members)] += 1.0
+        assert _same_bits(hg.degrees, counts)
 
 
 def test_labeled_dataset():
@@ -260,6 +323,54 @@ def test_sweep_matches_bruteforce():
         assert sweep.conductance == pytest.approx(expected.min())
 
 
+def _random_sweep_hypergraph(rng: np.random.Generator, n: int) -> Hypergraph:
+    """Undirected, directed and size-1 hyperedges on vertices 0..n−2; vertex
+    n−1 has no incident edge."""
+    edges = []
+    for _ in range(int(rng.integers(1, 10))):
+        size = int(rng.integers(1, min(n - 1, 6) + 1))
+        members = rng.choice(n - 1, size, replace=False).tolist()
+        if size > 1 and rng.random() < 0.4:
+            split = int(rng.integers(1, size))
+            head, tail = members[:split], members[split - int(rng.integers(0, 2)):]
+            edges.append(directed_hyperedge_cut(head, tail, members=members))
+        else:
+            edges.append(hyperedge_cut(members))
+    return Hypergraph(n, tuple(edges))
+
+
+def test_sweep_is_bitwise_reference():
+    rng = np.random.default_rng(12)
+    saw_inf = saw_tie = saw_singleton = saw_directed = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 16))
+        hg = _random_sweep_hypergraph(rng, n)
+        x = rng.normal(size=n)
+        if trial % 3 == 0:
+            x = np.round(x, 0)  # ties in the order
+        if trial % 4 == 0:
+            x[n - 1] = 10.0  # the isolated vertex leads: c(S_1) has denominator 0
+        w = None if trial % 2 else np.round(rng.uniform(0.5, 3.0, size=n), int(trial % 5))
+        sweep = cheeger_sweep(hg, w, x)
+        order, conductances, best_index = oracles.cheeger_sweep_reference(hg, w, x)
+        assert np.array_equal(sweep.order, order)
+        assert _same_bits(sweep.conductances, conductances)
+        assert sweep.best_index == best_index
+        saw_inf += bool(np.isinf(conductances).any())
+        saw_tie += len(np.unique(x)) < n
+        saw_singleton += any(e.size == 1 for e in hg.edges)
+        saw_directed += any(e.kind == "directed_hyperedge" for e in hg.edges)
+    assert min(saw_inf, saw_tie, saw_singleton, saw_directed) >= 20
+    hg, _, _ = generate_synthetic_hypergraph(60, 20, 30, 6, 2, seed=4)
+    for w in (None, hg.degrees):
+        x = rng.normal(size=60)
+        sweep = cheeger_sweep(hg, w, x)
+        order, conductances, best_index = oracles.cheeger_sweep_reference(hg, w, x)
+        assert np.array_equal(sweep.order, order)
+        assert _same_bits(sweep.conductances, conductances)
+        assert sweep.best_index == best_index
+
+
 def test_sweep_normalization_changes_order():
     hg = Hypergraph(2, (hyperedge_cut([0, 1]),))
     # identical x, but the weight on vertex 0 shrinks its normalized score
@@ -297,6 +408,19 @@ def test_generator_shapes_and_determinism():
     )
     assert [e.members for e in hg2.edges] == [e.members for e in hg.edges]
     assert dict(ds2.labels) == dict(ds.labels)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(50, 7, 4, 5, 2), (4, 1, 0, 2, 0), (10, 3, 5, 1, 2), (12, 0, 6, 6, 6), (200, 20, 40, 20, 3)],
+)
+def test_generator_matches_reference(args):
+    for seed in (0, 1, 5):
+        hg, ds, truth = generate_synthetic_hypergraph(*args, seed=seed)
+        edges, labels, ref_truth = oracles.synthetic_hypergraph_reference(*args, seed)
+        assert [e.members for e in hg.edges] == edges
+        assert list(ds.labels.items()) == list(labels.items())
+        assert _same_bits(truth, ref_truth)
 
 
 def test_generator_forced_tiny_clusters():

@@ -1,11 +1,13 @@
 """File-format round trips and command-line behavior."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from qdsfm import io as qio
 from qdsfm import projection
 from qdsfm.applications import Hypergraph
@@ -97,7 +99,7 @@ def test_instance_round_trip(tmp_path):
         ),
     )
     path = tmp_path / "inst.json"
-    qio.save_instance(instance, str(path))
+    oracles.write_instance_json(instance, str(path))
     clone = qio.load_instance(str(path))
     assert np.array_equal(clone.a, instance.a)
     assert np.array_equal(clone.w, instance.w)
@@ -234,7 +236,7 @@ def test_fuzz_load_instance_loads_or_raises_input_error(tmp_path_factory, payloa
 def test_hypergraph_round_trip(tmp_path):
     hg = Hypergraph(5, (hyperedge_cut((0, 1, 2)), graph_edge_cut(3, 4)))
     path = tmp_path / "hg.json"
-    qio.save_hypergraph(hg, str(path))
+    oracles.write_hypergraph_json(hg, str(path))
     clone = qio.load_hypergraph(str(path))
     assert clone.n == 5
     assert tuple(a.members for a in clone.edges) == ((0, 1, 2), (3, 4))
@@ -312,15 +314,12 @@ def test_solution_and_trace_round_trip(tmp_path):
     qio.write_trace(result.trace, str(trace_path))
     header = trace_path.read_text().splitlines()[0]
     assert header == "iter,primal,dual,gap,seconds"
-    clone = qio.read_trace(str(trace_path))
+    with open(trace_path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    clone = [TraceRow(int(row[0]), *(float(v) for v in row[1:])) for row in rows]
     assert len(clone) == len(result.trace)
     for left, right in zip(clone, result.trace):
         assert left == TraceRow(*right)
-
-    with pytest.raises(qio.InputError, match="header"):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        qio.read_trace(str(bad))
 
 
 def test_comparison_writer(tmp_path):
