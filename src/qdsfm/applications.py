@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .solvers import ProblemInstance, SolveConfig, SolveResult, solve
-from .submodular import SubmodularAtom, as_diagonal, hyperedge_cut
+from .submodular import SubmodularAtom, _as_ints, as_diagonal, hyperedge_cut
 
 __all__ = [
     "Hypergraph",
@@ -56,7 +56,7 @@ class Hypergraph:
         for idx, edge in enumerate(edges):
             if not isinstance(edge, SubmodularAtom) or not edge.is_cut:
                 raise ValueError(f"hyperedge {idx} must be a cut component")
-            if edge.members[0] < 0 or edge.members[-1] >= self.n:
+            if edge.members[-1] >= self.n:
                 raise ValueError(
                     f"hyperedge {idx} references vertex {edge.members[-1]} "
                     f"outside 0..{self.n - 1}"
@@ -106,14 +106,18 @@ class Hypergraph:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Partial labels over n samples: a map i → class in [0, num_classes)."""
+    """Partial labels over n samples: a map i → class in [0, num_classes).
+
+    Indices and classes are Python or NumPy integers (not bools, floats or
+    strings) and are stored as Python ints."""
 
     n: int
     labels: Mapping[int, int]
     num_classes: int | None = None
 
     def __post_init__(self) -> None:
-        labels = {int(i): int(k) for i, k in dict(self.labels).items()}
+        indices = _as_ints(self.labels, "labeled indices")
+        labels = dict(zip(indices, _as_ints(self.labels.values(), "labels")))
         classes = max(labels.values(), default=0) + 1
         k_total = self.num_classes if self.num_classes is not None else max(classes, 2)
         if k_total < 2:
@@ -399,22 +403,9 @@ def generate_synthetic_hypergraph(
 # tabular ingestion
 
 
-def _schema_columns(schema) -> list[tuple[str, str]]:
-    if isinstance(schema, Mapping) and "columns" in schema:
-        schema = schema["columns"]
-    columns = []
-    for entry in schema:
-        if isinstance(entry, Mapping):
-            columns.append((str(entry["name"]), str(entry["kind"])))
-        else:
-            name, kind = entry
-            columns.append((str(name), str(kind)))
-    return columns
-
-
 def ingest_tabular_dataset(
     rows: Sequence[Mapping[str, str]],
-    schema,
+    schema: Sequence[tuple[str, str]],
     bins: int = 10,
     equal_frequency: bool = False,
 ) -> Hypergraph:
@@ -427,9 +418,9 @@ def ingest_tabular_dataset(
     flag); a constant numeric column has a single degenerate bin and
     contributes nothing.
 
-    ``schema`` is a sequence of (name, kind) pairs — or dicts with "name"
-    and "kind", or a {"columns": [...]} mapping — with kind "categorical"
-    or "numeric".  Columns not named in the schema are ignored.
+    ``schema`` is a sequence of (name, kind) pairs with kind "categorical"
+    or "numeric" (`io.load_schema` reads them from a file).  Columns not
+    named in the schema are ignored.
     """
     rows = list(rows)
     if not rows:
@@ -437,7 +428,7 @@ def ingest_tabular_dataset(
     if bins < 1:
         raise ValueError("bins must be at least 1")
     edges = []
-    for name, kind in _schema_columns(schema):
+    for name, kind in schema:
         if kind == "categorical":
             groups: dict[str, list[int]] = {}
             for idx, row in enumerate(rows):

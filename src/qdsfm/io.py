@@ -12,8 +12,11 @@ Everything here is plain JSON or CSV:
 * trace files         -- CSV with header ``iter,primal,dual,gap,seconds``
 * comparison files    -- CSV with header ``method,iter,seconds,gap``
 
-Loaders raise :class:`InputError` (a ``ValueError``) on any malformed input,
-with messages that name the offending component index where applicable, so
+Loaders check only the JSON shape (objects, lists, keys that parse as
+integers); the types they build (`SubmodularAtom`, `ProblemInstance`,
+`Hypergraph`, `LabeledDataset`) check the values.  Either way a loader
+raises :class:`InputError` (a ``ValueError``) on any malformed input, with
+messages that name the offending component index where applicable, so
 callers can report a diagnostic and exit instead of surfacing a traceback.
 """
 
@@ -29,17 +32,10 @@ import numpy as np
 
 from .applications import Hypergraph, LabeledDataset
 from .solvers import ProblemInstance, SolveResult, TraceRow
-from .submodular import (
-    SubmodularAtom,
-    directed_hyperedge_cut,
-    general_oracle,
-    graph_edge_cut,
-    hyperedge_cut,
-)
+from .submodular import SubmodularAtom
 
 __all__ = [
     "InputError",
-    "atom_to_json",
     "atom_from_json",
     "load_instance",
     "load_hypergraph",
@@ -53,6 +49,9 @@ __all__ = [
     "write_trace",
     "write_comparison",
 ]
+
+
+_ATOM_TYPES = ("edge", "hyperedge", "directed_hyperedge", "table")
 
 
 class InputError(ValueError):
@@ -80,46 +79,14 @@ def write_json(payload: Any, path: str | None) -> None:
         f.write("\n")
 
 
-def _as_index_list(value: Any, what: str) -> list[int]:
+def _as_list(value: Any, what: str) -> Sequence:
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
         raise ValueError(f"{what} must be a list of vertex indices")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{what} must contain integers, got {v!r}")
-        out.append(v)
-    return out
-
-
-def _number(value: Any, what: str) -> float:
-    """A JSON number (an int or a float, never a bool or a string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Components
-
-
-def atom_to_json(atom: SubmodularAtom) -> dict[str, Any]:
-    """Serialize a component to its JSON-friendly dict form.
-
-    Callback-backed components have no finite description and are rejected.
-    """
-    base: dict[str, Any] = {
-        "type": atom.kind,
-        "members": [int(v) for v in atom.members],
-        "weight": float(atom.weight),
-    }
-    if atom.kind == "directed_hyperedge":
-        base["head"] = [int(v) for v in atom.head]
-        base["tail"] = [int(v) for v in atom.tail]
-    elif atom.kind == "table":
-        base["table"] = {str(k): float(v) for k, v in sorted(atom.table.items())}
-    elif atom.kind == "oracle":
-        raise InputError("callback-backed components cannot be written to a file")
-    return base
 
 
 def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
@@ -128,31 +95,24 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
         if not isinstance(obj, Mapping):
             raise ValueError(f"expected an object, got {type(obj).__name__}")
         kind = obj.get("type")
-        members = _as_index_list(obj.get("members"), "members")
-        weight = _number(obj.get("weight", 1.0), "weight")
-        if kind == "edge":
-            if len(members) != 2:
-                raise ValueError("an edge needs exactly two members")
-            return graph_edge_cut(members[0], members[1], weight)
-        if kind == "hyperedge":
-            return hyperedge_cut(members, weight)
+        if kind not in _ATOM_TYPES:
+            raise ValueError(f"unknown component type {kind!r}")
+        fields: dict[str, Any] = {}
         if kind == "directed_hyperedge":
-            head = _as_index_list(obj.get("head"), "head")
-            tail = _as_index_list(obj.get("tail"), "tail")
-            return directed_hyperedge_cut(head, tail, members, weight)
-        if kind == "table":
+            fields["head"] = _as_list(obj.get("head"), "head")
+            fields["tail"] = _as_list(obj.get("tail"), "tail")
+        elif kind == "table":
             table = obj.get("table")
             if not isinstance(table, Mapping):
                 raise ValueError("a table component needs a 'table' object")
-            parsed: dict[int, float] = {}
+            fields["table"] = parsed = {}
             for key, val in table.items():
                 try:
-                    mask = int(key)
+                    parsed[int(key)] = val
                 except (TypeError, ValueError):
                     raise ValueError(f"table key {key!r} is not a subset bitmask")
-                parsed[mask] = _number(val, f"table value {key!r}")
-            return general_oracle(members, table=parsed, weight=weight)
-        raise ValueError(f"unknown component type {kind!r}")
+        members = _as_list(obj.get("members"), "members")
+        return SubmodularAtom(kind, members, obj.get("weight", 1.0), **fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"atom {index}: {exc}") from exc
 
@@ -162,11 +122,12 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
 
 
 def _as_float_list(raw: Any, message: str) -> np.ndarray:
-    """A JSON list as a float vector; anything else raises InputError(message)."""
-    if isinstance(raw, Sequence) and not isinstance(raw, (str, bytes)):
+    """A JSON list of numbers (ints or floats, never bools or strings) as a
+    float vector; anything else raises InputError(message)."""
+    if isinstance(raw, list) and all(type(v) in (int, float) for v in raw):
         try:
-            return np.asarray([_number(v, "entry") for v in raw])
-        except (ValueError, OverflowError):
+            return np.asarray([float(v) for v in raw])
+        except OverflowError:
             pass
     raise InputError(message)
 
@@ -227,12 +188,9 @@ def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDat
     labels: dict[int, int] = {}
     for key, val in obj["labels"].items():
         try:
-            vertex = int(key)
+            labels[int(key)] = val
         except (TypeError, ValueError):
             raise InputError(f"{path}: label key {key!r} is not a vertex index")
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise InputError(f"{path}: label for vertex {vertex} must be an integer")
-        labels[vertex] = val
     try:
         return LabeledDataset(n=n, labels=labels, num_classes=num_classes)
     except (TypeError, ValueError) as exc:

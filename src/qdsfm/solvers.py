@@ -88,7 +88,7 @@ class ProblemInstance:
         for idx, atom in enumerate(atoms):
             if not isinstance(atom, SubmodularAtom):
                 raise TypeError(f"component {idx} is not a SubmodularAtom")
-            if atom.members[-1] >= n or atom.members[0] < 0:
+            if atom.members[-1] >= n:
                 raise ValueError(
                     f"component {idx} references vertex {atom.members[-1]} "
                     f"outside 0..{n - 1}"

@@ -35,15 +35,55 @@ _CUT_KINDS = ("edge", "hyperedge", "directed_hyperedge")
 _ALL_KINDS = _CUT_KINDS + ("table", "oracle")
 
 
-def _check_indices(name: str, idx: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(int(i) for i in idx))
-    if len(out) == 0:
-        raise ValueError(f"{name} must be nonempty")
+def _as_ints(values: Iterable, what: str) -> Sequence[int]:
+    """``values`` as a list or tuple of Python ints; each must be a Python or
+    NumPy integer, not a bool, float or string."""
+    if not isinstance(values, (list, tuple)):
+        values = tuple(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds):
+        raise ValueError(f"{what} must be integers, not bools, floats or strings")
+    return tuple(map(int, values))
+
+
+def _indices(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a sorted tuple of distinct, nonnegative Python ints."""
+    out = tuple(sorted(_as_ints(values, what)))
+    if not out:
+        raise ValueError(f"{what} must be nonempty")
     if out[0] < 0:
-        raise ValueError(f"{name} contains negative indices")
+        raise ValueError(f"{what} contains negative indices")
     if len(set(out)) != len(out):
-        raise ValueError(f"{name} contains duplicate indices")
+        raise ValueError(f"{what} contains duplicate indices")
     return out
+
+
+def _real(value: object, message: str) -> float:
+    """A real number (not a bool or a string) as a float; an int past the
+    float range becomes inf."""
+    if type(value) is not float:  # a float skips the slow numbers.Real test
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{message}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _value_table(table: Mapping[int, float], m: int) -> dict[int, float]:
+    """A table over the 2^m subsets of m members as {bitmask: float}."""
+    keys = _as_ints(table, "table keys")
+    tbl = {k: _real(v, "table values must be numbers") for k, v in zip(keys, table.values())}
+    full = 1 << m
+    if len(tbl) != full or not all(0 <= k < full for k in tbl):
+        raise ValueError(f"table must cover all {full} subsets of members")
+    if tbl[0] != 0:
+        raise ValueError("table must be normalized: value of the empty set is 0")
+    if not all(0 <= v < math.inf for v in tbl.values()):
+        raise ValueError("table values must be finite and nonnegative")
+    return tbl
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +100,23 @@ class SubmodularAtom:
       * ``"oracle"``: F(S) = weight * fn(S) for a user callback on subsets of
         ``members`` (given as frozensets of global indices).
 
-    ``members`` is stored sorted; values of F are always computed on the
-    restriction S ∩ members, so callers never pre-restrict.  Coordinates
-    outside ``members`` are never read and base-polytope points are zero
-    there.
+    The constructor is the one place a component is checked and normalized;
+    anything else raises ValueError:
+
+      * ``members``, ``head``, ``tail``: iterables of Python or NumPy integers
+        (not bools, floats or strings), stored as sorted tuples of Python
+        ints.  ``members`` is nonempty, duplicate-free, ≥ 0 and fits
+        ``np.intp``; an edge has exactly two.  ``head`` and ``tail`` are
+        nonempty subsets of ``members``, given exactly for a directed hyperedge.
+      * ``weight``: a finite real number ≥ 0 (not a bool or a string), stored
+        as a float.
+      * ``table``, exactly for kind "table": integer keys covering every
+        subset, finite numbers ≥ 0 as values, F(∅) = 0.
+      * ``fn``, exactly for kind "oracle": fn(∅) = 0.  Submodularity is trusted.
+
+    Values of F are always computed on the restriction S ∩ members, so
+    callers never pre-restrict.  Coordinates outside ``members`` are never
+    read and base-polytope points are zero there.
     """
 
     kind: str
@@ -75,34 +128,51 @@ class SubmodularAtom:
     fn: Callable[[frozenset[int]], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.weight < 0 or not math.isfinite(self.weight):
-            raise ValueError("weight must be finite and nonnegative")
-        if len(self.members) == 0:
-            raise ValueError("members must be nonempty")
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
-            raise ValueError("members must be strictly increasing")
+        kind = self.kind
+        if kind not in _ALL_KINDS:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        members = _indices(self.members, "members")
         try:
-            members = np.asarray(self.members, dtype=np.intp)
+            members_arr = np.asarray(members, dtype=np.intp)
         except OverflowError as exc:
             raise ValueError("member indices must fit in a machine integer") from exc
-        members.flags.writeable = False
-        object.__setattr__(self, "_members_arr", members)
-        if self.kind in _CUT_KINDS:
-            if self.head is None and self.tail is None:
-                head_pos = tail_pos = np.arange(len(self.members), dtype=np.intp)
-            else:
-                pos_of = {g: p for p, g in enumerate(self.members)}
-                head = self.head if self.head is not None else self.members
-                tail = self.tail if self.tail is not None else self.members
-                head_pos = np.asarray([pos_of[g] for g in head], dtype=np.intp)
-                tail_pos = np.asarray([pos_of[g] for g in tail], dtype=np.intp)
-            head_pos.flags.writeable = False
-            tail_pos.flags.writeable = False
+        if kind == "edge" and len(members) != 2:
+            raise ValueError("an edge needs exactly two members")
+        weight = _real(self.weight, "weight must be a number")
+        if not 0 <= weight < math.inf:
+            raise ValueError("weight must be finite and nonnegative")
+        directed = kind == "directed_hyperedge"
+        if (self.head is None) == directed or (self.tail is None) == directed:
+            raise ValueError("head and tail are given exactly for a directed hyperedge")
+        if (self.table is None) == (kind == "table"):
+            raise ValueError("a table is given exactly for kind 'table'")
+        if (self.fn is None) == (kind == "oracle"):
+            raise ValueError("fn is given exactly for kind 'oracle'")
+        if kind == "table":
+            object.__setattr__(self, "table", _value_table(self.table, len(members)))
+        if kind == "oracle" and abs(self.fn(frozenset())) > 0:  # type: ignore[misc]
+            raise ValueError("oracle must be normalized: fn(empty set) == 0")
+        if directed:
+            head, tail = _indices(self.head, "head"), _indices(self.tail, "tail")
+            pos_of = {g: p for p, g in enumerate(members)}
+            if not pos_of.keys() >= {*head, *tail}:
+                raise ValueError("head and tail must be subsets of members")
+            head_pos = np.asarray([pos_of[g] for g in head], dtype=np.intp)
+            tail_pos = np.asarray([pos_of[g] for g in tail], dtype=np.intp)
+            object.__setattr__(self, "head", head)
+            object.__setattr__(self, "tail", tail)
+        elif kind in _CUT_KINDS:
+            head_pos = tail_pos = np.arange(len(members), dtype=np.intp)
+        if kind in _CUT_KINDS:
+            head_pos.setflags(write=False)
+            tail_pos.setflags(write=False)
             object.__setattr__(self, "_head_pos", head_pos)
             object.__setattr__(self, "_tail_pos", tail_pos)
-        object.__setattr__(self, "_sqrt_w", math.sqrt(self.weight))
+        members_arr.setflags(write=False)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_members_arr", members_arr)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_sqrt_w", math.sqrt(weight))
 
     # Derived read-only arrays (set in __post_init__); an atom without head
     # and tail shares one position array between head_pos and tail_pos.
@@ -133,15 +203,12 @@ class SubmodularAtom:
 
 def graph_edge_cut(i: int, j: int, weight: float = 1.0) -> SubmodularAtom:
     """Two-endpoint cut: F(S) = sqrt(weight) iff S separates i from j."""
-    if int(i) == int(j):
-        raise ValueError("graph edge needs two distinct endpoints")
-    members = _check_indices("members", (i, j))
-    return SubmodularAtom("edge", members, float(weight))
+    return SubmodularAtom("edge", (i, j), weight)
 
 
 def hyperedge_cut(members: Iterable[int], weight: float = 1.0) -> SubmodularAtom:
     """Undirected hyperedge cut: F(S) = sqrt(weight) iff ∅ ⊂ S∩members ⊂ members."""
-    return SubmodularAtom("hyperedge", _check_indices("members", members), float(weight))
+    return SubmodularAtom("hyperedge", members, weight)
 
 
 def directed_hyperedge_cut(
@@ -153,15 +220,10 @@ def directed_hyperedge_cut(
     """Directed hyperedge cut: F(S) = sqrt(weight) iff S meets head and misses
     part of tail.  ``members`` defaults to head ∪ tail and may be a superset.
     """
-    h = _check_indices("head", head)
-    t = _check_indices("tail", tail)
+    head, tail = tuple(head), tuple(tail)
     if members is None:
-        m = tuple(sorted(set(h) | set(t)))
-    else:
-        m = _check_indices("members", members)
-        if not (set(h) <= set(m) and set(t) <= set(m)):
-            raise ValueError("head and tail must be subsets of members")
-    return SubmodularAtom("directed_hyperedge", m, float(weight), head=h, tail=t)
+        members = set(head) | set(tail)
+    return SubmodularAtom("directed_hyperedge", members, weight, head=head, tail=tail)
 
 
 def general_oracle(
@@ -171,26 +233,12 @@ def general_oracle(
     weight: float = 1.0,
 ) -> SubmodularAtom:
     """General component from a value table (bitmask over member positions) or
-    a callback.  Normalization F(∅)=0 is validated; submodularity is trusted.
+    a callback; exactly one of ``fn`` and ``table`` is given.
     """
-    m = _check_indices("members", members)
     if (fn is None) == (table is None):
         raise ValueError("provide exactly one of fn or table")
-    if table is not None:
-        full = 1 << len(m)
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in table.values()):
-            raise ValueError("table values must be numbers, not bools or strings")
-        tbl = {int(k): float(v) for k, v in table.items()}
-        if len(tbl) != full or not all(0 <= k < full for k in tbl):
-            raise ValueError(f"table must cover all {full} subsets of members")
-        if abs(tbl[0]) > 0:
-            raise ValueError("table must be normalized: value of the empty set is 0")
-        if any(v < 0 or not math.isfinite(v) for v in tbl.values()):
-            raise ValueError("table values must be finite and nonnegative")
-        return SubmodularAtom("table", m, float(weight), table=tbl)
-    if abs(fn(frozenset())) > 0:  # type: ignore[misc]
-        raise ValueError("oracle must be normalized: fn(empty set) == 0")
-    return SubmodularAtom("oracle", m, float(weight), fn=fn)
+    kind = "oracle" if table is None else "table"
+    return SubmodularAtom(kind, members, weight, table=table, fn=fn)
 
 
 def _symmetric_cut_groups(

@@ -21,6 +21,7 @@ from qdsfm.applications import (
 )
 from qdsfm.solvers import SolveConfig, primal_objective, solve
 from qdsfm.submodular import (
+    SubmodularAtom,
     directed_hyperedge_cut,
     graph_edge_cut,
     hyperedge_cut,
@@ -46,8 +47,10 @@ def test_hypergraph_degrees():
     assert np.array_equal(hg.degrees, [1, 2, 1, 1])
     assert np.array_equal(hg.weighted_degrees, [1, 5, 1, 4])
     assert hg.r == 2
-    with pytest.raises(ValueError, match="hyperedge 0"):
+    with pytest.raises(ValueError, match="hyperedge 0 references vertex 5 outside 0..1"):
         Hypergraph(2, (hyperedge_cut([0, 5]),))
+    with pytest.raises(ValueError, match="negative"):
+        Hypergraph(4, (SubmodularAtom("hyperedge", (-1, 2)),))
     with pytest.raises(ValueError, match="cut"):
         from qdsfm.submodular import general_oracle
 
@@ -116,6 +119,10 @@ def test_labeled_dataset():
         LabeledDataset(3, {0: 4}, num_classes=2)
     with pytest.raises(ValueError):
         LabeledDataset(3, {}, num_classes=1)
+    for labels in ({0: 1.7, "2": "0"}, {0: 1.7}, {"2": 0}, {0: "0"}, {True: 0}, {0: False}):
+        with pytest.raises(ValueError, match="integers"):
+            LabeledDataset(5, labels)
+    assert dict(LabeledDataset(5, {np.int64(4): np.int32(1)}).labels) == {4: 1}
     with pytest.raises(ValueError):
         ds.anchor(2)
 
@@ -488,9 +495,8 @@ def test_ingest_equal_frequency_differs_from_width():
 
 def test_ingest_schema_forms_and_column_order():
     rows = [{"a": "x", "b": "1"}, {"a": "x", "b": "2"}, {"a": "y", "b": "1"}]
-    hg1 = ingest_tabular_dataset(rows, {"columns": [{"name": "a", "kind": "categorical"}]})
-    hg2 = ingest_tabular_dataset(rows, [("a", "categorical")])
-    assert [e.members for e in hg1.edges] == [e.members for e in hg2.edges] == [(0, 1)]
+    hg = ingest_tabular_dataset(rows, [("a", "categorical")])
+    assert [e.members for e in hg.edges] == [(0, 1)]
 
 
 def test_ingest_degree_roundtrip():

@@ -18,6 +18,7 @@ from qdsfm.solvers import (
     solve,
 )
 from qdsfm.submodular import (
+    SubmodularAtom,
     directed_hyperedge_cut,
     general_oracle,
     graph_edge_cut,
@@ -78,11 +79,15 @@ def test_instance_validation():
         ProblemInstance(a=np.ones(3), w=np.ones(2), atoms=())
     with pytest.raises(ValueError):
         ProblemInstance(a=np.ones(3), w=np.array([1.0, 0.0, 1.0]), atoms=())
-    with pytest.raises(ValueError, match="component 1"):
+    with pytest.raises(ValueError, match="component 1 references vertex 3 outside 0..2"):
         ProblemInstance(
             a=np.ones(3),
             w=np.ones(3),
             atoms=(graph_edge_cut(0, 1), graph_edge_cut(1, 3)),
+        )
+    with pytest.raises(ValueError, match="negative"):
+        ProblemInstance(
+            a=np.ones(5), w=np.ones(5), atoms=(SubmodularAtom("hyperedge", (-1, 2)),)
         )
     with pytest.raises(TypeError):
         ProblemInstance(a=np.ones(3), w=np.ones(3), atoms=("edge",))

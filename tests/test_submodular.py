@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm.submodular import (
+    SubmodularAtom,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -271,3 +272,48 @@ def test_constructor_validation():
         hyperedge_cut([0, 1], weight=-1.0)
     with pytest.raises(ValueError, match="machine integer"):
         hyperedge_cut([0, 2**64])  # past np.intp
+    # indices are integers: floats, strings and bools are rejected, not truncated
+    for bad in ([0.5, 1.7], ["3", "1"], [True, 2], [np.float64(1.0), 2]):
+        with pytest.raises(ValueError, match="integers"):
+            hyperedge_cut(bad)
+    with pytest.raises(ValueError, match="integers"):
+        graph_edge_cut(0.9, 1.2)
+    with pytest.raises(ValueError, match="integers"):
+        SubmodularAtom("hyperedge", (0.5, 1.5))
+    with pytest.raises(ValueError, match="integers"):
+        directed_hyperedge_cut([0], [1.0])
+    with pytest.raises(ValueError, match="negative"):
+        SubmodularAtom("hyperedge", (-1, 2))
+    # head and tail belong to directed hyperedges only, and lie inside members
+    with pytest.raises(ValueError, match="directed"):
+        SubmodularAtom("hyperedge", (0, 1, 2), head=(0,), tail=(1, 2))
+    with pytest.raises(ValueError, match="directed"):
+        SubmodularAtom("directed_hyperedge", (0, 1), head=(0,))
+    with pytest.raises(ValueError, match="subsets"):
+        SubmodularAtom("directed_hyperedge", (0, 1), head=(5,), tail=(1,))
+    with pytest.raises(ValueError, match="exactly two"):
+        SubmodularAtom("edge", (0, 1, 2))
+    # a table exactly for "table", a callback exactly for "oracle"
+    with pytest.raises(ValueError, match="table"):
+        SubmodularAtom("table", (0, 1))
+    with pytest.raises(ValueError, match="table"):
+        SubmodularAtom("hyperedge", (0, 1), table={0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0})
+    with pytest.raises(ValueError, match="fn"):
+        SubmodularAtom("oracle", (0, 1))
+    with pytest.raises(ValueError, match="normalized"):
+        general_oracle([0, 1], fn=lambda S: 1.0)
+    for bad in ("2", True, float("nan"), 10**400):
+        with pytest.raises(ValueError, match="weight"):
+            hyperedge_cut([0, 1], weight=bad)
+    # NumPy integers and unsorted input still give sorted tuples of Python ints
+    for atom, want in (
+        (hyperedge_cut(np.array([3, 1])), (1, 3)),
+        (graph_edge_cut(np.int64(4), np.int64(2), np.float64(2.0)), (2, 4)),
+        (directed_hyperedge_cut(np.array([5]), [np.int32(2), 0]), (0, 2, 5)),
+    ):
+        assert atom.members == want
+        assert all(type(v) is int for v in atom.members)
+        assert type(atom.weight) is float
+    directed = directed_hyperedge_cut(np.array([5]), [np.int32(2), 0])
+    assert directed.head == (5,) and directed.tail == (0, 2)
+    assert all(type(v) is int for v in directed.head + directed.tail)
