@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .solvers import ProblemInstance, SolveConfig, SolveResult, solve
-from .submodular import SubmodularAtom, _as_ints, as_diagonal, hyperedge_cut
+from .submodular import SubmodularAtom, _as_ints, _reals, as_diagonal, hyperedge_cut
 
 __all__ = [
     "Hypergraph",
@@ -44,23 +44,26 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """A vertex count plus cut components (edges, hyperedges, directed
-    hyperedges) reused directly as solver atoms."""
+    hyperedges) reused directly as solver atoms.  ``n`` is a Python or NumPy
+    integer ≥ 1 (stored as an int) and bounds every edge's members."""
 
     n: int
     edges: tuple[SubmodularAtom, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("hypergraph needs at least one vertex")
+        (n,) = _as_ints((self.n,), "'n'")
+        if n < 1:
+            raise ValueError("'n' must be a positive integer")
         edges = tuple(self.edges)
         for idx, edge in enumerate(edges):
             if not isinstance(edge, SubmodularAtom) or not edge.is_cut:
                 raise ValueError(f"hyperedge {idx} must be a cut component")
-            if edge.members[-1] >= self.n:
+            if edge.members[-1] >= n:
                 raise ValueError(
                     f"hyperedge {idx} references vertex {edge.members[-1]} "
-                    f"outside 0..{self.n - 1}"
+                    f"outside 0..{n - 1}"
                 )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -108,25 +111,29 @@ class Hypergraph:
 class LabeledDataset:
     """Partial labels over n samples: a map i → class in [0, num_classes).
 
-    Indices and classes are Python or NumPy integers (not bools, floats or
-    strings) and are stored as Python ints."""
+    ``n``, ``num_classes``, indices and classes are Python or NumPy integers
+    (not bools, floats or strings) and are stored as Python ints."""
 
     n: int
     labels: Mapping[int, int]
     num_classes: int | None = None
 
     def __post_init__(self) -> None:
+        (n,) = _as_ints((self.n,), "n")
         indices = _as_ints(self.labels, "labeled indices")
         labels = dict(zip(indices, _as_ints(self.labels.values(), "labels")))
-        classes = max(labels.values(), default=0) + 1
-        k_total = self.num_classes if self.num_classes is not None else max(classes, 2)
+        if self.num_classes is not None:
+            (k_total,) = _as_ints((self.num_classes,), "num_classes")
+        else:
+            k_total = max(max(labels.values(), default=0) + 1, 2)
         if k_total < 2:
             raise ValueError("need at least two classes")
         for i, k in labels.items():
-            if not 0 <= i < self.n:
-                raise ValueError(f"labeled index {i} outside 0..{self.n - 1}")
+            if not 0 <= i < n:
+                raise ValueError(f"labeled index {i} outside 0..{n - 1}")
             if not 0 <= k < k_total:
                 raise ValueError(f"label {k} for index {i} outside 0..{k_total - 1}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", MappingProxyType(labels))
         object.__setattr__(self, "num_classes", k_total)
 
@@ -256,7 +263,7 @@ def build_pagerank_instance(
     if np.any(d == 0.0):
         vertex = int(np.flatnonzero(d == 0.0)[0])
         raise ValueError(f"vertex {vertex} has degree zero")
-    s = np.asarray(s, dtype=float)
+    s = _reals(s, "seed vector entries must be numbers")
     if s.shape != (hg.n,):
         raise ValueError(f"seed vector has shape {s.shape}, expected ({hg.n},)")
     instance = ProblemInstance(a=s / d, w=((1.0 - alpha) / alpha) * d, atoms=hg.edges)

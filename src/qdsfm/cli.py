@@ -20,6 +20,7 @@ ERROR).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -120,18 +121,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace, **overrides) -> SolveConfig:
-    fields = dict(
-        algorithm=getattr(args, "algorithm", "rcd"),
-        max_iters=getattr(args, "max_iters", None),
-        target_gap=getattr(args, "target_gap", None),
-        checkpoint_stride=getattr(args, "checkpoint_stride", None),
-        wall_clock_limit=getattr(args, "wall_clock_limit", None),
-        seed=args.seed,
-        projection=getattr(args, "projection", "auto"),
-        delta=args.delta,
-    )
-    fields.update(overrides)
-    return SolveConfig(**fields)
+    """The `SolveConfig` of the fields ``args`` has, then ``overrides``;
+    fields neither gives keep `SolveConfig`'s defaults."""
+    names = (f.name for f in dataclasses.fields(SolveConfig))
+    fields = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return SolveConfig(**{**fields, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +198,9 @@ def cmd_ssl(args: argparse.Namespace) -> int:
             )
         rows = qio.load_table_rows(args.dataset)
         schema = qio.load_schema(args.schema)
-        try:
-            hg = apps.ingest_tabular_dataset(
-                rows, schema, bins=args.bins, equal_frequency=args.equal_frequency
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
+        hg = apps.ingest_tabular_dataset(
+            rows, schema, bins=args.bins, equal_frequency=args.equal_frequency
+        )
         ds = qio.load_labels(args.labels, hg.n)
         truth = None
 
@@ -257,10 +248,7 @@ def cmd_pagerank(args: argparse.Namespace) -> int:
         s = qio.load_vector(args.seed_vector, hg.n, "seed vector")
     else:
         s = np.full(hg.n, 1.0 / hg.n)
-    try:
-        instance, back = apps.build_pagerank_instance(hg, args.alpha, s)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    instance, back = apps.build_pagerank_instance(hg, args.alpha, s)
     config = _solver_config(args)
     result = solve(instance, config)
     p = back(result.x)
@@ -283,37 +271,29 @@ def cmd_pagerank(args: argparse.Namespace) -> int:
 # compare
 
 
-def _parse_method_tokens(raw: str) -> list[tuple[str, str, str]]:
-    tokens = [t.strip() for t in raw.split(",") if t.strip()]
-    if not tokens:
-        raise InputError("--methods must name at least one algorithm:projection pair")
-    out = []
-    for token in tokens:
-        algorithm, _, projection = token.partition(":")
-        projection = projection or "auto"
-        if algorithm not in ALGORITHMS:
-            raise InputError(f"method {token!r}: unknown algorithm {algorithm!r}")
-        if projection not in ORACLES:
-            raise InputError(f"method {token!r}: unknown projection {projection!r}")
-        out.append((token, algorithm, projection))
-    return out
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     instance = qio.load_instance(args.instance)
-    methods = _parse_method_tokens(args.methods)
     if not args.budget_seconds > 0:
         raise InputError("--budget-seconds must be positive")
+    runs = []  # every method's config is checked before the first one runs
+    for token in filter(None, (t.strip() for t in args.methods.split(","))):
+        algorithm, _, projection = token.partition(":")
+        try:
+            config = _solver_config(
+                args,
+                algorithm=algorithm,
+                projection=projection or "auto",
+                max_iters=_BUDGET_ITERS,
+                wall_clock_limit=args.budget_seconds,
+                target_gap=None,
+            )
+        except ValueError as exc:
+            raise InputError(f"method {token!r}: {exc}") from exc
+        runs.append((token, config))
+    if not runs:
+        raise InputError("--methods must name at least one algorithm:projection pair")
     records = []
-    for token, algorithm, projection in methods:
-        config = _solver_config(
-            args,
-            algorithm=algorithm,
-            projection=projection,
-            max_iters=_BUDGET_ITERS,
-            wall_clock_limit=args.budget_seconds,
-            target_gap=None,
-        )
+    for token, config in runs:
         result = solve(instance, config)
         for row in result.trace:
             records.append((token, row.iteration, row.seconds, row.gap))
@@ -465,9 +445,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging(args.quiet)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InputError, ValueError, OSError, ProjectionNumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

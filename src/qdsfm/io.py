@@ -13,8 +13,9 @@ Everything here is plain JSON or CSV:
 * comparison files    -- CSV with header ``method,iter,seconds,gap``
 
 Loaders check only the JSON shape (objects, lists, keys that parse as
-integers); the types they build (`SubmodularAtom`, `ProblemInstance`,
-`Hypergraph`, `LabeledDataset`) check the values.  Either way a loader
+integers, vector lengths); the types they build (`SubmodularAtom`,
+`ProblemInstance`, `Hypergraph`, `LabeledDataset`) and, for a bare vector,
+the number rule of `submodular` check the values.  Either way a loader
 raises :class:`InputError` (a ``ValueError``) on any malformed input, with
 messages that name the offending component index where applicable, so
 callers can report a diagnostic and exit instead of surfacing a traceback.
@@ -26,13 +27,13 @@ import csv
 import json
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .applications import Hypergraph, LabeledDataset
 from .solvers import ProblemInstance, SolveResult, TraceRow
-from .submodular import SubmodularAtom
+from .submodular import SubmodularAtom, _reals
 
 __all__ = [
     "InputError",
@@ -66,6 +67,14 @@ def _load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _build(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, with the errors of a bad value raised as InputError."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def write_json(payload: Any, path: str | None) -> None:
@@ -121,25 +130,6 @@ def atom_from_json(obj: Any, index: int = 0) -> SubmodularAtom:
 # Instances
 
 
-def _as_float_list(raw: Any, message: str) -> np.ndarray:
-    """A JSON list of numbers (ints or floats, never bools or strings) as a
-    float vector; anything else raises InputError(message)."""
-    if isinstance(raw, list) and all(type(v) in (int, float) for v in raw):
-        try:
-            return np.asarray([float(v) for v in raw])
-        except OverflowError:
-            pass
-    raise InputError(message)
-
-
-def _parse_weights(raw: Any, n: int) -> np.ndarray:
-    if raw is None:
-        return np.ones(n)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        raw = [raw] * n
-    return _as_float_list(raw, "'w' must be a positive number or a list of them")
-
-
 def load_instance(path: str) -> ProblemInstance:
     """Read a problem instance (anchor, vertex weights, components)."""
     obj = _load_json(path)
@@ -147,16 +137,11 @@ def load_instance(path: str) -> ProblemInstance:
         raise InputError(f"{path}: expected a top-level object")
     if "a" not in obj:
         raise InputError(f"{path}: missing required field 'a'")
-    a = _as_float_list(obj["a"], f"{path}: 'a' must be a list of numbers")
     raw_atoms = obj.get("atoms", [])
     if not isinstance(raw_atoms, Sequence) or isinstance(raw_atoms, (str, bytes)):
         raise InputError(f"{path}: 'atoms' must be a list")
     atoms = tuple(atom_from_json(entry, i) for i, entry in enumerate(raw_atoms))
-    w = _parse_weights(obj.get("w"), a.size)
-    try:
-        return ProblemInstance(a=a, w=w, atoms=atoms)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    return _build(ProblemInstance, a=obj["a"], w=obj.get("w"), atoms=atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +152,11 @@ def load_hypergraph(path: str) -> Hypergraph:
     obj = _load_json(path)
     if not isinstance(obj, Mapping) or "n" not in obj or "edges" not in obj:
         raise InputError(f"{path}: expected an object with 'n' and 'edges'")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
-        raise InputError(f"{path}: 'n' must be a positive integer")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, (str, bytes)):
         raise InputError(f"{path}: 'edges' must be a list")
     edges = tuple(atom_from_json(entry, i) for i, entry in enumerate(raw_edges))
-    try:
-        return Hypergraph(n=n, edges=edges)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    return _build(Hypergraph, n=obj["n"], edges=edges)
 
 
 def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDataset:
@@ -191,10 +170,7 @@ def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDat
             labels[int(key)] = val
         except (TypeError, ValueError):
             raise InputError(f"{path}: label key {key!r} is not a vertex index")
-    try:
-        return LabeledDataset(n=n, labels=labels, num_classes=num_classes)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    return _build(LabeledDataset, n=n, labels=labels, num_classes=num_classes)
 
 
 def load_schema(path: str) -> list[tuple[str, str]]:
@@ -227,7 +203,7 @@ def load_vector(path: str, n: int, what: str = "vector") -> np.ndarray:
     obj = _load_json(path)
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise InputError(f"{path}: expected a JSON list of numbers")
-    vec = _as_float_list(obj, f"{path}: {what} entries must be numbers")
+    vec = _build(_reals, obj, f"{path}: {what} entries must be numbers")
     if vec.size != n:
         raise InputError(f"{path}: {what} has {vec.size} entries, expected {n}")
     return vec

@@ -45,7 +45,9 @@ import numpy as np
 
 from .submodular import (
     SubmodularAtom,
+    _as_ints,
     _greedy_local,
+    _real,
     _symmetric_cut_groups,
     as_diagonal,
 )
@@ -103,6 +105,9 @@ class ProjectionParams:
     ``max_major`` caps MAJOR loops for the active-set method and line-search
     iterations for conditional gradient; ``None`` selects the defaults
     100·|S_r| and 100·|S_r|² respectively.
+
+    ``delta`` is a real number > 0 and ``max_major`` None or an integer
+    ≥ 1 (never a bool, float or string); ``method`` is one of ``ORACLES``.
     """
 
     delta: float = DEFAULT_DELTA
@@ -110,12 +115,17 @@ class ProjectionParams:
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
+        delta = _real(self.delta, "delta must be a number")
+        if not delta > 0:
             raise ValueError("delta must be positive")
-        if self.max_major is not None and self.max_major < 1:
-            raise ValueError("max_major must be at least 1")
+        if self.max_major is not None:
+            (max_major,) = _as_ints((self.max_major,), "max_major")
+            if max_major < 1:
+                raise ValueError("max_major must be at least 1")
+            object.__setattr__(self, "max_major", max_major)
         if self.method not in ORACLES:
             raise ValueError(f"unknown projection method {self.method!r}")
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,12 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .projection import DEFAULT_DELTA, ORACLES, bind_projectors, bind_round, warn_unconverged
-from .submodular import SubmodularAtom, _symmetric_cut_groups, lovasz_extension
+from .projection import (
+    DEFAULT_DELTA, ProjectionParams, bind_projectors, bind_round, warn_unconverged
+)
+from .submodular import (
+    SubmodularAtom, _as_ints, _real, _reals, _symmetric_cut_groups, as_diagonal, lovasz_extension
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -66,19 +70,19 @@ Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in pla
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The data of one minimization: anchor ``a``, diagonal weights ``w``
-    (the diagonal of W), and the submodular components."""
+    (the diagonal of W), and the submodular components.  ``a`` (a vector)
+    and ``w`` (None, a number or a vector, see `as_diagonal`) become new
+    read-only float arrays, finite, with ``w`` > 0."""
 
     a: np.ndarray
     w: np.ndarray
     atoms: tuple[SubmodularAtom, ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=float)
+        a = _reals(self.a, "'a' must be a list of numbers")
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a must be a nonempty vector")
-        w = np.array(self.w, dtype=float)
-        if w.shape != a.shape:
-            raise ValueError(f"w has shape {w.shape}, expected {a.shape}")
+        w = as_diagonal(self.w, a.size)
         if not np.all(w > 0):
             raise ValueError("all diagonal weights must be positive")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
@@ -216,6 +220,10 @@ class SolveConfig:
     rounded down to whole steps, at least one) controls how often the trace
     is extended and the target gap is checked; ``None`` means once per
     component count.  ``wall_clock_limit`` is checked after every step.
+
+    ``max_iters``, ``checkpoint_stride`` and ``seed`` are integers and
+    ``target_gap``, ``wall_clock_limit`` and ``delta`` real numbers (never
+    bools or strings); ``projection`` and ``delta`` obey `ProjectionParams`.
     """
 
     algorithm: str = "rcd"
@@ -230,6 +238,14 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        object.__setattr__(self, "seed", _as_ints((self.seed,), "seed")[0])
+        for name in ("max_iters", "checkpoint_stride"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_ints((getattr(self, name),), name)[0])
+        for name in ("target_gap", "wall_clock_limit"):
+            if getattr(self, name) is not None:
+                value = _real(getattr(self, name), f"{name} must be a number")
+                object.__setattr__(self, name, value)
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.target_gap is not None and not self.target_gap >= 0:
@@ -238,10 +254,8 @@ class SolveConfig:
             raise ValueError("checkpoint_stride must be at least 1")
         if self.wall_clock_limit is not None and not self.wall_clock_limit >= 0:
             raise ValueError("wall_clock_limit must be nonnegative")
-        if self.projection not in ORACLES:
-            raise ValueError(f"unknown projection method {self.projection!r}")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        params = ProjectionParams(delta=self.delta, method=self.projection)
+        object.__setattr__(self, "delta", params.delta)
 
 
 class TraceRow(NamedTuple):

@@ -44,7 +44,7 @@ def _as_ints(values: Iterable, what: str) -> Sequence[int]:
     if kinds <= {int}:
         return values
     if any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds):
-        raise ValueError(f"{what} must be integers, not bools, floats or strings")
+        raise ValueError(f"{what}: expected integers, not bools, floats or strings")
     return tuple(map(int, values))
 
 
@@ -61,15 +61,26 @@ def _indices(values: Iterable[int], what: str) -> tuple[int, ...]:
 
 
 def _real(value: object, message: str) -> float:
-    """A real number (not a bool or a string) as a float; an int past the
-    float range becomes inf."""
+    """A real number (not a bool or a string) in the float range, as a float;
+    anything else raises ValueError(message) naming the value."""
     if type(value) is not float:  # a float skips the slow numbers.Real test
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{message}, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        raise ValueError(f"{message}, got {value!r}") from None
+
+
+def _reals(values: object, message: str) -> np.ndarray:
+    """A new float array from a NumPy array of integer or float dtype, or
+    from a list or tuple of numbers each taken by `_real`; anything else
+    raises ValueError(message)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(message)
+    return np.array([_real(v, message) for v in values], dtype=float)
 
 
 def _value_table(table: Mapping[int, float], m: int) -> dict[int, float]:
@@ -388,12 +399,16 @@ def lovasz_extension(atom: SubmodularAtom, x: np.ndarray) -> float:
 
 
 def as_diagonal(w, n: int) -> np.ndarray:
-    """Diagonal weights as a length-``n`` vector: None is all ones, a scalar is broadcast."""
+    """Diagonal weights as a new length-``n`` float vector: None is all ones,
+    a number (or 0-d array) is broadcast, a vector is taken by `_reals`."""
+    message = "'w' must be a number or a list of numbers"
     if w is None:
         return np.ones(n)
-    arr = np.asarray(w, dtype=float)
+    if not isinstance(w, (list, tuple, np.ndarray)):
+        return np.full(n, _real(w, message))
+    arr = _reals(w, message)
     if arr.ndim == 0:
-        return np.full(n, float(arr))
+        return np.full(n, arr)
     if arr.shape != (n,):
-        raise ValueError(f"weights have shape {arr.shape}, expected ({n},)")
+        raise ValueError(f"'w' has shape {arr.shape}, expected ({n},)")
     return arr

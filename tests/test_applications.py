@@ -55,6 +55,11 @@ def test_hypergraph_degrees():
         from qdsfm.submodular import general_oracle
 
         Hypergraph(2, (general_oracle([0, 1], table={0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}),))
+    # the vertex count is an integer ≥ 1, not a bool or a float
+    for bad in (2.5, True, 0, "2", np.float64(2.0)):
+        with pytest.raises(ValueError, match="'n'"):
+            Hypergraph(bad, ())
+    assert type(Hypergraph(np.int64(2), ()).n) is int
 
 
 def test_incidence_arrays_are_read_only():
@@ -123,6 +128,11 @@ def test_labeled_dataset():
         with pytest.raises(ValueError, match="integers"):
             LabeledDataset(5, labels)
     assert dict(LabeledDataset(5, {np.int64(4): np.int32(1)}).labels) == {4: 1}
+    for n, k in ((4.0, None), (True, None), (4, 2.5), (4, True), (4, "2")):
+        with pytest.raises(ValueError, match="integers"):
+            LabeledDataset(n, {0: 1}, num_classes=k)
+    counted = LabeledDataset(np.int64(4), {0: 1}, num_classes=np.int32(3))
+    assert (counted.n, counted.num_classes) == (4, 3) and type(counted.n) is int
     with pytest.raises(ValueError):
         ds.anchor(2)
 
@@ -266,6 +276,9 @@ def test_pagerank_validation():
         )
     with pytest.raises(ValueError, match="shape"):
         build_pagerank_instance(good, 0.5, np.ones(3))
+    for bad_seed in (["0.5", True], ["0.5", 0.5], [0.5, None], np.array(["0.5", "0.5"])):
+        with pytest.raises(ValueError, match="seed vector entries must be numbers"):
+            build_pagerank_instance(good, 0.5, bad_seed)
     assert np.allclose(
         adjacency_multiply(good, np.array([2.0, 5.0])), [5.0, 2.0]
     )
@@ -388,6 +401,11 @@ def test_sweep_normalization_changes_order():
 def test_sweep_rejects_edgeless_input():
     with pytest.raises(ValueError):
         cheeger_sweep(Hypergraph(3, ()), None, np.zeros(3))
+    # the weights are numbers, not strings or bools
+    hg = Hypergraph(3, (hyperedge_cut([0, 1, 2]),))
+    for bad_w in (["1", True, 2], ["1", "1", "1"], "1", np.array([True, True, True])):
+        with pytest.raises(ValueError, match="'w' must be"):
+            cheeger_sweep(hg, bad_w, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,9 @@ def test_hypergraph_round_trip(tmp_path):
 def test_hypergraph_validation(tmp_path):
     with pytest.raises(qio.InputError, match="'n'"):
         qio.load_hypergraph(_write_json(tmp_path / "a.json", {"n": 0, "edges": []}))
+    for bad_n in (2.5, True, "2"):
+        with pytest.raises(qio.InputError, match="'n'"):
+            qio.load_hypergraph(_write_json(tmp_path / "f.json", {"n": bad_n, "edges": []}))
     bad = {"n": 2, "edges": [{"type": "edge", "members": [0, 5]}]}
     with pytest.raises(qio.InputError, match="vertex"):
         qio.load_hypergraph(_write_json(tmp_path / "b.json", bad))
@@ -617,6 +620,15 @@ def test_cli_ssl_label_out_of_range(tmp_path, capsys):
     )
     assert rc == 1
     assert "outside" in capsys.readouterr().err
+    # a numeric column with a non-numeric cell fails in the ingest builder
+    csv_path.write_text("c\n1\n2\nheavy\n4\n")
+    numeric = _write_json(tmp_path / "num.json", {"columns": [{"name": "c", "kind": "numeric"}]})
+    rc = main(
+        ["ssl", "--dataset", str(csv_path), "--schema", numeric, "--labels", labels, "--quiet"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: column 'c', row 2: 'heavy' is not numeric or not finite\n"
 
 
 def test_cli_ssl_mode_conflicts(tmp_path, capsys):
@@ -668,6 +680,12 @@ def test_cli_pagerank_rejects_bad_alpha(tmp_path, capsys):
     rc = main(["pagerank", "--graph", graph, "--alpha", "1.5"])
     assert rc == 1
     assert "alpha" in capsys.readouterr().err
+    seed_vec = _write_json(tmp_path / "s.json", ["0.5", 0.5])
+    rc = main(["pagerank", "--graph", graph, "--alpha", "0.5", "--seed-vector", seed_vec])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "seed vector entries must be numbers" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qdsfm.projection import ProjectionParams
 from qdsfm.solvers import (
     ProblemInstance,
     SolveConfig,
@@ -91,6 +92,20 @@ def test_instance_validation():
         )
     with pytest.raises(TypeError):
         ProblemInstance(a=np.ones(3), w=np.ones(3), atoms=("edge",))
+    # a and w are numbers, not strings or bools, and are never parsed
+    edge = (graph_edge_cut(0, 1),)
+    for a, w in ((["1", "0"], None), ([True, 0], None), ([1, 0], [True, "2"]), ([1, 0], "2"),
+                 (np.array(["1", "0"]), None), ([1, 0], np.array([True, True]))):
+        with pytest.raises(ValueError, match="'[aw]' must be"):
+            ProblemInstance(a=a, w=w, atoms=edge)
+    # a scalar w is broadcast, and the caller's arrays are copied, not frozen
+    a, w = np.array([1.0, 0.0]), np.array([2.0, 3.0])
+    assert np.array_equal(ProblemInstance(a=[1, 0], w=2.0, atoms=edge).w, [2.0, 2.0])
+    assert np.array_equal(ProblemInstance(a=a, w=np.int64(2), atoms=edge).w, [2.0, 2.0])
+    inst = ProblemInstance(a=a, w=w, atoms=edge)
+    assert a.flags.writeable and w.flags.writeable
+    assert not (inst.a.flags.writeable or inst.w.flags.writeable)
+    assert not (np.shares_memory(inst.a, a) or np.shares_memory(inst.w, w))
 
 
 def test_objectives_match_definitions():
@@ -317,6 +332,27 @@ def test_same_seed_reproduces_run():
 
 
 def test_config_validation():
+    # budgets and the seed are integers; gaps, limits and delta real numbers
+    for bad in (
+        dict(max_iters=2.5), dict(max_iters=True), dict(checkpoint_stride=2.0),
+        dict(seed="3"), dict(seed=1.0), dict(seed=None), dict(target_gap="1"),
+        dict(target_gap=False), dict(delta=True), dict(delta="1e-9"),
+        dict(wall_clock_limit=True), dict(wall_clock_limit="5"),
+    ):
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
+    for bad in (dict(max_major=2.5), dict(max_major=True), dict(delta="1e-9"), dict(delta=True)):
+        with pytest.raises(ValueError):
+            ProjectionParams(**bad)
+    cfg = SolveConfig(max_iters=np.int64(7), checkpoint_stride=np.int32(2), seed=np.int64(3),
+                      target_gap=1, wall_clock_limit=np.float32(0.5))
+    assert (cfg.max_iters, cfg.checkpoint_stride, cfg.seed) == (7, 2, 3)
+    assert type(cfg.max_iters) is int and type(cfg.seed) is int
+    assert (cfg.target_gap, cfg.wall_clock_limit) == (1.0, 0.5)
+    assert type(cfg.target_gap) is float
+    assert ProjectionParams(max_major=np.int64(5)).max_major == 5
+    res = solve(_edge_instance(), SolveConfig(max_iters=np.int64(3), seed=np.int64(0)))
+    assert res.iterations == 3
     with pytest.raises(ValueError):
         SolveConfig(algorithm="sgd")
     with pytest.raises(ValueError):
