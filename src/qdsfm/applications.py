@@ -22,7 +22,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .solvers import ProblemInstance, SolveConfig, SolveResult, solve
-from .submodular import SubmodularAtom, _as_ints, _reals, as_diagonal, hyperedge_cut
+from .submodular import (
+    SubmodularAtom, _as_ints, _cut_rows, _frozen, _real, _reals, as_diagonal, hyperedge_cut
+)
 
 __all__ = [
     "Hypergraph",
@@ -73,12 +75,7 @@ class Hypergraph:
     @cached_property
     def incidence(self) -> np.ndarray:
         """Every hyperedge's ``members_arr``, concatenated in edge order (read-only)."""
-        if not self.edges:
-            out = np.empty(0, dtype=np.intp)
-        else:
-            out = np.concatenate([edge.members_arr for edge in self.edges])
-        out.flags.writeable = False
-        return out
+        return _frozen(np.concatenate([np.empty(0, np.intp)] + [e.members_arr for e in self.edges]))
 
     def _sizes(self) -> np.ndarray:
         return np.fromiter((edge.size for edge in self.edges), dtype=np.intp, count=self.r)
@@ -96,15 +93,11 @@ class Hypergraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """d_i = number of incident hyperedges (weights ignored)."""
-        d = self._incidence_sum()
-        d.flags.writeable = False
-        return d
+        return _frozen(self._incidence_sum())
 
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
-        d = self._incidence_sum(np.repeat(self._weights(), self._sizes()))
-        d.flags.writeable = False
-        return d
+        return _frozen(self._incidence_sum(np.repeat(self._weights(), self._sizes())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +169,7 @@ def build_ssl_instance(
         ds = LabeledDataset(hg.n, ds)
     if ds.n != hg.n:
         raise ValueError(f"dataset has {ds.n} samples for {hg.n} vertices")
+    beta = _real(beta, "beta must be a number")
     if not beta > 0:
         raise ValueError("beta must be positive")
     if normalization == "degree":
@@ -257,6 +251,7 @@ def build_pagerank_instance(
     back(x) = D·x = p.  The solved p satisfies p = (1−α)s + αAD⁻¹p.
     """
     _require_graph(hg)
+    alpha = _real(alpha, "alpha must be a number")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     d = hg.weighted_degrees
@@ -379,27 +374,30 @@ def generate_synthetic_hypergraph(
     vertices per cluster are revealed.  Returns the hypergraph, the partial
     labels, and the ground-truth assignment (first half 0, second half 1).
     """
+    args = (n, within_per_cluster, across, edge_size, labeled_per_cluster, seed)
+    n, within, across, edge_size, labeled, seed = _as_ints(args, "generator arguments")
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be even and at least 2")
     half = n // 2
     if not 1 <= edge_size <= half:
         raise ValueError(f"edge_size must lie in 1..{half}")
-    if not 0 <= labeled_per_cluster <= half:
+    if not 0 <= labeled <= half:
         raise ValueError(f"labeled_per_cluster must lie in 0..{half}")
+    if min(within, across, seed) < 0:
+        raise ValueError("within_per_cluster, across and seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    edges = []
-    for start in (0, half):
-        for _ in range(within_per_cluster):
-            members = rng.choice(half, size=edge_size, replace=False) + start
-            edges.append(hyperedge_cut(members.tolist()))
-    for _ in range(across):
-        members = rng.choice(n, size=edge_size, replace=False)
-        edges.append(hyperedge_cut(members.tolist()))
+    rows = np.empty((2 * within + across, edge_size), dtype=np.intp)
+    for r in range(rows.shape[0]):  # cluster 0's within rows, cluster 1's, then the across rows
+        if r < 2 * within:
+            rows[r] = rng.choice(half, size=edge_size, replace=False) + half * (r >= within)
+        else:
+            rows[r] = rng.choice(n, size=edge_size, replace=False)
+    edges = _cut_rows("hyperedge", rows, [1.0] * rows.shape[0])
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
     labels: dict[int, int] = {}
     for start, klass in ((0, 0), (half, 1)):
-        picks = rng.choice(half, size=labeled_per_cluster, replace=False) + start
+        picks = rng.choice(half, size=labeled, replace=False) + start
         for v in picks:
             labels[int(v)] = klass
     hg = Hypergraph(n, tuple(edges))
@@ -432,6 +430,7 @@ def ingest_tabular_dataset(
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to ingest")
+    (bins,) = _as_ints((bins,), "bins")
     if bins < 1:
         raise ValueError("bins must be at least 1")
     edges = []

@@ -28,8 +28,8 @@ solvers take per-component callables on pre-gathered slices from
 ``bind_projectors`` (``rcd``) or one callable for a whole round from
 ``bind_round`` (``ap``), which runs the exact sweep of equal-size edges and
 hyperedges as one array kernel.  The scalar exact sweep is bound once per
-component per solve (``_bind_sweep``), so a call repeats none of the work
-that depends only on the component and its metric.
+component per solve (``_bind_sweep``) to rows computed for all components at
+once, so a call repeats no work that depends only on the component and its metric.
 """
 
 from __future__ import annotations
@@ -39,18 +39,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .submodular import (
-    SubmodularAtom,
-    _as_ints,
-    _greedy_local,
-    _real,
-    _symmetric_cut_groups,
-    as_diagonal,
-)
+from .submodular import SubmodularAtom, _as_ints, _greedy_local, _real, as_diagonal
 
 __all__ = [
     "ORACLES",
@@ -309,8 +302,14 @@ _ITERATIVE = {"mnp": _mnp_local, "fw": _fw_local}
 # Exact sweep for cut components
 
 
+def _sweep_rows(wt: np.ndarray, weights) -> np.ndarray:
+    """The exact sweep's rows W̃/2, 2M and M/w (M = W̃⁻¹; a weight w = 0 divides as 1)."""
+    metric = 1.0 / wt
+    return np.array((0.5 * wt, 2.0 * metric, metric / np.where(weights > 0.0, weights, 1.0)))
+
+
 def _bind_sweep(
-    atom: SubmodularAtom, wt: np.ndarray
+    atom: SubmodularAtom, wt: np.ndarray, rows: np.ndarray | None = None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
     """Exact cone projection for a cut component under the metric ``wt``, as
     a callable target ↦ (y, φ) in local coordinates.
@@ -319,14 +318,13 @@ def _bind_sweep(
     b = W̃a/2 and M = W̃⁻¹ (f₁ the unit-weight cut extension), solved by a
     two-pointer sweep that caps head values at γ and floors tail values at δ
     while walking the balanced path dδ = −(w_H/w_T)dγ; recovery is
-    y = a − 2Mz, φ = 2√w·f₁(z).  The rows W̃/2, 2M and M/w (the sweep's
-    masses) depend only on the component and ``wt``, so they are computed here.
+    y = a − 2Mz, φ = 2√w·f₁(z).  The `_sweep_rows` depend only on the
+    component and ``wt``, so they are computed here unless given as ``rows``.
     """
     m, w = atom.size, atom.weight
     if m == 1 or w == 0.0:
         return lambda a: (np.zeros(m), 0.0)
-    metric = 1.0 / wt
-    rows = np.array((0.5 * wt, 2.0 * metric, metric / w))
+    rows = _sweep_rows(wt, w) if rows is None else rows
     hp, tp = atom.head_pos, atom.tail_pos
     sides = (hp, tp, rows[2, hp], rows[2, tp]) if atom.kind == "directed_hyperedge" else None
     return partial(_sweep, rows, 2.0 * math.sqrt(w), sides)
@@ -519,29 +517,31 @@ def _iteration_cap(atom: SubmodularAtom, method: str, max_major: int | None) -> 
 
 def bind_projectors(
     atoms: Sequence[SubmodularAtom],
-    wt_locs: Iterable[np.ndarray],
+    wt: np.ndarray,
+    ends: Sequence[int],
     method: str,
     delta: float,
     tally: Counter,
 ) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
-    """Per-component callables target ↦ (y, φ) in local coordinates under the
-    matching metric of ``wt_locs``; each component's oracle is chosen here, once.
+    """Per-component callables target ↦ (y, φ) in local coordinates; each
+    component's oracle is chosen here, once.  ``wt`` holds the components'
+    metrics end to end, component j's in ``wt[ends[j]:ends[j + 1]]``; the
+    sweep rows of all are computed at once, and each sweep binds its view.
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
     """
+    rows = _sweep_rows(wt, np.repeat([atom.weight for atom in atoms], np.diff(ends)))
     projectors = []
-    for atom, wt in zip(atoms, wt_locs):
+    for atom, lo, hi in zip(atoms, ends, ends[1:]):
         chosen = _choose_oracle(atom, method)
         if chosen == "exact":
-            projectors.append(_bind_sweep(atom, wt))
+            projectors.append(_bind_sweep(atom, wt[lo:hi], rows[:, lo:hi]))
             continue
-
         local = _ITERATIVE[chosen]
-
         cap = _iteration_cap(atom, chosen, None)
 
-        def proj(tgt, _f=local, _a=atom, _w=wt, _n=chosen, _c=cap):
+        def proj(tgt, _f=local, _a=atom, _w=wt[lo:hi], _n=chosen, _c=cap):
             y, phi, _, _, converged, _ = _f(_a, _w, tgt, delta, _c, False)
             tally[_n, converged] += 1
             return y, phi
@@ -552,6 +552,8 @@ def bind_projectors(
 
 def bind_round(
     atoms: Sequence[SubmodularAtom],
+    groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rest: Sequence[int],
     metric: np.ndarray,
     method: str,
     delta: float,
@@ -559,46 +561,38 @@ def bind_round(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """One projection of every component, as a flat layout and one callable.
 
-    ``metric`` is the metric's diagonal over all vertices.  Returns
+    ``groups`` and ``rest`` split ``atoms`` as `_symmetric_cut_groups` does,
+    and ``metric`` is the metric's diagonal over all vertices.  Returns
     ``members``, every component's vertices concatenated, and
     ``project_round``, which takes the components' targets laid out like
     ``members``, overwrites them with the projections y and returns the φ of
-    every component in ``atoms`` order.  Edge and hyperedge components of
-    one size whose oracle is ``exact`` sit side by side in the layout and,
-    when there are at least ``_BATCH_MIN_ROWS`` of them, are projected by one
-    ``_sweep_cut_batch`` call; every other component keeps its
-    ``bind_projectors`` callable.
+    every component in ``atoms`` order.  A group whose oracle is ``exact``
+    and which has at least ``_BATCH_MIN_ROWS`` components comes first in the
+    layout and is projected by one ``_sweep_cut_batch`` call; every other
+    component keeps its ``bind_projectors`` callable.
     """
-    by_size, rest = _symmetric_cut_groups(atoms)
-    batched = []
-    for rows in by_size.values():
+    batched, rest = [], list(rest)
+    for rows, matrix, weights in groups:
         if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], method) == "exact":
-            batched.append(rows)
+            batched.append((rows, matrix, metric[matrix], weights))
         else:
-            rest.extend(rows)
+            rest.extend(rows.tolist())
     rest.sort()
-    layout = [r for rows in batched for r in rows] + rest
-    members = np.concatenate([atoms[r].members_arr for r in layout])
-    wt = metric[members]
-    ends = np.cumsum([0] + [atoms[r].size for r in layout])
-    groups, i = [], 0
-    for rows in batched:
-        block = slice(ends[i], ends[i + len(rows)])
-        i += len(rows)
-        weights = np.asarray([atoms[r].weight for r in rows])
-        groups.append((np.asarray(rows), block, wt[block].reshape(len(rows), -1), weights))
-    slices = [slice(ends[j], ends[j + 1]) for j in range(i, len(layout))]
+    members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
+    ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
+    nb, lo = len(batched), ends[len(batched)]
+    rest_ends = [e - lo for e in ends[nb:]]
     projectors = bind_projectors(
-        [atoms[r] for r in rest], [wt[sl] for sl in slices], method, delta, tally
-    )
+        [atoms[r] for r in rest], metric[members[lo:]], rest_ends, method, delta, tally)
 
     def project_round(y: np.ndarray) -> np.ndarray:
         phis = np.empty(len(atoms))
-        for rows, block, wt_g, weights in groups:
+        for (rows, _, wt_g, weights), block in zip(batched, blocks):
             y_g, phis[rows] = _sweep_cut_batch(y[block].reshape(wt_g.shape), wt_g, weights)
             y[block] = y_g.ravel()
-        for r, sl, project in zip(rest, slices, projectors):
-            y[sl], phis[r] = project(y[sl])
+        for r, block, project in zip(rest, blocks[nb:], projectors):
+            y[block], phis[r] = project(y[block])
         return phis
 
     return members, project_round

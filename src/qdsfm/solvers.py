@@ -45,7 +45,8 @@ from .projection import (
     DEFAULT_DELTA, ProjectionParams, bind_projectors, bind_round, warn_unconverged
 )
 from .submodular import (
-    SubmodularAtom, _as_ints, _real, _reals, _symmetric_cut_groups, as_diagonal, lovasz_extension
+    SubmodularAtom, _as_ints, _frozen, _real, _reals, _symmetric_cut_groups, as_diagonal,
+    lovasz_extension,
 )
 
 __all__ = [
@@ -97,10 +98,8 @@ class ProblemInstance:
                     f"component {idx} references vertex {atom.members[-1]} "
                     f"outside 0..{n - 1}"
                 )
-        a.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "w", _frozen(w))
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -113,54 +112,49 @@ class ProblemInstance:
 
     @cached_property
     def winv(self) -> np.ndarray:
-        inv = 1.0 / self.w
-        inv.flags.writeable = False
-        return inv
+        return _frozen(1.0 / self.w)
 
     @cached_property
     def _two_wa(self) -> np.ndarray:
-        v = 2.0 * self.w * self.a
-        v.flags.writeable = False
-        return v
+        return _frozen(2.0 * self.w * self.a)
 
     @cached_property
     def _wa_sq(self) -> float:
         return float(np.dot(self.w, self.a * self.a))
 
     @cached_property
-    def _penalty(self) -> Callable[[np.ndarray], float]:
-        return _penalty_evaluator(self.atoms)
+    def _layout(self) -> _Layout:
+        return _component_layout(self.atoms, self.n)
 
-
-def _penalty_evaluator(atoms: Sequence[SubmodularAtom]) -> Callable[[np.ndarray], float]:
-    """Build an evaluator for Σ_r f_r(x)².
-
-    Symmetric cut components of equal size are batched into one index matrix
-    so large uniform collections evaluate in a handful of array operations;
-    everything else falls back to per-component extension values.
-    """
-    by_size, rest = _symmetric_cut_groups(atoms)
-    groups = [
-        (
-            np.stack([atoms[r].members_arr for r in rows]),
-            np.asarray([atoms[r].weight for r in rows]),
-        )
-        for rows in by_size.values()
-    ]
-    other = [atoms[r] for r in rest]
-
-    def evaluate(x: np.ndarray) -> float:
+    def _penalty(self, x: np.ndarray) -> float:
+        """Σ_r f_r(x)²: each group of equal-size symmetric cuts in a few array
+        operations, every other component by its Lovász extension."""
         total = 0.0
-        for members, weights in groups:
+        for _, members, weights in self._layout.groups:
             vals = x[members]
             spread = vals.max(axis=1) - vals.min(axis=1)
             total += float(np.dot(weights, spread * spread))
-        for atom in other:
-            v = lovasz_extension(atom, x)
+        for r in self._layout.rest:
+            v = lovasz_extension(self.atoms[r], x)
             total += v * v
         return total
 
-    return evaluate
+
+class _Layout(NamedTuple):
+    """What a solve reads of the components, built once per instance (read-only)."""
+
+    incidence: np.ndarray  # every component's members_arr, concatenated in order
+    ends: np.ndarray  # component r's entries are incidence[ends[r]:ends[r + 1]]
+    psi: np.ndarray  # per-vertex coverage counts Ψ, as floats
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # `_symmetric_cut_groups`
+    rest: tuple[int, ...]  # and the indices of all other components
+
+
+def _component_layout(atoms: Sequence[SubmodularAtom], n: int) -> _Layout:
+    ends = _frozen(np.cumsum([0] + [atom.size for atom in atoms]))
+    incidence = _frozen(np.concatenate([np.empty(0, np.intp)] + [a.members_arr for a in atoms]))
+    psi = _frozen(np.bincount(incidence, minlength=n).astype(float))
+    return _Layout(incidence, ends, psi, *_symmetric_cut_groups(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +240,8 @@ class SolveConfig:
             if getattr(self, name) is not None:
                 value = _real(getattr(self, name), f"{name} must be a number")
                 object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.target_gap is not None and not self.target_gap >= 0:
@@ -299,12 +295,13 @@ def _rcd_steps(
     2Wa, under the metric W⁻¹.  The step updates Σ_r y_r incrementally; the
     resync re-accumulates it from the blocks.
     """
-    n = instance.n
-    mems = [atom.members_arr for atom in instance.atoms]
-    members = np.concatenate(mems)
-    base = [instance._two_wa[mem] for mem in mems]
-    wt_locs = (instance.winv[mem] for mem in mems)
-    projectors = bind_projectors(instance.atoms, wt_locs, config.projection, config.delta, tally)
+    n, atoms, layout = instance.n, instance.atoms, instance._layout
+    ends = layout.ends.tolist()
+    mems = [atom.members_arr for atom in atoms]
+    base_flat = instance._two_wa[layout.incidence]
+    base = [base_flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    wt = instance.winv[layout.incidence]
+    projectors = bind_projectors(atoms, wt, ends, config.projection, config.delta, tally)
     ys = [np.zeros(mem.size) for mem in mems]
     draws = _uniform_draws(np.random.default_rng(config.seed), instance.r)
 
@@ -316,7 +313,7 @@ def _rcd_steps(
         ys[r] = y_new
 
     def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
-        sum_y[:] = np.bincount(members, weights=np.concatenate(ys), minlength=n)
+        sum_y[:] = np.bincount(layout.incidence, weights=np.concatenate(ys), minlength=n)
 
     return step, resync
 
@@ -333,14 +330,12 @@ def _ap_steps(
     from the same snapshot: block r reads only its own y_r and s, so a round
     is one ``projection.bind_round`` call on all blocks' targets at once.
     """
-    n = instance.n
-    two_wa = instance._two_wa
-    incidences = [atom.members_arr for atom in instance.atoms]
-    psi = np.bincount(np.concatenate(incidences), minlength=n).astype(float)
+    n, two_wa, layout = instance.n, instance._two_wa, instance._layout
+    psi = layout.psi
     covered = psi > 0
     members, project_round = bind_round(
-        instance.atoms, psi / instance.w, config.projection, config.delta, tally
-    )
+        instance.atoms, layout.groups, layout.rest, psi / instance.w, config.projection,
+        config.delta, tally)
     y = np.zeros(members.size)  # every block's y_r, laid out like members
 
     def step(sum_y: np.ndarray, phis: np.ndarray) -> None:

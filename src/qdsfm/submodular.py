@@ -60,6 +60,12 @@ def _indices(values: Iterable[int], what: str) -> tuple[int, ...]:
     return out
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _real(value: object, message: str) -> float:
     """A real number (not a bool or a string) in the float range, as a float;
     anything else raises ValueError(message) naming the value."""
@@ -212,6 +218,43 @@ class SubmodularAtom:
         return self.kind in _CUT_KINDS
 
 
+def _cut_rows(kind: str, rows: np.ndarray, weights: Sequence[float]) -> list[SubmodularAtom]:
+    """k atoms of kind "edge" or "hyperedge" from a k × m integer matrix of
+    members and k weights, checked by the constructor's rules on the whole
+    matrix at once.  Each atom's ``members_arr`` is a read-only row view of
+    one row-sorted copy of ``rows``; all share one read-only position array."""
+    if rows.dtype.kind not in "iu":
+        raise ValueError("members: expected integers, not bools, floats or strings")
+    if rows.shape[1] == 0:
+        raise ValueError("members must be nonempty")
+    rows = np.sort(rows, axis=1)
+    if rows.size and rows[:, 0].min() < 0:
+        raise ValueError("members contains negative indices")
+    if np.any(np.diff(rows, axis=1) == 0):
+        raise ValueError("members contains duplicate indices")
+    if rows.size and rows[:, -1].max() > np.iinfo(np.intp).max:
+        raise ValueError("member indices must fit in a machine integer")
+    if kind == "edge" and rows.shape[1] != 2:
+        raise ValueError("an edge needs exactly two members")
+    weights = [_real(w, "weight must be a number") for w in weights]
+    if not all(0 <= w < math.inf for w in weights):
+        raise ValueError("weight must be finite and nonnegative")
+    rows = _frozen(rows.astype(np.intp, copy=False))
+    pos = _frozen(np.arange(rows.shape[1], dtype=np.intp))
+    put, atoms = object.__setattr__, []
+    for row, w in zip(rows, weights, strict=True):
+        atom = object.__new__(SubmodularAtom)  # checked above, not by __post_init__
+        put(atom, "kind", kind)  # head, tail, table and fn keep their defaults (None)
+        put(atom, "members", tuple(row.tolist()))
+        put(atom, "weight", w)
+        put(atom, "_members_arr", row)
+        put(atom, "_head_pos", pos)
+        put(atom, "_tail_pos", pos)
+        put(atom, "_sqrt_w", math.sqrt(w))
+        atoms.append(atom)
+    return atoms
+
+
 def graph_edge_cut(i: int, j: int, weight: float = 1.0) -> SubmodularAtom:
     """Two-endpoint cut: F(S) = sqrt(weight) iff S separates i from j."""
     return SubmodularAtom("edge", (i, j), weight)
@@ -254,11 +297,12 @@ def general_oracle(
 
 def _symmetric_cut_groups(
     atoms: Sequence[SubmodularAtom],
-) -> tuple[dict[int, list[int]], list[int]]:
-    """Indices of the edge and hyperedge atoms with more than one member,
-    grouped by size in order of first appearance, and the indices of all
-    other atoms.  Atoms of one group can be evaluated or projected together
-    as k × size arrays."""
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
+    """The edge and hyperedge atoms with more than one member, grouped by
+    size in order of first appearance, and the indices of all other atoms.
+    A group is (its atom indices, their k × size members matrix, their k
+    weights), all read-only, so its atoms can be evaluated or projected
+    together as arrays."""
     by_size: dict[int, list[int]] = {}
     rest: list[int] = []
     for r, atom in enumerate(atoms):
@@ -266,7 +310,15 @@ def _symmetric_cut_groups(
             by_size.setdefault(atom.size, []).append(r)
         else:
             rest.append(r)
-    return by_size, rest
+    groups = tuple(
+        (
+            _frozen(np.asarray(rows, dtype=np.intp)),
+            _frozen(np.stack([atoms[r].members_arr for r in rows])),
+            _frozen(np.asarray([atoms[r].weight for r in rows])),
+        )
+        for rows in by_size.values()
+    )
+    return groups, tuple(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,8 @@ def test_generator_shapes_and_determinism():
 
 @pytest.mark.parametrize(
     "args",
-    [(50, 7, 4, 5, 2), (4, 1, 0, 2, 0), (10, 3, 5, 1, 2), (12, 0, 6, 6, 6), (200, 20, 40, 20, 3)],
+    [(50, 7, 4, 5, 2), (4, 1, 0, 2, 0), (10, 3, 5, 1, 2), (12, 0, 6, 6, 6), (200, 20, 40, 20, 3),
+     (40, 9, 12, 1, 4), (40, 9, 12, 2, 4)],
 )
 def test_generator_matches_reference(args):
     for seed in (0, 1, 5):
@@ -446,6 +447,53 @@ def test_generator_matches_reference(args):
         assert [e.members for e in hg.edges] == edges
         assert list(ds.labels.items()) == list(labels.items())
         assert _same_bits(truth, ref_truth)
+
+
+def test_generator_atoms_share_one_member_matrix():
+    hg, _, _ = generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)
+    matrix = hg.edges[0].members_arr.base
+    assert matrix.shape == (30, 4) and not matrix.flags.writeable
+    assert all(e.members_arr.base is matrix for e in hg.edges)
+    assert np.array_equal(matrix, [e.members for e in hg.edges])
+    assert all((e.kind, e.weight, e.sqrt_w) == ("hyperedge", 1.0, 1.0) for e in hg.edges)
+    assert _same_bits(hg.incidence, matrix.ravel())
+
+
+def test_generator_arguments_are_integers():
+    good = dict(n=20, within_per_cluster=3, across=2, edge_size=3, labeled_per_cluster=1, seed=0)
+    for name, bad in (("n", 20.0), ("n", True), ("within_per_cluster", 2.5),
+                      ("across", "2"), ("edge_size", np.float64(3)), ("seed", None),
+                      ("labeled_per_cluster", False)):
+        with pytest.raises(ValueError, match="integers"):
+            generate_synthetic_hypergraph(**{**good, name: bad})
+    for name in ("within_per_cluster", "across", "seed"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            generate_synthetic_hypergraph(**{**good, name: -1})
+    numpy_args = {k: np.int64(v) for k, v in good.items()}
+    hg, ds, truth = generate_synthetic_hypergraph(**numpy_args)
+    ref_hg, ref_ds, ref_truth = generate_synthetic_hypergraph(**good)
+    assert [e.members for e in hg.edges] == [e.members for e in ref_hg.edges]
+    assert hg.n == 20 and type(hg.n) is int and ds.labels == ref_ds.labels
+
+
+def test_builder_scalars_follow_the_number_rule():
+    hg = Hypergraph(2, (graph_edge_cut(0, 1),))
+    for bad in (True, "1", None, np.array([1.0])):
+        with pytest.raises(ValueError, match="beta must be a number"):
+            build_ssl_instance(hg, {0: 1}, k=1, beta=bad)
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            build_pagerank_instance(hg, bad, np.ones(2) / 2)
+    inst, _ = build_ssl_instance(hg, {0: 1}, k=1, beta=np.float32(0.5))
+    assert _same_bits(inst.w, build_ssl_instance(hg, {0: 1}, k=1, beta=0.5)[0].w)
+    inst, _ = build_pagerank_instance(hg, np.float64(0.25), np.ones(2) / 2)
+    assert _same_bits(inst.w, build_pagerank_instance(hg, 0.25, np.ones(2) / 2)[0].w)
+    rows = [{"v": str(x)} for x in (0.0, 1.0, 2.0, 3.0)]
+    for bad in (2.5, True, "2", None):
+        for equal_frequency in (False, True):
+            with pytest.raises(ValueError, match="bins"):
+                ingest_tabular_dataset(rows, [("v", "numeric")], bad, equal_frequency)
+    by_numpy = ingest_tabular_dataset(rows, [("v", "numeric")], bins=np.int64(2))
+    assert [e.members for e in by_numpy.edges] == [(0, 1), (2, 3)]
 
 
 def test_generator_forced_tiny_clusters():

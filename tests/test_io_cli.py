@@ -363,6 +363,15 @@ def test_cli_solve_worked_example(tmp_path, capsys):
     assert trace.read_text().startswith("iter,primal,dual,gap,seconds")
 
 
+@pytest.mark.parametrize("algorithm", ["rcd", "ap"])
+def test_cli_solve_rejects_negative_seed(tmp_path, capsys, algorithm):
+    inst = _edge_instance_file(tmp_path)
+    rc = main(["solve", "--instance", inst, "--algorithm", algorithm, "--seed", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be nonnegative\n"
+
+
 def test_cli_solve_stdout_when_no_solution_flag(tmp_path, capsys):
     inst = _edge_instance_file(tmp_path)
     rc = main(["solve", "--instance", inst, "--target-gap", "1e-10"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qdsfm import solvers
 from qdsfm.projection import ProjectionParams
 from qdsfm.solvers import (
     ProblemInstance,
@@ -147,6 +148,74 @@ def test_penalty_groups_and_fallback_agree():
         x = rng.normal(size=5)
         manual = sum(lovasz_extension(at, x) ** 2 for at in atoms)
         assert inst._penalty(x) == pytest.approx(manual, rel=1e-12)
+
+
+def _mixed_instance():
+    # cut sizes 2 and 3, a size-1, a directed and a table atom; vertex 6 is uncovered
+    tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}
+    atoms = (
+        hyperedge_cut([0, 1, 2], 2.0),
+        graph_edge_cut(2, 4),
+        directed_hyperedge_cut([0], [3, 4]),
+        hyperedge_cut([1, 3, 4], 0.5),
+        general_oracle([2, 5], table=tbl),
+        hyperedge_cut([4]),
+        graph_edge_cut(0, 5, 0.0),
+        hyperedge_cut([0, 3, 5], 1.5),
+        graph_edge_cut(1, 3, 3.0),
+    )
+    rng = np.random.default_rng(5)
+    return ProblemInstance(a=rng.normal(size=7), w=rng.uniform(0.5, 2.0, 7), atoms=atoms)
+
+
+def test_layout_penalty_matches_oracle():
+    inst = _mixed_instance()
+    layout = inst._layout
+    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 3, 7], [1, 6, 8]]
+    assert list(layout.rest) == [2, 4, 5]
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x = rng.normal(size=inst.n)
+        want = sum(
+            oracles.lovasz_by_prefix(oracles.atom_value_fn(at), at.members, x) ** 2
+            for at in inst.atoms
+        )
+        assert inst._penalty(x) == pytest.approx(want, rel=1e-12)
+
+
+def test_layout_arrays_are_read_only():
+    inst = _mixed_instance()
+    layout = inst._layout
+    assert np.array_equal(layout.incidence, np.concatenate([at.members for at in inst.atoms]))
+    assert layout.ends.tolist() == np.cumsum([0] + [at.size for at in inst.atoms]).tolist()
+    assert layout.psi.tolist() == [4.0, 3.0, 3.0, 4.0, 4.0, 3.0, 0.0]
+    arrays = [layout.incidence, layout.ends, layout.psi]
+    arrays += [arr for group in layout.groups for arr in group]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("algorithm", ["rcd", "ap"])
+def test_second_solve_reuses_the_layout(algorithm, monkeypatch):
+    inst = _mixed_instance()
+    cfg = SolveConfig(algorithm=algorithm, max_iters=30 * inst.r, checkpoint_stride=inst.r, seed=4)
+    first = solve(inst, cfg)
+    builds = []
+    for name in ("_component_layout", "_symmetric_cut_groups"):
+        def spy(*args, _real=getattr(solvers, name), _name=name):
+            builds.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(solvers, name, spy)
+    second = solve(inst, cfg)
+    assert builds == []
+    for field in ("x", "sum_y", "phis"):
+        assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+    assert [row[:4] for row in first.trace] == [row[:4] for row in second.trace]
+    solve(ProblemInstance(inst.a, inst.w, inst.atoms), cfg)
+    assert builds == ["_component_layout", "_symmetric_cut_groups"]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +436,15 @@ def test_config_validation():
         SolveConfig(delta=0.0)
     with pytest.raises(ValueError):
         SolveConfig(wall_clock_limit=-0.5)
+
+
+def test_negative_seed_rejected():
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SolveConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SolveConfig(algorithm="ap", seed=seed)
+    assert SolveConfig(seed=0).seed == 0
 
 
 def test_unconverged_oracle_calls_are_logged(caplog):

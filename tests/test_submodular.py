@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from qdsfm.submodular import (
     SubmodularAtom,
+    _cut_rows,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -317,3 +318,67 @@ def test_constructor_validation():
     directed = directed_hyperedge_cut(np.array([5]), [np.int32(2), 0])
     assert directed.head == (5,) and directed.tail == (0, 2)
     assert all(type(v) is int for v in directed.head + directed.tail)
+
+
+# ---------------------------------------------------------------------------
+# the array constructor for cut atoms
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20])
+def test_cut_rows_match_constructor(m):
+    rng = np.random.default_rng(m)
+    rows = np.stack([rng.choice(50, size=m, replace=False) for _ in range(6)])
+    given = rows.copy()
+    weights = [1.0, 0.0, 2.5, 3, np.float64(0.25), np.int32(7)]
+    x = rng.standard_normal(50)
+    for kind in ("edge", "hyperedge") if m == 2 else ("hyperedge",):
+        atoms = _cut_rows(kind, rows, weights)
+        assert len(atoms) == len(rows)
+        for row, weight, atom in zip(rows, weights, atoms):
+            ref = SubmodularAtom(kind, row, weight)
+            assert isinstance(atom, SubmodularAtom)
+            assert (atom.kind, atom.members, atom.weight, atom.sqrt_w) == (
+                ref.kind, ref.members, ref.weight, ref.sqrt_w)
+            assert {type(v) for v in atom.members} == {int} and type(atom.weight) is float
+            assert (atom.head, atom.tail, atom.table, atom.fn) == (None, None, None, None)
+            for name in ("members_arr", "head_pos", "tail_pos"):
+                got, want = getattr(atom, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert lovasz_extension(atom, x) == lovasz_extension(ref, x)
+            assert np.array_equal(greedy_linear_minimizer(atom, x), greedy_linear_minimizer(ref, x))
+        # one sorted matrix and one position array stand behind every atom
+        matrix = atoms[0].members_arr.base
+        assert matrix is not None and matrix.shape == rows.shape
+        assert all(atom.members_arr.base is matrix for atom in atoms)
+        assert all(atom.head_pos is atom.tail_pos is atoms[0].head_pos for atom in atoms)
+        for arr in (matrix, atoms[-1].members_arr, atoms[-1].head_pos):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert np.array_equal(rows, given) and rows.flags.writeable  # the input is left alone
+
+
+# (kind, a matrix whose last row or dtype is bad, weights whose last one may be bad)
+_BAD_ROWS = [
+    ("hyperedge", np.array([[True, False], [False, True]]), [1.0, 1.0]),
+    ("hyperedge", np.array([[0.0, 1.0], [2.0, 3.0]]), [1.0, 1.0]),
+    ("hyperedge", np.array([[0, 1], [3, -2]]), [1.0, 1.0]),
+    ("hyperedge", np.array([[0, 1, 2], [4, 0, 4]]), [1.0, 1.0]),
+    ("hyperedge", np.empty((2, 0), dtype=np.intp), [1.0, 1.0]),
+    ("hyperedge", np.array([[0, 1], [0, 2**64 - 1]], dtype=np.uint64), [1.0, 1.0]),
+    ("edge", np.array([[0, 1, 2], [3, 4, 5]]), [1.0, 1.0]),
+    ("edge", np.array([[0], [1]]), [1.0, 1.0]),
+    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, True]),
+    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, math.nan]),
+    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, math.inf]),
+    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("kind, rows, weights", _BAD_ROWS)
+def test_cut_rows_reject_what_the_constructor_rejects(kind, rows, weights):
+    with pytest.raises(ValueError) as by_rows:
+        _cut_rows(kind, rows, weights)
+    with pytest.raises(ValueError) as by_atom:
+        SubmodularAtom(kind, rows[-1], weights[-1])
+    assert str(by_rows.value) == str(by_atom.value)
