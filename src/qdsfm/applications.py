@@ -21,9 +21,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .solvers import ProblemInstance, SolveConfig, SolveResult, solve
+from .solvers import (
+    ProblemInstance, SolveConfig, SolveResult, _check_components, _component_layout, solve
+)
 from .submodular import (
-    SubmodularAtom, _as_ints, _cut_rows, _frozen, _real, _reals, as_diagonal, hyperedge_cut
+    SubmodularAtom, _as_ints, _cut_rows, _frozen, _Layout, _real, _reals, as_diagonal, hyperedge_cut
 )
 
 __all__ = [
@@ -57,14 +59,7 @@ class Hypergraph:
         if n < 1:
             raise ValueError("'n' must be a positive integer")
         edges = tuple(self.edges)
-        for idx, edge in enumerate(edges):
-            if not isinstance(edge, SubmodularAtom) or not edge.is_cut:
-                raise ValueError(f"hyperedge {idx} must be a cut component")
-            if edge.members[-1] >= n:
-                raise ValueError(
-                    f"hyperedge {idx} references vertex {edge.members[-1]} "
-                    f"outside 0..{n - 1}"
-                )
+        _check_components(edges, n, "hyperedge", cut_only=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
@@ -73,31 +68,25 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
+    def _layout(self) -> _Layout:
+        return _component_layout(self.edges, self.n)
+
+    @property
     def incidence(self) -> np.ndarray:
         """Every hyperedge's ``members_arr``, concatenated in edge order (read-only)."""
-        return _frozen(np.concatenate([np.empty(0, np.intp)] + [e.members_arr for e in self.edges]))
+        return self._layout.incidence
 
-    def _sizes(self) -> np.ndarray:
-        return np.fromiter((edge.size for edge in self.edges), dtype=np.intp, count=self.r)
-
-    def _weights(self) -> np.ndarray:
-        return np.fromiter((edge.weight for edge in self.edges), dtype=float, count=self.r)
-
-    def _incidence_sum(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Per-vertex float sums of ``values`` (one per incidence, 1 if None),
-        each vertex's terms added in edge order."""
-        # the bincount of an empty array (no edges) is integer even with weights
-        out = np.bincount(self.incidence, weights=values, minlength=self.n)
-        return out.astype(float, copy=False)
-
-    @cached_property
+    @property
     def degrees(self) -> np.ndarray:
-        """d_i = number of incident hyperedges (weights ignored)."""
-        return _frozen(self._incidence_sum())
+        """d_i = number of incident hyperedges (weights ignored), the layout's Ψ."""
+        return self._layout.psi
 
     @cached_property
     def weighted_degrees(self) -> np.ndarray:
-        return _frozen(self._incidence_sum(np.repeat(self._weights(), self._sizes())))
+        layout = self._layout
+        weights = np.repeat(layout.weights, np.diff(layout.ends))
+        # the bincount of an empty array (no edges) is integer even with weights
+        return _frozen(np.bincount(layout.incidence, weights, self.n).astype(float, copy=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +122,7 @@ class LabeledDataset:
     def anchor(self, k: int) -> np.ndarray:
         """The ±1/0 vector for class k: +1 on class-k labels, −1 on labels
         of any other class, 0 on unlabeled samples."""
+        (k,) = _as_ints((k,), "class")
         if not 0 <= k < self.num_classes:
             raise ValueError(f"class {k} outside 0..{self.num_classes - 1}")
         a = np.zeros(self.n)
@@ -232,9 +222,11 @@ def adjacency_multiply(hg: Hypergraph, v: np.ndarray) -> np.ndarray:
     """(A·v) for the weighted adjacency of a graph-shaped hypergraph."""
     _require_graph(hg)
     v = np.asarray(v, dtype=float)
+    layout = hg._layout
     # a graph's incidence is [i₀, j₀, i₁, j₁, …]; each endpoint gets w·v[other end]
-    far = v[hg.incidence.reshape(-1, 2)[:, ::-1]].ravel()
-    return hg._incidence_sum(np.repeat(hg._weights(), 2) * far)
+    far = v[layout.incidence.reshape(-1, 2)[:, ::-1]].ravel()
+    weights = np.repeat(layout.weights, 2) * far
+    return np.bincount(layout.incidence, weights=weights, minlength=hg.n).astype(float, copy=False)
 
 
 def build_pagerank_instance(
@@ -324,22 +316,26 @@ def cheeger_sweep(hg: Hypergraph, w, x) -> SweepCut:
         raise ValueError("cannot sweep a hypergraph with no hyperedges")
     if hg.n < 2:
         raise ValueError("need at least two vertices to form a cut")
+    x = _reals(x, "'x' must be a list of numbers")
+    if x.shape != (hg.n,):
+        raise ValueError(f"'x' has shape {x.shape}, expected ({hg.n},)")
     wdiag = as_diagonal(w, hg.n)
-    scores = np.asarray(x, dtype=float) / np.sqrt(wdiag)
+    if not np.all(wdiag > 0):
+        raise ValueError("all diagonal weights must be positive")
+    scores = x / np.sqrt(wdiag)
     order = np.argsort(-scores, kind="stable")
 
     rank = np.empty(hg.n, dtype=np.intp)
     rank[order] = np.arange(hg.n)
-    sizes = hg._sizes()
-    starts = np.cumsum(sizes) - sizes
-    ranks = rank[hg.incidence]
-    first = np.minimum.reduceat(ranks, starts)
-    last = np.maximum.reduceat(ranks, starts)
+    layout = hg._layout
+    ranks = rank[layout.incidence]
+    first = np.minimum.reduceat(ranks, layout.ends[:-1])
+    last = np.maximum.reduceat(ranks, layout.ends[:-1])
     crossing = np.cumsum(
         np.bincount(first, minlength=hg.n) - np.bincount(last, minlength=hg.n)
     )[:-1]
 
-    degrees = hg.degrees
+    degrees = layout.psi
     vol_total = float(degrees.sum())
     vol_in = np.cumsum(degrees[order[:-1]])
     denom = np.minimum(vol_in, vol_total - vol_in)
@@ -436,11 +432,7 @@ def ingest_tabular_dataset(
     edges = []
     for name, kind in schema:
         if kind == "categorical":
-            groups: dict[str, list[int]] = {}
-            for idx, row in enumerate(rows):
-                value = _cell(row, name, idx)
-                groups.setdefault(value, []).append(idx)
-            keyed = sorted(groups.items())
+            keys: list = [_cell(row, name, idx) for idx, row in enumerate(rows)]
         elif kind == "numeric":
             values = np.empty(len(rows))
             for idx, row in enumerate(rows):
@@ -463,14 +455,14 @@ def ingest_tabular_dataset(
             else:
                 width = (hi - lo) / bins
                 assignment = np.minimum((values - lo) // width, bins - 1).astype(int)
-            groups = {}
-            for idx, b in enumerate(assignment):
-                groups.setdefault(int(b), []).append(idx)
-            keyed = sorted(groups.items())
+            keys = assignment.tolist()
         else:
             raise ValueError(f"column {name!r}: unknown kind {kind!r}")
+        groups: dict = {}
+        for idx, key in enumerate(keys):
+            groups.setdefault(key, []).append(idx)
         dropped = 0
-        for _, members in keyed:
+        for _, members in sorted(groups.items()):
             if len(members) < 2:
                 dropped += 1
                 continue

@@ -23,13 +23,13 @@ Three interchangeable oracles are provided:
 The three, and ``project_cone``, which picks one by ``ProjectionParams.method``,
 take dense inputs and share one body: it gathers the incidence-set slices,
 applies the iteration cap, runs the chosen oracle and reports.  This module
-owns the choice of oracle per component and the iteration caps; the dual
-solvers take per-component callables on pre-gathered slices from
-``bind_projectors`` (``rcd``) or one callable for a whole round from
-``bind_round`` (``ap``), which runs the exact sweep of equal-size edges and
-hyperedges as one array kernel.  The scalar exact sweep is bound once per
-component per solve (``_bind_sweep``) to rows computed for all components at
-once, so a call repeats no work that depends only on the component and its metric.
+owns the choice of oracle per component and the iteration caps.  Both solver
+binders read the instance's component layout: ``bind_projectors`` gives ``rcd``
+one callable per component and ``bind_round`` gives ``ap`` one per round, which
+sweeps each group of equal-size edges and hyperedges as one array kernel.  The
+scalar exact sweep is bound once per component per solve (``_bind_sweep``) to
+rows computed for all components at once, so a call repeats no work that
+depends only on the component and its metric.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .submodular import SubmodularAtom, _as_ints, _greedy_local, _real, as_diagonal
+from .submodular import SubmodularAtom, _as_ints, _greedy_local, _Layout, _real, as_diagonal
 
 __all__ = [
     "ORACLES",
@@ -62,7 +62,9 @@ DEFAULT_DELTA = 1e-10  # oracle certificate tolerance δ, for the library and th
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
-_BATCH_ROWS = 128  # rows per block of the batched sweep; bounds its temporaries
+# Rows per block of the batched sweep: at 20 members, 128-row blocks (0.55 MB of
+# temporaries) passed glibc's heap-trim threshold and page-faulted every block.
+_BATCH_ROWS = 96
 # Fewest equal-size atoms worth one batched sweep: one call costs about as
 # much as three or four scalar sweeps, whatever the size (2 to 200 members).
 _BATCH_MIN_ROWS = 4
@@ -517,23 +519,26 @@ def _iteration_cap(atom: SubmodularAtom, method: str, max_major: int | None) -> 
 
 def bind_projectors(
     atoms: Sequence[SubmodularAtom],
-    wt: np.ndarray,
-    ends: Sequence[int],
+    layout: _Layout,
+    metric: np.ndarray,
+    picks: Iterable[int],
     method: str,
     delta: float,
     tally: Counter,
 ) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
-    """Per-component callables target ↦ (y, φ) in local coordinates; each
-    component's oracle is chosen here, once.  ``wt`` holds the components'
-    metrics end to end, component j's in ``wt[ends[j]:ends[j + 1]]``; the
-    sweep rows of all are computed at once, and each sweep binds its view.
+    """Callables target ↦ (y, φ) in local coordinates for the components
+    ``picks`` of ``atoms``, in that order, each oracle chosen here, once.
+    ``metric`` is the metric's diagonal; the sweep rows of all components
+    are computed at once along the ``layout``, and each sweep binds its view.
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
     """
-    rows = _sweep_rows(wt, np.repeat([atom.weight for atom in atoms], np.diff(ends)))
+    wt, offsets = metric[layout.incidence], layout.ends.tolist()
+    rows = _sweep_rows(wt, np.repeat(layout.weights, np.diff(layout.ends)))
     projectors = []
-    for atom, lo, hi in zip(atoms, ends, ends[1:]):
+    for r in picks:
+        atom, lo, hi = atoms[r], offsets[r], offsets[r + 1]
         chosen = _choose_oracle(atom, method)
         if chosen == "exact":
             projectors.append(_bind_sweep(atom, wt[lo:hi], rows[:, lo:hi]))
@@ -552,8 +557,7 @@ def bind_projectors(
 
 def bind_round(
     atoms: Sequence[SubmodularAtom],
-    groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    rest: Sequence[int],
+    layout: _Layout,
     metric: np.ndarray,
     method: str,
     delta: float,
@@ -561,18 +565,18 @@ def bind_round(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """One projection of every component, as a flat layout and one callable.
 
-    ``groups`` and ``rest`` split ``atoms`` as `_symmetric_cut_groups` does,
-    and ``metric`` is the metric's diagonal over all vertices.  Returns
-    ``members``, every component's vertices concatenated, and
-    ``project_round``, which takes the components' targets laid out like
-    ``members``, overwrites them with the projections y and returns the φ of
-    every component in ``atoms`` order.  A group whose oracle is ``exact``
-    and which has at least ``_BATCH_MIN_ROWS`` components comes first in the
-    layout and is projected by one ``_sweep_cut_batch`` call; every other
-    component keeps its ``bind_projectors`` callable.
+    ``layout`` is the components' `_Layout` and ``metric`` the metric's
+    diagonal over all vertices.  Returns ``members``, every component's
+    vertices concatenated, and ``project_round``, which takes the
+    components' targets laid out like ``members``, overwrites them with the
+    projections y and returns the φ of every component in ``atoms`` order.
+    A group whose oracle is ``exact`` and which has at least
+    ``_BATCH_MIN_ROWS`` components comes first in ``members`` and is
+    projected by one ``_sweep_cut_batch`` call; every other component keeps
+    its ``bind_projectors`` callable.
     """
-    batched, rest = [], list(rest)
-    for rows, matrix, weights in groups:
+    batched, rest = [], list(layout.rest)
+    for rows, matrix, weights in layout.groups:
         if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], method) == "exact":
             batched.append((rows, matrix, metric[matrix], weights))
         else:
@@ -581,17 +585,14 @@ def bind_round(
     members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
     ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
-    nb, lo = len(batched), ends[len(batched)]
-    rest_ends = [e - lo for e in ends[nb:]]
-    projectors = bind_projectors(
-        [atoms[r] for r in rest], metric[members[lo:]], rest_ends, method, delta, tally)
+    projectors = bind_projectors(atoms, layout, metric, rest, method, delta, tally) if rest else []
 
     def project_round(y: np.ndarray) -> np.ndarray:
         phis = np.empty(len(atoms))
         for (rows, _, wt_g, weights), block in zip(batched, blocks):
             y_g, phis[rows] = _sweep_cut_batch(y[block].reshape(wt_g.shape), wt_g, weights)
             y[block] = y_g.ravel()
-        for r, block, project in zip(rest, blocks[nb:], projectors):
+        for r, block, project in zip(rest, blocks[len(batched):], projectors):
             y[block], phis[r] = project(y[block])
         return phis
 

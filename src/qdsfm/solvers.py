@@ -45,8 +45,7 @@ from .projection import (
     DEFAULT_DELTA, ProjectionParams, bind_projectors, bind_round, warn_unconverged
 )
 from .submodular import (
-    SubmodularAtom, _as_ints, _frozen, _real, _reals, _symmetric_cut_groups, as_diagonal,
-    lovasz_extension,
+    SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals, as_diagonal, lovasz_extension
 )
 
 __all__ = [
@@ -89,15 +88,7 @@ class ProblemInstance:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
             raise ValueError("a and w must be finite")
         atoms = tuple(self.atoms)
-        n = a.size
-        for idx, atom in enumerate(atoms):
-            if not isinstance(atom, SubmodularAtom):
-                raise TypeError(f"component {idx} is not a SubmodularAtom")
-            if atom.members[-1] >= n:
-                raise ValueError(
-                    f"component {idx} references vertex {atom.members[-1]} "
-                    f"outside 0..{n - 1}"
-                )
+        _check_components(atoms, a.size, "component")
         object.__setattr__(self, "a", _frozen(a))
         object.__setattr__(self, "w", _frozen(w))
         object.__setattr__(self, "atoms", atoms)
@@ -140,21 +131,52 @@ class ProblemInstance:
         return total
 
 
-class _Layout(NamedTuple):
-    """What a solve reads of the components, built once per instance (read-only)."""
-
-    incidence: np.ndarray  # every component's members_arr, concatenated in order
-    ends: np.ndarray  # component r's entries are incidence[ends[r]:ends[r + 1]]
-    psi: np.ndarray  # per-vertex coverage counts Ψ, as floats
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # `_symmetric_cut_groups`
-    rest: tuple[int, ...]  # and the indices of all other components
+def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -> None:
+    """Raise unless every entry i of ``atoms``, "{noun} i" in the message, is
+    a `SubmodularAtom` (a cut component if ``cut_only``) on vertices 0..n−1."""
+    for idx, atom in enumerate(atoms):
+        if cut_only and not (isinstance(atom, SubmodularAtom) and atom.is_cut):
+            raise ValueError(f"{noun} {idx} must be a cut component")
+        if not isinstance(atom, SubmodularAtom):
+            raise TypeError(f"{noun} {idx} is not a SubmodularAtom")
+        if atom.members[-1] >= n:
+            raise ValueError(
+                f"{noun} {idx} references vertex {atom.members[-1]} outside 0..{n - 1}")
 
 
 def _component_layout(atoms: Sequence[SubmodularAtom], n: int) -> _Layout:
-    ends = _frozen(np.cumsum([0] + [atom.size for atom in atoms]))
-    incidence = _frozen(np.concatenate([np.empty(0, np.intp)] + [a.members_arr for a in atoms]))
+    members, weights, symmetric = [np.empty(0, np.intp)], [], []
+    for atom in atoms:
+        members.append(atom.members_arr)
+        weights.append(atom.weight)
+        symmetric.append(atom.kind in ("edge", "hyperedge") and atom.size > 1)
+    incidence = _frozen(np.concatenate(members))
+    ends = _frozen(np.cumsum([m.size for m in members]))  # members[0] is empty: ends[0] = 0
+    weights_arr = _frozen(np.array(weights, dtype=float))
     psi = _frozen(np.bincount(incidence, minlength=n).astype(float))
-    return _Layout(incidence, ends, psi, *_symmetric_cut_groups(atoms))
+    grouped = _symmetric_cut_groups(np.array(symmetric, dtype=bool), incidence, ends, weights_arr)
+    return _Layout(incidence, ends, weights_arr, psi, *grouped)
+
+
+def _symmetric_cut_groups(
+    symmetric: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
+    """The components flagged ``symmetric`` (edges and hyperedges with more
+    than one member) grouped by size as read-only (indices, k × size members
+    matrix, k weights), and the other components' indices.  A matrix is a
+    view of ``incidence`` when its components are consecutive, else a gather."""
+    picked = np.flatnonzero(symmetric)
+    sizes = np.diff(ends)[picked]
+    groups = []
+    for size in dict.fromkeys(sizes.tolist()):  # in order of first appearance
+        rows = picked[sizes == size]
+        k, lo = rows.size, ends[rows[0]]
+        if rows[-1] - rows[0] == k - 1:
+            matrix = incidence[lo:lo + k * size].reshape(k, size)
+        else:
+            matrix = incidence[ends[rows, None] + np.arange(size)]
+        groups.append((_frozen(rows), _frozen(matrix), _frozen(weights[rows])))
+    return tuple(groups), tuple(np.flatnonzero(~symmetric).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +317,13 @@ def _rcd_steps(
     2Wa, under the metric W⁻¹.  The step updates Σ_r y_r incrementally; the
     resync re-accumulates it from the blocks.
     """
-    n, atoms, layout = instance.n, instance.atoms, instance._layout
-    ends = layout.ends.tolist()
-    mems = [atom.members_arr for atom in atoms]
-    base_flat = instance._two_wa[layout.incidence]
+    n, layout = instance.n, instance._layout
+    incidence, ends = layout.incidence, layout.ends.tolist()
+    mems = [incidence[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    base_flat = instance._two_wa[incidence]
     base = [base_flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    wt = instance.winv[layout.incidence]
-    projectors = bind_projectors(atoms, wt, ends, config.projection, config.delta, tally)
+    projectors = bind_projectors(instance.atoms, layout, instance.winv, range(instance.r),
+                                 config.projection, config.delta, tally)
     ys = [np.zeros(mem.size) for mem in mems]
     draws = _uniform_draws(np.random.default_rng(config.seed), instance.r)
 
@@ -313,7 +335,7 @@ def _rcd_steps(
         ys[r] = y_new
 
     def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
-        sum_y[:] = np.bincount(layout.incidence, weights=np.concatenate(ys), minlength=n)
+        sum_y[:] = np.bincount(incidence, weights=np.concatenate(ys), minlength=n)
 
     return step, resync
 
@@ -331,11 +353,9 @@ def _ap_steps(
     is one ``projection.bind_round`` call on all blocks' targets at once.
     """
     n, two_wa, layout = instance.n, instance._two_wa, instance._layout
-    psi = layout.psi
-    covered = psi > 0
+    psi, covered = layout.psi, layout.psi > 0
     members, project_round = bind_round(
-        instance.atoms, layout.groups, layout.rest, psi / instance.w, config.projection,
-        config.delta, tally)
+        instance.atoms, layout, psi / instance.w, config.projection, config.delta, tally)
     y = np.zeros(members.size)  # every block's y_r, laid out like members
 
     def step(sum_y: np.ndarray, phis: np.ndarray) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,6 +255,18 @@ def _cut_rows(kind: str, rows: np.ndarray, weights: Sequence[float]) -> list[Sub
     return atoms
 
 
+class _Layout(NamedTuple):
+    """What every layer reads of a tuple of components, built (read-only) by
+    `solvers._component_layout` once per `ProblemInstance` and per `Hypergraph`."""
+
+    incidence: np.ndarray  # every component's members_arr, concatenated in order
+    ends: np.ndarray  # component r's entries are incidence[ends[r]:ends[r + 1]]
+    weights: np.ndarray  # component r's weight
+    psi: np.ndarray  # per-vertex coverage counts Ψ, as floats
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # `_symmetric_cut_groups`
+    rest: tuple[int, ...]  # and the indices of all other components
+
+
 def graph_edge_cut(i: int, j: int, weight: float = 1.0) -> SubmodularAtom:
     """Two-endpoint cut: F(S) = sqrt(weight) iff S separates i from j."""
     return SubmodularAtom("edge", (i, j), weight)
@@ -293,32 +305,6 @@ def general_oracle(
         raise ValueError("provide exactly one of fn or table")
     kind = "oracle" if table is None else "table"
     return SubmodularAtom(kind, members, weight, table=table, fn=fn)
-
-
-def _symmetric_cut_groups(
-    atoms: Sequence[SubmodularAtom],
-) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
-    """The edge and hyperedge atoms with more than one member, grouped by
-    size in order of first appearance, and the indices of all other atoms.
-    A group is (its atom indices, their k × size members matrix, their k
-    weights), all read-only, so its atoms can be evaluated or projected
-    together as arrays."""
-    by_size: dict[int, list[int]] = {}
-    rest: list[int] = []
-    for r, atom in enumerate(atoms):
-        if atom.kind in ("edge", "hyperedge") and atom.size > 1:
-            by_size.setdefault(atom.size, []).append(r)
-        else:
-            rest.append(r)
-    groups = tuple(
-        (
-            _frozen(np.asarray(rows, dtype=np.intp)),
-            _frozen(np.stack([atoms[r].members_arr for r in rows])),
-            _frozen(np.asarray([atoms[r].weight for r in rows])),
-        )
-        for rows in by_size.values()
-    )
-    return groups, tuple(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qdsfm import applications
 from qdsfm.applications import (
     Hypergraph,
     LabeledDataset,
@@ -19,7 +20,7 @@ from qdsfm.applications import (
     pagerank_residual,
     ssl_score_matrix,
 )
-from qdsfm.solvers import SolveConfig, primal_objective, solve
+from qdsfm.solvers import ProblemInstance, SolveConfig, primal_objective, solve
 from qdsfm.submodular import (
     SubmodularAtom,
     directed_hyperedge_cut,
@@ -81,6 +82,31 @@ def test_incidence_arrays_are_read_only():
     assert _same_bits(edgeless.weighted_degrees, np.zeros(3))
 
 
+def test_hypergraph_and_instance_read_one_layout(monkeypatch):
+    hg, _, _ = generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)
+    inst = ProblemInstance(np.zeros(hg.n), None, hg.edges)
+    for field in ("incidence", "ends", "weights", "psi"):
+        assert _same_bits(getattr(hg._layout, field), getattr(inst._layout, field))
+    assert hg._layout is not inst._layout
+    assert hg.incidence is hg._layout.incidence and hg.degrees is hg._layout.psi
+    # the degrees, weighted degrees and the sweep share one layout build
+    builds = []
+
+    def spy(*args, _real=applications._component_layout):
+        builds.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(applications, "_component_layout", spy)
+    hg = Hypergraph(hg.n, hg.edges)
+    degrees, weighted = hg.degrees, hg.weighted_degrees
+    x = np.linspace(1.0, -1.0, hg.n)
+    sweep = cheeger_sweep(hg, None, x)
+    assert len(builds) == 1
+    assert _same_bits(weighted, degrees)  # unit weights
+    _, conductances, best_index = oracles.cheeger_sweep_reference(hg, None, x)
+    assert _same_bits(sweep.conductances, conductances) and sweep.best_index == best_index
+
+
 def test_degrees_and_adjacency_are_bitwise_reference():
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -135,6 +161,13 @@ def test_labeled_dataset():
     assert (counted.n, counted.num_classes) == (4, 3) and type(counted.n) is int
     with pytest.raises(ValueError):
         ds.anchor(2)
+    # the class is an integer: a float, bool or string is refused, not read as a class
+    for k in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="integers"):
+            ds.anchor(k)
+    hg, planted, _ = generate_synthetic_hypergraph(40, 30, 5, 4, 3, seed=0)
+    with pytest.raises(ValueError, match="integers"):
+        build_ssl_instance(hg, planted, 1.5, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +439,18 @@ def test_sweep_rejects_edgeless_input():
     for bad_w in (["1", True, 2], ["1", "1", "1"], "1", np.array([True, True, True])):
         with pytest.raises(ValueError, match="'w' must be"):
             cheeger_sweep(hg, bad_w, np.zeros(3))
+    # the scores are one number per vertex, and the weights are positive
+    hg, _, _ = generate_synthetic_hypergraph(20, 5, 5, 4, 1, seed=0)
+    x = np.linspace(-1.0, 1.0, 20)
+    for bad_x in (1.0, np.float64(1.0), ["1"] * 20, np.array([True] * 20)):
+        with pytest.raises(ValueError, match="'x' must be"):
+            cheeger_sweep(hg, None, bad_x)
+    for bad_x in (x[:, None], x[:19], np.array(1.0)):
+        with pytest.raises(ValueError, match=r"'x' has shape .*, expected \(20,\)"):
+            cheeger_sweep(hg, None, bad_x)
+    for bad_w in (-1.0, 0.0, np.where(x > 0, 1.0, 0.0), np.full(20, np.nan)):
+        with pytest.raises(ValueError, match="all diagonal weights must be positive"):
+            cheeger_sweep(hg, bad_w, x)
 
 
 # ---------------------------------------------------------------------------

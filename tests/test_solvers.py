@@ -197,6 +197,27 @@ def test_layout_arrays_are_read_only():
             arr[0] = 1
 
 
+def test_group_matrices_view_or_gather_incidence():
+    # non-consecutive groups of sizes 3 and 2: one gather each, equal to stacking the rows
+    inst = _mixed_instance()
+    layout = inst._layout
+    for rows, matrix, weights in layout.groups:
+        stacked = np.stack([inst.atoms[r].members_arr for r in rows])
+        assert matrix.dtype == stacked.dtype and matrix.tobytes() == stacked.tobytes()
+        assert weights.tobytes() == np.array([inst.atoms[r].weight for r in rows]).tobytes()
+        assert not np.shares_memory(matrix, layout.incidence)
+    # consecutive atoms of one size: the group matrix is a view of the incidence
+    atoms = (graph_edge_cut(0, 4), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3]),
+             hyperedge_cut([2, 3, 4]), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3))
+    layout = ProblemInstance(a=np.zeros(5), w=None, atoms=atoms)._layout
+    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 5], [1, 2, 3]]
+    assert list(layout.rest) == [4]
+    (_, pair, _), (_, triple, _) = layout.groups
+    assert not np.shares_memory(pair, layout.incidence)
+    assert np.shares_memory(triple, layout.incidence) and not triple.flags.writeable
+    assert triple.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+
+
 @pytest.mark.parametrize("algorithm", ["rcd", "ap"])
 def test_second_solve_reuses_the_layout(algorithm, monkeypatch):
     inst = _mixed_instance()
