@@ -109,7 +109,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--wall-clock-limit",
         type=float,
         default=None,
-        help="stop after this many seconds (checked per rcd projection or ap round)",
+        help="stop after this many seconds (checked after every solver step)",
     )
     parser.add_argument(
         "--projection",
@@ -245,7 +245,7 @@ def cmd_ssl(args: argparse.Namespace) -> int:
 def cmd_pagerank(args: argparse.Namespace) -> int:
     hg = qio.load_hypergraph(args.graph)
     if args.seed_vector:
-        s = qio.load_vector(args.seed_vector, hg.n, "seed vector")
+        s = qio.load_vector(args.seed_vector, "seed vector")
     else:
         s = np.full(hg.n, 1.0 / hg.n)
     instance, back = apps.build_pagerank_instance(hg, args.alpha, s)

@@ -198,15 +198,12 @@ def load_table_rows(path: str) -> list[dict[str, str]]:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def load_vector(path: str, n: int, what: str = "vector") -> np.ndarray:
-    """Read a JSON list of ``n`` numbers."""
+def load_vector(path: str, what: str = "vector") -> np.ndarray:
+    """Read a JSON list of numbers; its length is the caller's to check."""
     obj = _load_json(path)
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise InputError(f"{path}: expected a JSON list of numbers")
-    vec = _build(_reals, obj, f"{path}: {what} entries must be numbers")
-    if vec.size != n:
-        raise InputError(f"{path}: {what} has {vec.size} entries, expected {n}")
-    return vec
+    return _build(_reals, obj, f"{path}: {what} entries must be numbers")
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ The three, and ``project_cone``, which picks one by ``ProjectionParams.method``,
 take dense inputs and share one body: it gathers the incidence-set slices,
 applies the iteration cap, runs the chosen oracle and reports.  This module
 owns the choice of oracle per component and the iteration caps.  Both solver
-binders read the instance's component layout: ``bind_projectors`` gives ``rcd``
-one callable per component and ``bind_round`` gives ``ap`` one per round, which
-sweeps each group of equal-size edges and hyperedges as one array kernel.  The
+binders read the instance's component layout: ``bind_projectors`` gives the
+one-block step one callable per component and ``bind_blocks`` gives the τ-block
+step one callable for any chunk of blocks, which sweeps the chunk's rows of each
+group of equal-size edges and hyperedges as one array kernel.  The
 scalar exact sweep is bound once per component per solve (``_bind_sweep``) to
 rows computed for all components at once, so a call repeats no work that
 depends only on the component and its metric.
@@ -555,25 +556,26 @@ def bind_projectors(
     return projectors
 
 
-def bind_round(
+def bind_blocks(
     atoms: Sequence[SubmodularAtom],
     layout: _Layout,
     metric: np.ndarray,
     method: str,
     delta: float,
     tally: Counter,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """One projection of every component, as a flat layout and one callable.
+) -> tuple[np.ndarray, Callable[..., tuple[np.ndarray, np.ndarray] | None]]:
+    """One callable that projects any chunk of the components from one snapshot.
 
-    ``layout`` is the components' `_Layout` and ``metric`` the metric's
-    diagonal over all vertices.  Returns ``members``, every component's
-    vertices concatenated, and ``project_round``, which takes the
-    components' targets laid out like ``members``, overwrites them with the
-    projections y and returns the φ of every component in ``atoms`` order.
-    A group whose oracle is ``exact`` and which has at least
-    ``_BATCH_MIN_ROWS`` components comes first in ``members`` and is
-    projected by one ``_sweep_cut_batch`` call; every other component keeps
-    its ``bind_projectors`` callable.
+    Returns ``members``, every component's vertices concatenated, and
+    ``project(y, phis, shift, picks)``.  For the components ``picks`` (an
+    index array, or None for all) it replaces their blocks in ``y``, laid out
+    like ``members``, by the projections of y_r − shift[S_r] under the
+    diagonal ``metric``, writes their φ into ``phis`` and, for an index
+    array, returns their vertices and the changes of y there.  A group whose
+    oracle is ``exact`` and which has at least ``_BATCH_MIN_ROWS`` components
+    comes first in ``members``, and its picked rows are one
+    ``_sweep_cut_batch`` call; every other component keeps its
+    ``bind_projectors`` callable.
     """
     batched, rest = [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
@@ -586,17 +588,33 @@ def bind_round(
     ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
     projectors = bind_projectors(atoms, layout, metric, rest, method, delta, tally) if rest else []
+    # each component's slot (its group, or len(batched) for the rest) and row in it
+    slot, row = np.full(len(atoms), len(batched)), np.empty(len(atoms), np.intp)
+    for g, (rows, _, _, _) in enumerate(batched):
+        slot[rows], row[rows] = g, np.arange(rows.size)
+    row[rest] = np.arange(len(rest))
 
-    def project_round(y: np.ndarray) -> np.ndarray:
-        phis = np.empty(len(atoms))
-        for (rows, _, wt_g, weights), block in zip(batched, blocks):
-            y_g, phis[rows] = _sweep_cut_batch(y[block].reshape(wt_g.shape), wt_g, weights)
-            y[block] = y_g.ravel()
-        for r, block, project in zip(rest, blocks[len(batched):], projectors):
-            y[block], phis[r] = project(y[block])
-        return phis
+    def project(y: np.ndarray, phis: np.ndarray, shift: np.ndarray,
+                picks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+        every, changed = picks is None, []
+        for g, ((rows, matrix, wt_g, weights), block) in enumerate(zip(batched, blocks)):
+            y_g = y[block].reshape(wt_g.shape)
+            sel = slice(None) if every else row[picks[slot[picks] == g]]
+            mem, target = matrix[sel], y_g[sel]  # for every row, a view: targets overwrite y
+            target -= shift[mem]
+            new, phis[rows[sel]] = _sweep_cut_batch(target, wt_g[sel], weights[sel])
+            if not every:
+                changed.append((mem.ravel(), (new - y_g[sel]).ravel()))
+            y_g[sel] = new
+        for i in row[rest if every else picks[slot[picks] == len(batched)]].tolist():
+            r, block = rest[i], blocks[len(batched) + i]
+            new, phis[r] = projectors[i](y[block] - shift[members[block]])
+            if not every:
+                changed.append((members[block], new - y[block]))
+            y[block] = new
+        return None if every else tuple(map(np.concatenate, zip(*changed)))
 
-    return members, project_round
+    return members, project
 
 
 def warn_unconverged(tally: Counter) -> None:

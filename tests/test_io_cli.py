@@ -277,13 +277,11 @@ def test_labels_schema_vector_loaders(tmp_path):
         qio.load_schema(_write_json(tmp_path / "t.json", {"columns": [{"name": "x"}]}))
 
     vp = _write_json(tmp_path / "v.json", [0.25, 0.75])
-    assert np.array_equal(qio.load_vector(vp, 2), [0.25, 0.75])
-    with pytest.raises(qio.InputError, match="expected 3"):
-        qio.load_vector(vp, 3)
+    assert np.array_equal(qio.load_vector(vp), [0.25, 0.75])
     with pytest.raises(qio.InputError, match="entries must be numbers"):
-        qio.load_vector(_write_json(tmp_path / "h.json", [0.5, 10**400]), 2)
+        qio.load_vector(_write_json(tmp_path / "h.json", [0.5, 10**400]))
     with pytest.raises(qio.InputError, match="entries must be numbers"):
-        qio.load_vector(_write_json(tmp_path / "b.json", [True, "2"]), 2)
+        qio.load_vector(_write_json(tmp_path / "b.json", [True, "2"]))
 
 
 def test_table_rows_loader(tmp_path):
@@ -695,6 +693,19 @@ def test_cli_pagerank_rejects_bad_alpha(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "seed vector entries must be numbers" in err
+
+
+def test_cli_pagerank_rejects_short_seed_vector(tmp_path, capsys):
+    # the length is checked once, by build_pagerank_instance
+    graph = _write_json(
+        tmp_path / "g.json",
+        {"n": 2, "edges": [{"type": "edge", "members": [0, 1]}]},
+    )
+    seed_vec = _write_json(tmp_path / "s.json", [0.5])
+    rc = main(["pagerank", "--graph", graph, "--alpha", "0.5", "--seed-vector", seed_vec])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed vector has shape (1,), expected (2,)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from qdsfm import solvers
+from qdsfm.applications import build_ssl_instance, generate_synthetic_hypergraph
 from qdsfm.projection import ProjectionParams
 from qdsfm.solvers import (
     ProblemInstance,
@@ -419,6 +420,105 @@ def test_same_seed_reproduces_run():
     res3 = solve(inst, SolveConfig(max_iters=200, checkpoint_stride=25, seed=8))
     rows3 = [(t.iteration, t.primal, t.dual, t.gap) for t in res3.trace]
     assert rows3 != rows1
+
+
+# ---------------------------------------------------------------------------
+# the one-block and τ-block steps against the loop they replaced
+
+
+def _ssl_instance(beta):
+    # the CI-size SSL input: R = 400 hyperedges of 5 vertices, so τ = 40
+    hg, ds, _ = generate_synthetic_hypergraph(200, 100, 200, 5, 3, seed=0)
+    return build_ssl_instance(hg, ds, 1, beta)[0]
+
+
+def _assert_same_as_reference(inst, cfg):
+    res = solve(inst, cfg)
+    x, sum_y, phis, iterations, rows = oracles.solve_reference(inst, cfg)
+    assert res.x.tobytes() == x.tobytes() and res.sum_y.tobytes() == sum_y.tobytes()
+    assert res.phis.tobytes() == phis.tobytes()
+    assert res.iterations == iterations
+    assert [row[:4] for row in res.trace] == rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rcd_below_the_block_rule_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        inst = _mixed_instance()
+    else:
+        inst = _random_cut_instance(rng, int(rng.integers(3, 8)), int(rng.integers(2, 9)))
+    assert solvers._block_size(inst, SolveConfig()) == 1
+    for cfg in (SolveConfig(max_iters=40 * inst.r + 3, checkpoint_stride=3, seed=seed),
+                SolveConfig(max_iters=100 * inst.r, target_gap=1e-6, seed=seed),
+                SolveConfig(max_iters=10 * inst.r, projection="mnp", seed=seed)):
+        _assert_same_as_reference(inst, cfg)
+
+
+@pytest.mark.parametrize("projection", ["auto", "mnp"])
+def test_ap_round_matches_reference(projection):
+    inst = _mixed_instance()
+    for cfg in (SolveConfig(algorithm="ap", max_iters=12 * inst.r + 3, projection=projection,
+                            checkpoint_stride=3 * inst.r // 2),
+                SolveConfig(algorithm="ap", target_gap=1e-6, projection=projection)):
+        _assert_same_as_reference(inst, cfg)
+    if projection == "auto":
+        inst = _ssl_instance(0.02)
+        assert inst.r == 400
+        _assert_same_as_reference(inst, SolveConfig(algorithm="ap", target_gap=1e-4))
+        _assert_same_as_reference(inst, SolveConfig(algorithm="ap", max_iters=7 * inst.r - 1,
+                                                    checkpoint_stride=2 * inst.r))
+
+
+def test_block_step_agrees_with_one_block_reference():
+    # a fidelity weight of 5 brings the one-block reference to 1e-10 in a few seconds
+    inst = _ssl_instance(5.0)
+    assert solvers._block_size(inst, SolveConfig()) == 40
+    res = solve(inst, SolveConfig(max_iters=2000 * inst.r, target_gap=1e-9))
+    x_ref, _, _, _, rows = oracles.solve_reference(inst, SolveConfig(max_iters=2000 * inst.r,
+                                                                     target_gap=1e-10))
+    gap_ref = rows[-1][3]
+    assert res.converged and gap_ref <= 1e-10
+    d = res.x - x_ref
+    assert float(np.dot(inst.w, d * d)) <= res.gap + gap_ref
+    assert np.all(res.phis >= 0.0)
+    # reruns are bit-identical; another seed samples other chunks
+    again = solve(inst, SolveConfig(max_iters=5 * inst.r))
+    assert again.x.tobytes() == solve(inst, SolveConfig(max_iters=5 * inst.r)).x.tobytes()
+    assert again.x.tobytes() != solve(inst, SolveConfig(max_iters=5 * inst.r, seed=1)).x.tobytes()
+
+
+def test_block_step_counts_projections():
+    inst = _ssl_instance(5.0)
+    r = inst.r
+    # the budget is rounded down to whole chunks of 40; default rows fall at multiples of R
+    res = solve(inst, SolveConfig(max_iters=3 * r + 70))
+    assert res.iterations == 3 * r + 40
+    assert [row.iteration for row in res.trace] == [0, r, 2 * r, 3 * r, 3 * r + 40]
+    # a stride of 100 projections is rounded down to two chunks
+    res = solve(inst, SolveConfig(max_iters=r, checkpoint_stride=100))
+    assert [row.iteration for row in res.trace] == list(range(0, r + 1, 80))
+    assert solve(inst, SolveConfig(max_iters=1)).iterations == 40
+    res = solve(inst, SolveConfig(max_iters=100 * r, wall_clock_limit=0.0))
+    assert res.iterations == 40 and not res.converged
+    assert [row.iteration for row in res.trace] == [0, 40]
+
+
+def test_block_rule_keeps_one_block_steps():
+    inst = _ssl_instance(5.0)
+    tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}
+    table = ProblemInstance(inst.a, inst.w, inst.atoms + (general_oracle([0, 1], table=tbl),))
+    # 100 hyperedges of 10 on 100 vertices: the rule gives τ = 11, below _MIN_BLOCK
+    rng = np.random.default_rng(0)
+    small = ProblemInstance(rng.normal(size=100), None, tuple(
+        hyperedge_cut(rng.choice(100, 10, replace=False).tolist()) for _ in range(100)))
+    assert solvers._MIN_BLOCK == 32
+    for case, cfg in ((inst, SolveConfig(projection="mnp")), (table, SolveConfig()),
+                      (small, SolveConfig())):
+        assert solvers._block_size(case, cfg) == 1
+        res = solve(case, SolveConfig(projection=cfg.projection, wall_clock_limit=0.0))
+        assert res.iterations == 1
+    _assert_same_as_reference(table, SolveConfig(max_iters=2 * table.r, checkpoint_stride=150))
 
 
 def test_config_validation():
