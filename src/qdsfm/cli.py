@@ -62,11 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging(quiet: bool) -> None:
-    level_name = os.environ.get("QDSFM_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    if quiet:
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("QDSFM_LOG", "WARNING").upper()
+    level = name if name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL") else "WARNING"
+    logging.basicConfig(level="ERROR" if quiet else level,
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

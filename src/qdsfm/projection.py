@@ -27,10 +27,10 @@ owns the choice of oracle per component and the iteration caps.  Both solver
 binders read the instance's component layout: ``bind_projectors`` gives the
 one-block step one callable per component and ``bind_blocks`` gives the τ-block
 step one callable for any chunk of blocks, which sweeps the chunk's rows of each
-group of equal-size edges and hyperedges as one array kernel.  The
-scalar exact sweep is bound once per component per solve (``_bind_sweep``) to
-rows computed for all components at once, so a call repeats no work that
-depends only on the component and its metric.
+group of equal-size edges and hyperedges as one array kernel.  Both exact sweeps
+read rows computed once per solve, so a call repeats no work that depends only on
+a component and its metric; each matches, bit for bit, the tests' reference that
+recomputes everything on every call.
 """
 
 from __future__ import annotations
@@ -39,12 +39,14 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .submodular import SubmodularAtom, _as_ints, _greedy_local, _Layout, _real, as_diagonal
+from .submodular import (
+    SubmodularAtom, _as_ints, _frozen, _greedy_local, _Layout, _real, as_diagonal
+)
 
 __all__ = [
     "ORACLES",
@@ -416,27 +418,36 @@ def _sweep(
 
 
 def _sweep_cut_batch(
-    a: np.ndarray, wt: np.ndarray, weight: np.ndarray
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cone projection for k undirected cut atoms of one size m at once.
 
-    ``a`` and ``wt`` are k × m (targets and metrics in local coordinates),
-    ``weight`` holds the k atom weights; returns y (k × m) and φ (k).  Row i
-    solves the proximal problem of ``_bind_sweep``.  Rows are processed
+    ``a`` is k × m (targets in local coordinates), ``rows`` the atoms' 3 × k × m
+    `_sweep_rows` and ``weight`` their k weights; returns y (k × m) and φ (k).
+    Row i solves the proximal problem of ``_bind_sweep``.  Rows are processed
     in blocks of ``_BATCH_ROWS`` so the working memory stays bounded.
     """
     y = np.empty(a.shape)
     phi = np.empty(a.shape[0])
     for lo in range(0, a.shape[0], _BATCH_ROWS):
-        rows = slice(lo, lo + _BATCH_ROWS)
-        y[rows], phi[rows] = _sweep_cut_block(a[rows], wt[rows], weight[rows])
+        block = slice(lo, lo + _BATCH_ROWS)
+        _sweep_cut_block(a[block], rows[:, block], weight[block], y[block], phi[block])
     return y, phi
 
 
+@lru_cache(maxsize=64)
+def _merge_tables(m: int) -> tuple[np.ndarray, ...]:
+    """The read-only index tables of `_sweep_cut_block` for rows of m members."""
+    block, side = np.arange(_BATCH_ROWS)[:, None], np.arange(m)
+    start = np.repeat([m, 0], m)  # per entry, the other side's first
+    return tuple(map(_frozen, (m * block, 2 * m * block, np.concatenate((side[::-1], side)),
+                               np.arange(2 * m), start, start - np.tile(side + 1, 2))))
+
+
 def _sweep_cut_block(
-    a: np.ndarray, wt: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block of ``_sweep_cut_batch``.
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, y: np.ndarray, phi: np.ndarray
+) -> None:
+    """One block of ``_sweep_cut_batch``, written into ``y`` and ``phi``.
 
     A flow t moves metric mass from the head side, where values above the
     cap γ are lowered to it, to the tail side, where values below the floor
@@ -448,52 +459,54 @@ def _sweep_cut_block(
     and on that piece the balance is zero at t*.
     """
     k, m = a.shape
-    metric = 1.0 / wt
-    b = 0.5 * wt * a
-    mw = metric / np.where(weight > 0.0, weight, 1.0)[:, None]
-    rows = np.arange(k)[:, None]
-    order = np.argsort(b, axis=1, kind="stable") + m * rows
-    vt, mt = b.take(order), mw.take(order)
-    live = (weight > 0.0) & (vt[:, -1] > vt[:, 0])
+    by_m, by_2m, sides, positions, start, lagged = _merge_tables(m)
+    by_m, by_2m = by_m[:k], by_2m[:k]
+    b = rows[0] * a
+    order = (b.argsort(axis=1, kind="stable") + by_m)[:, sides]
     # both sides as descending rows: head values, then negated tail values.
     # Past a breakpoint (value v, flow f, clipped mass w) a side's level is
     # v − (t − f)/w: γ on the head side and −δ on the tail side, so γ − δ is
     # the sum of the two levels
-    signed = np.concatenate((vt[:, ::-1], -vt), axis=1).reshape(k, 2, m)
-    mass = np.cumsum(np.concatenate((mt[:, ::-1], mt), axis=1).reshape(k, 2, m), axis=2)
-    flows = np.zeros((k, 2, m))
-    np.cumsum(-np.diff(signed, axis=2) * mass[:, :, :-1], axis=2, out=flows[:, :, 1:])
-    signed, mass, flows = (arr.reshape(k, 2 * m) for arr in (signed, mass, flows))
+    signed, mass, flows = buffer = np.empty((3, k, 2 * m))
+    b.take(order, out=signed, mode="clip")
+    rows[2].take(order, out=mass, mode="clip")
+    np.negative(signed[:, m:], out=signed[:, m:])
+    np.cumsum(mass.reshape(k, 2, m), axis=2, out=mass.reshape(k, 2, m))
+    # a side's entry j + 1 adds −(v_{j+1} − v_j)·w_j to the flow; the terms that
+    # straddle two sides become −0, which adds nothing, and after the sum +0
+    v, w, t = flat = buffer.reshape(3, -1)
+    np.negative(v[1:] - v[:-1], out=t[1:])
+    t[1:] *= w[:-1]
+    flows[:, ::m] = -0.0
+    np.cumsum(flows.reshape(k, 2, m), axis=2, out=flows.reshape(k, 2, m))
+    flows[:, ::m] = 0.0
     # each side's flows rise with its index, so in the stable merged order the
-    # entry at p with side index q has q of its own side and p − q of the
-    # other side before it
-    merged = np.argsort(flows, axis=1, kind="stable")
-    own = merged + 2 * m * rows
-    side_index, other_side = np.tile(np.arange(m), 2), np.repeat([m, 0], m)
-    seen = np.arange(2 * m) - side_index[merged]
-    other = np.maximum(seen - 1, 0) + other_side[merged] + 2 * m * rows
-    t = flows.take(own)
-    t_other = flows.take(other)
-    balance = signed.take(own) + signed.take(other) - (t - t_other) / mass.take(other) - t
+    # entry at p with side index q has p − q of the other side before it:
+    # ``other`` is the last of those per entry (or the other side's first)
+    own = flows.argsort(axis=1, kind="stable") + by_2m
+    other = np.empty((k, 2 * m), np.intp)
+    other.put(own, positions)
+    other = np.maximum(other + lagged, start)
+    other += by_2m
+    s_other, w_other, t_other = flat.take(other, axis=1)
+    balance = signed + s_other - (flows - t_other) / w_other - flows
     # the final entry's balance is never positive (one side is fully clipped)
-    last = np.maximum(np.argmax(balance <= 0.0, axis=1) - 1, 0)[:, None]
-    e0, e1 = own[rows, last], other[rows, last]
-    s0, t0, w0 = signed.take(e0), flows.take(e0), mass.take(e0)
-    s1, t1, w1 = signed.take(e1), flows.take(e1), mass.take(e1)
-    flow = (s0 + s1 + t0 / w0 + t1 / w1) / (1.0 + 1.0 / w0 + 1.0 / w1)
-    level0, level1 = s0 - (flow - t0) / w0, s1 - (flow - t1) / w1
-    head = merged[rows, last] < m
-    cap = np.where(head, level0, level1)
-    floor = -np.where(head, level1, level0)
-    z = np.maximum(np.minimum(b, cap), floor)
+    last = np.maximum((balance.take(own) <= 0.0).argmax(axis=1) - 1, 0) + by_2m[:, 0]
+    entry = own.take(last)
+    # s, w and t of the last positive entry (row 0) and of its other entry (row 1)
+    s, w, t = flat.take(np.array((entry, other.take(entry))), axis=1)
+    flow = (s[0] + s[1] + t[0] / w[0] + t[1] / w[1]) / (1.0 + 1.0 / w[0] + 1.0 / w[1])
+    level = s - (flow - t) / w
+    cap, floor = np.where(entry < by_2m[:, 0] + m, level, level[::-1])[:, :, None]
+    floor = -floor
     # z is monotone in b, so its spread comes from the extreme values
-    top = np.maximum(np.minimum(vt[:, -1:], cap), floor)
-    bottom = np.maximum(np.minimum(vt[:, :1], cap), floor)
-    y = a - 2.0 * metric * z
-    phi = 2.0 * np.sqrt(weight) * np.maximum(0.0, top - bottom)[:, 0]
-    y[~live] = 0.0
-    phi[~live] = 0.0
-    return y, phi
+    ends = signed[:, ::m] * np.array((1.0, -1.0))
+    dead = ~((weight > 0.0) & (ends[:, 0] > ends[:, 1]))
+    ends = np.maximum(np.minimum(ends, cap), floor)
+    np.subtract(a, np.maximum(np.minimum(b, cap, out=b), floor, out=b) * rows[1], out=y)
+    np.multiply(2.0 * np.sqrt(weight), np.maximum(0.0, ends[:, 0] - ends[:, 1]), out=phi)
+    y[dead] = 0.0
+    phi[dead] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +593,7 @@ def bind_blocks(
     batched, rest = [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
         if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], method) == "exact":
-            batched.append((rows, matrix, metric[matrix], weights))
+            batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights))
         else:
             rest.extend(rows.tolist())
     rest.sort()
@@ -597,22 +610,29 @@ def bind_blocks(
     def project(y: np.ndarray, phis: np.ndarray, shift: np.ndarray,
                 picks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
         every, changed = picks is None, []
-        for g, ((rows, matrix, wt_g, weights), block) in enumerate(zip(batched, blocks)):
-            y_g = y[block].reshape(wt_g.shape)
-            sel = slice(None) if every else row[picks[slot[picks] == g]]
-            mem, target = matrix[sel], y_g[sel]  # for every row, a view: targets overwrite y
-            target -= shift[mem]
-            new, phis[rows[sel]] = _sweep_cut_batch(target, wt_g[sel], weights[sel])
-            if not every:
-                changed.append((mem.ravel(), (new - y_g[sel]).ravel()))
+        slots = None if every else slot.take(picks)
+        for g, ((rows, matrix, sweep_rows, weights), block) in enumerate(zip(batched, blocks)):
+            y_g = y[block].reshape(matrix.shape)
+            if every:  # views: the targets overwrite y
+                y_g -= shift[matrix]
+                y_g[:], phis[rows] = _sweep_cut_batch(y_g, sweep_rows, weights)
+                continue
+            sel = row.take(picks[slots == g])
+            mem, old = matrix.take(sel, 0), y_g.take(sel, 0)
+            new, phis[rows.take(sel)] = _sweep_cut_batch(
+                old - shift[mem], sweep_rows.take(sel, 1), weights.take(sel))
+            changed.append((mem.ravel(), (new - old).ravel()))
             y_g[sel] = new
-        for i in row[rest if every else picks[slot[picks] == len(batched)]].tolist():
+        picked = row.take(picks[slots == len(batched)]).tolist() if rest and not every else []
+        for i in range(len(rest)) if every else picked:
             r, block = rest[i], blocks[len(batched) + i]
             new, phis[r] = projectors[i](y[block] - shift[members[block]])
             if not every:
                 changed.append((members[block], new - y[block]))
             y[block] = new
-        return None if every else tuple(map(np.concatenate, zip(*changed)))
+        if every:
+            return None
+        return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))
 
     return members, project
 

@@ -68,8 +68,9 @@ DEFAULT_SEED = 0
 ALGORITHMS = ("rcd", "ap")
 _RNG_CHUNK = 4096
 # Fewest blocks per τ-block step of rcd.  The rule's τ may need twice the epochs, so a
-# chunk must cost at most half of τ one-block steps: at |S_r| = 2 to 20 a chunk of 32
-# costs 0.27-0.34 of them, a chunk of 16 up to 0.71 and a chunk of 4 about twice.
+# chunk must cost at most half of τ one-block steps: at |S_r| = 2 to 20, 32 blocks cost
+# 0.21-0.26 of them, 16 blocks 0.36-0.48 and 4 blocks 1.1-2.4.  The τ-block step also
+# loses the one-block step's ordering of gaps by fidelity weight at a fixed budget.
 _MIN_BLOCK = 32
 Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
 

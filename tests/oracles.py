@@ -280,6 +280,85 @@ def sweep_cut_reference(atom, wt, a):
     return y, phi
 
 
+def sweep_cut_batch_reference(a, wt, weight):
+    """Exact cone projection for k undirected cut atoms of one size m at once,
+    recomputing the metric rows on every call and building every index table
+    and side array afresh: the judge that the package's batched sweep
+    (``projection._sweep_cut_batch``) must match bit for bit.
+
+    ``a`` and ``wt`` are k × m (targets and metrics in local coordinates),
+    ``weight`` holds the k atom weights; returns y (k × m) and φ (k).  Row i
+    solves the proximal problem of `sweep_cut_reference`, in blocks of 96 rows.
+    """
+    y = np.empty(a.shape)
+    phi = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], 96):
+        rows = slice(lo, lo + 96)
+        y[rows], phi[rows] = _sweep_cut_block_reference(a[rows], wt[rows], weight[rows])
+    return y, phi
+
+
+def _sweep_cut_block_reference(a, wt, weight):
+    """One block of `sweep_cut_batch_reference`.
+
+    A flow t moves metric mass from the head side, where values above the
+    cap γ are lowered to it, to the tail side, where values below the floor
+    δ are raised to it.  Each side's breakpoints are the flows at which its
+    sorted values join the clipped set; between breakpoints γ(t) and δ(t)
+    are linear, with slopes −1/w_H and 1/w_T (w the clipped mass).  The
+    balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
+    breakpoints of both sides; the last positive one fixes the clipped sets,
+    and on that piece the balance is zero at t*.
+    """
+    k, m = a.shape
+    metric = 1.0 / wt
+    b = 0.5 * wt * a
+    mw = metric / np.where(weight > 0.0, weight, 1.0)[:, None]
+    rows = np.arange(k)[:, None]
+    order = np.argsort(b, axis=1, kind="stable") + m * rows
+    vt, mt = b.take(order), mw.take(order)
+    live = (weight > 0.0) & (vt[:, -1] > vt[:, 0])
+    # both sides as descending rows: head values, then negated tail values.
+    # Past a breakpoint (value v, flow f, clipped mass w) a side's level is
+    # v − (t − f)/w: γ on the head side and −δ on the tail side, so γ − δ is
+    # the sum of the two levels
+    signed = np.concatenate((vt[:, ::-1], -vt), axis=1).reshape(k, 2, m)
+    mass = np.cumsum(np.concatenate((mt[:, ::-1], mt), axis=1).reshape(k, 2, m), axis=2)
+    flows = np.zeros((k, 2, m))
+    np.cumsum(-np.diff(signed, axis=2) * mass[:, :, :-1], axis=2, out=flows[:, :, 1:])
+    signed, mass, flows = (arr.reshape(k, 2 * m) for arr in (signed, mass, flows))
+    # each side's flows rise with its index, so in the stable merged order the
+    # entry at p with side index q has q of its own side and p − q of the
+    # other side before it
+    merged = np.argsort(flows, axis=1, kind="stable")
+    own = merged + 2 * m * rows
+    side_index, other_side = np.tile(np.arange(m), 2), np.repeat([m, 0], m)
+    seen = np.arange(2 * m) - side_index[merged]
+    other = np.maximum(seen - 1, 0) + other_side[merged] + 2 * m * rows
+    t = flows.take(own)
+    t_other = flows.take(other)
+    balance = signed.take(own) + signed.take(other) - (t - t_other) / mass.take(other) - t
+    # the final entry's balance is never positive (one side is fully clipped)
+    last = np.maximum(np.argmax(balance <= 0.0, axis=1) - 1, 0)[:, None]
+    e0, e1 = own[rows, last], other[rows, last]
+    s0, t0, w0 = signed.take(e0), flows.take(e0), mass.take(e0)
+    s1, t1, w1 = signed.take(e1), flows.take(e1), mass.take(e1)
+    flow = (s0 + s1 + t0 / w0 + t1 / w1) / (1.0 + 1.0 / w0 + 1.0 / w1)
+    level0, level1 = s0 - (flow - t0) / w0, s1 - (flow - t1) / w1
+    head = merged[rows, last] < m
+    cap = np.where(head, level0, level1)
+    floor = -np.where(head, level1, level0)
+    z = np.maximum(np.minimum(b, cap), floor)
+    # z is monotone in b, so its spread comes from the extreme values
+    top = np.maximum(np.minimum(vt[:, -1:], cap), floor)
+    bottom = np.maximum(np.minimum(vt[:, :1], cap), floor)
+    y = a - 2.0 * metric * z
+    phi = 2.0 * np.sqrt(weight) * np.maximum(0.0, top - bottom)[:, 0]
+    y[~live] = 0.0
+    phi[~live] = 0.0
+    return y, phi
+
+
 def cheeger_sweep_reference(hg, w, x):
     """The prefix sweep walked one vertex at a time, each incidence updating
     its hyperedge's count: the judge that ``applications.cheeger_sweep``
@@ -444,10 +523,10 @@ def rcd_steps_reference(instance, config, tally):
 def ap_steps_reference(instance, config, tally):
     """One round of alternating projections: every block re-projected from
     one snapshot under the metric Ψ·W⁻¹, each large exact group as one
-    ``_sweep_cut_batch`` call, the others through ``bind_projectors``, and Σy
-    re-accumulated in that order: the judge that ``solvers.solve`` must
-    match bit for bit under ``ap``.  Returns (step, None)."""
-    from qdsfm.projection import _BATCH_MIN_ROWS, _choose_oracle, _sweep_cut_batch, bind_projectors
+    `sweep_cut_batch_reference` call, the others through ``bind_projectors``,
+    and Σy re-accumulated in that order: the judge that ``solvers.solve``
+    must match bit for bit under ``ap``.  Returns (step, None)."""
+    from qdsfm.projection import _BATCH_MIN_ROWS, _choose_oracle, bind_projectors
 
     n, two_wa, layout, atoms = instance.n, instance._two_wa, instance._layout, instance.atoms
     psi, covered = layout.psi, layout.psi > 0
@@ -471,7 +550,8 @@ def ap_steps_reference(instance, config, tally):
         np.divide(sum_y - two_wa, psi, out=s, where=covered)
         np.subtract(y, s[members], out=y)
         for (rows, _, wt_g, weights), block in zip(batched, blocks):
-            y_g, phis[rows] = _sweep_cut_batch(y[block].reshape(wt_g.shape), wt_g, weights)
+            y_g, phis[rows] = sweep_cut_batch_reference(y[block].reshape(wt_g.shape), wt_g,
+                                                        weights)
             y[block] = y_g.ravel()
         for r, block, project in zip(rest, blocks[len(batched):], projectors):
             y[block], phis[r] = project(y[block])

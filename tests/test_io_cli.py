@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -759,3 +760,18 @@ def test_cli_log_level_env(tmp_path, monkeypatch, capsys):
     inst = _edge_instance_file(tmp_path)
     assert main(["solve", "--instance", inst, "--target-gap", "1e-10"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, quiet, level", [
+    ("debug", False, logging.DEBUG), ("Critical", False, logging.CRITICAL),
+    ("debug", True, logging.ERROR), ("basic_format", False, logging.WARNING),
+    ("fatal", False, logging.WARNING), ("notset", False, logging.WARNING),
+    ("verbose", False, logging.WARNING)])
+def test_cli_log_level_accepts_only_level_names(tmp_path, monkeypatch, name, quiet, level):
+    # under pytest the root logger has handlers, so record what the CLI asks for
+    seen = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.append(kwargs["level"]))
+    monkeypatch.setenv("QDSFM_LOG", name)
+    argv = ["solve", "--instance", _edge_instance_file(tmp_path), "--target-gap", "1e-10"]
+    assert main(argv + ["--quiet"] * quiet) == 0
+    assert len(seen) == 1 and logging.getLevelName(seen[0]) in (level, logging.getLevelName(level))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from qdsfm.projection import (
     ConePoint,
     ProjectionParams,
     _affine_minimizer_local,
+    _BATCH_ROWS,
     _bind_sweep,
     _sweep_cut_batch,
+    _sweep_rows,
     project_cone,
     project_exact,
     project_fw,
@@ -150,7 +154,7 @@ def _batch_rows(rng, m, k=300):
 def test_sweep_batch_matches_scalar_sweep(m):
     rng = np.random.default_rng(m)
     a, wt, weight = _batch_rows(rng, m)
-    y, phi = _sweep_cut_batch(a, wt, weight)
+    y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
     for i in range(len(a)):
         atom = graph_edge_cut(0, 1, weight[i]) if m == 2 else hyperedge_cut(range(m), weight[i])
         y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
@@ -159,6 +163,37 @@ def test_sweep_batch_matches_scalar_sweep(m):
     idle = (weight == 0.0) | (np.ptp(0.5 * wt * a, axis=1) == 0.0)
     assert idle[-5:].all() and (m == 1 or not idle.all())
     assert np.all(y[idle] == 0.0) and np.all(phi[idle] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
+@pytest.mark.parametrize("k", [1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 300])
+def test_sweep_batch_is_bitwise_reference(m, k):
+    rng = np.random.default_rng(1000 * m + k)
+    if k >= 20:
+        a, wt, weight = _batch_rows(rng, m, k)
+    else:
+        a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
+    y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
+    y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
+    assert np.array_equal(y, y_ref) and np.array_equal(phi, phi_ref)
+    assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
+
+
+def test_sweep_batch_memory_is_bounded():
+    # one call on 2,000 rows of 20 members holds its outputs (336 KB) and the
+    # temporaries of one block at a time; large blocks page-fault (_BATCH_ROWS)
+    a, wt, weight = _batch_rows(np.random.default_rng(7), 20, 2000)
+    rows = _sweep_rows(wt, weight[:, None])
+    _sweep_cut_batch(a, rows, weight)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _sweep_cut_batch(a, rows, weight)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -199,9 +234,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     )
     batch_shapes = []
 
-    def spy(a, wt, weight):
+    def spy(a, rows, weight):
         batch_shapes.append(a.shape)
-        return _sweep_cut_batch(a, wt, weight)
+        return _sweep_cut_batch(a, rows, weight)
 
     monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
     rng = np.random.default_rng(4)
