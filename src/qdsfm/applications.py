@@ -322,6 +322,8 @@ def cheeger_sweep(hg: Hypergraph, w, x) -> SweepCut:
     wdiag = as_diagonal(w, hg.n)
     if not np.all(wdiag > 0):
         raise ValueError("all diagonal weights must be positive")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(wdiag))):
+        raise ValueError("x and w must be finite")
     scores = x / np.sqrt(wdiag)
     order = np.argsort(-scores, kind="stable")
 

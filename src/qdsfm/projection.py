@@ -104,7 +104,7 @@ class ProjectionParams:
     iterations for conditional gradient; ``None`` selects the defaults
     100·|S_r| and 100·|S_r|² respectively.
 
-    ``delta`` is a real number > 0 and ``max_major`` None or an integer
+    ``delta`` is a finite real number > 0 and ``max_major`` None or an integer
     ≥ 1 (never a bool, float or string); ``method`` is one of ``ORACLES``.
     """
 
@@ -114,8 +114,8 @@ class ProjectionParams:
 
     def __post_init__(self) -> None:
         delta = _real(self.delta, "delta must be a number")
-        if not delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.max_major is not None:
             (max_major,) = _as_ints((self.max_major,), "max_major")
             if max_major < 1:
@@ -471,25 +471,28 @@ def _sweep_cut_block(
     b.take(order, out=signed, mode="clip")
     rows[2].take(order, out=mass, mode="clip")
     np.negative(signed[:, m:], out=signed[:, m:])
-    np.cumsum(mass.reshape(k, 2, m), axis=2, out=mass.reshape(k, 2, m))
-    # a side's entry j + 1 adds −(v_{j+1} − v_j)·w_j to the flow; the terms that
+    np.add.accumulate(mass.reshape(k, 2, m), axis=2, out=mass.reshape(k, 2, m))
+    # a side's entry j + 1 adds (v_j − v_{j+1})·w_j to the flow; the terms that
     # straddle two sides become −0, which adds nothing, and after the sum +0
     v, w, t = flat = buffer.reshape(3, -1)
-    np.negative(v[1:] - v[:-1], out=t[1:])
+    np.subtract(v[:-1], v[1:], out=t[1:])
     t[1:] *= w[:-1]
     flows[:, ::m] = -0.0
-    np.cumsum(flows.reshape(k, 2, m), axis=2, out=flows.reshape(k, 2, m))
+    np.add.accumulate(flows.reshape(k, 2, m), axis=2, out=flows.reshape(k, 2, m))
     flows[:, ::m] = 0.0
     # each side's flows rise with its index, so in the stable merged order the
     # entry at p with side index q has p − q of the other side before it:
     # ``other`` is the last of those per entry (or the other side's first)
     own = flows.argsort(axis=1, kind="stable") + by_2m
     other = np.empty((k, 2 * m), np.intp)
-    other.put(own, positions)
-    other = np.maximum(other + lagged, start)
+    other.reshape(-1)[own] = positions
+    np.maximum(np.add(other, lagged, out=other), start, out=other)
     other += by_2m
     s_other, w_other, t_other = flat.take(other, axis=1)
-    balance = signed + s_other - (flows - t_other) / w_other - flows
+    # the balance signed + s_other − (flows − t_other)/w_other − flows, in place
+    np.divide(np.subtract(flows, t_other, out=t_other), w_other, out=t_other)
+    np.subtract(np.add(signed, s_other, out=s_other), t_other, out=s_other)
+    balance = np.subtract(s_other, flows, out=s_other)
     # the final entry's balance is never positive (one side is fully clipped)
     last = np.maximum((balance.take(own) <= 0.0).argmax(axis=1) - 1, 0) + by_2m[:, 0]
     entry = own.take(last)
@@ -498,13 +501,15 @@ def _sweep_cut_block(
     flow = (s[0] + s[1] + t[0] / w[0] + t[1] / w[1]) / (1.0 + 1.0 / w[0] + 1.0 / w[1])
     level = s - (flow - t) / w
     cap, floor = np.where(entry < by_2m[:, 0] + m, level, level[::-1])[:, :, None]
-    floor = -floor
+    np.negative(floor, out=floor)
     # z is monotone in b, so its spread comes from the extreme values
     ends = signed[:, ::m] * np.array((1.0, -1.0))
     dead = ~((weight > 0.0) & (ends[:, 0] > ends[:, 1]))
-    ends = np.maximum(np.minimum(ends, cap), floor)
-    np.subtract(a, np.maximum(np.minimum(b, cap, out=b), floor, out=b) * rows[1], out=y)
-    np.multiply(2.0 * np.sqrt(weight), np.maximum(0.0, ends[:, 0] - ends[:, 1]), out=phi)
+    np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
+    np.maximum(np.minimum(b, cap, out=b), floor, out=b)
+    np.subtract(a, np.multiply(b, rows[1], out=b), out=y)
+    np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], out=phi), out=phi)
+    phi *= 2.0 * np.sqrt(weight)
     y[dead] = 0.0
     phi[dead] = 0.0
 
@@ -576,19 +581,19 @@ def bind_blocks(
     method: str,
     delta: float,
     tally: Counter,
-) -> tuple[np.ndarray, Callable[..., tuple[np.ndarray, np.ndarray] | None]]:
+) -> tuple[np.ndarray, Callable[..., tuple[np.ndarray, ...] | None]]:
     """One callable that projects any chunk of the components from one snapshot.
 
     Returns ``members``, every component's vertices concatenated, and
-    ``project(y, phis, shift, picks)``.  For the components ``picks`` (an
-    index array, or None for all) it replaces their blocks in ``y``, laid out
-    like ``members``, by the projections of y_r − shift[S_r] under the
-    diagonal ``metric``, writes their φ into ``phis`` and, for an index
-    array, returns their vertices and the changes of y there.  A group whose
-    oracle is ``exact`` and which has at least ``_BATCH_MIN_ROWS`` components
-    comes first in ``members``, and its picked rows are one
-    ``_sweep_cut_batch`` call; every other component keeps its
-    ``bind_projectors`` callable.
+    ``project(y, phis, shift, picks=None, scale=1.0)``.  It replaces blocks
+    in ``y``, laid out like ``members``, by the projections of y_r − shift[S_r]
+    under the diagonal ``metric`` and writes their φ into ``phis``: every
+    block, or the batched components ``picks`` under ``scale``·``metric``,
+    returning the positions in ``y`` it changed, their vertices and the
+    changes.  A group whose oracle is ``exact`` and which has at least
+    ``_BATCH_MIN_ROWS`` components is batched: it comes first in ``members``,
+    and its picked rows are one ``_sweep_cut_batch`` call.  Every other
+    component keeps its ``bind_projectors`` callable.
     """
     batched, rest = [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
@@ -601,37 +606,32 @@ def bind_blocks(
     ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
     projectors = bind_projectors(atoms, layout, metric, rest, method, delta, tally) if rest else []
-    # each component's slot (its group, or len(batched) for the rest) and row in it
+    # each batched component's group and row in it, and each group's positions in members
     slot, row = np.full(len(atoms), len(batched)), np.empty(len(atoms), np.intp)
     for g, (rows, _, _, _) in enumerate(batched):
         slot[rows], row[rows] = g, np.arange(rows.size)
-    row[rest] = np.arange(len(rest))
+    places = [np.arange(b.start, b.stop).reshape(g[1].shape) for g, b in zip(batched, blocks)]
 
-    def project(y: np.ndarray, phis: np.ndarray, shift: np.ndarray,
-                picks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-        every, changed = picks is None, []
-        slots = None if every else slot.take(picks)
-        for g, ((rows, matrix, sweep_rows, weights), block) in enumerate(zip(batched, blocks)):
-            y_g = y[block].reshape(matrix.shape)
-            if every:  # views: the targets overwrite y
+    def project(y: np.ndarray, phis: np.ndarray, shift: np.ndarray, picks: np.ndarray | None = None,
+                scale: float = 1.0) -> tuple[np.ndarray, ...] | None:
+        if picks is None:  # views: the targets overwrite y
+            for (rows, matrix, sweep_rows, weights), block in zip(batched, blocks):
+                y_g = y[block].reshape(matrix.shape)
                 y_g -= shift[matrix]
                 y_g[:], phis[rows] = _sweep_cut_batch(y_g, sweep_rows, weights)
-                continue
-            sel = row.take(picks[slots == g])
-            mem, old = matrix.take(sel, 0), y_g.take(sel, 0)
-            new, phis[rows.take(sel)] = _sweep_cut_batch(
-                old - shift[mem], sweep_rows.take(sel, 1), weights.take(sel))
-            changed.append((mem.ravel(), (new - old).ravel()))
-            y_g[sel] = new
-        picked = row.take(picks[slots == len(batched)]).tolist() if rest and not every else []
-        for i in range(len(rest)) if every else picked:
-            r, block = rest[i], blocks[len(batched) + i]
-            new, phis[r] = projectors[i](y[block] - shift[members[block]])
-            if not every:
-                changed.append((members[block], new - y[block]))
-            y[block] = new
-        if every:
+            for r, block, proj in zip(rest, blocks[len(batched):], projectors):
+                y[block], phis[r] = proj(y[block] - shift[members[block]])
             return None
+        slots, changed = slot.take(picks) if len(batched) > 1 else None, []
+        scaling = np.array((scale, 1.0 / scale, 1.0 / scale))[:, None, None]
+        for g, (rows, matrix, sweep_rows, weights) in enumerate(batched):
+            sel = row.take(picks if slots is None else picks[slots == g])
+            pos, mem, scaled = places[g].take(sel, 0), matrix.take(sel, 0), sweep_rows.take(sel, 1)
+            old = y.take(pos)
+            new, phis[rows.take(sel)] = _sweep_cut_batch(
+                old - shift.take(mem), np.multiply(scaled, scaling, out=scaled), weights.take(sel))
+            y[pos] = new
+            changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
         return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))
 
     return members, project

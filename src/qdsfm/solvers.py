@@ -19,8 +19,9 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
 * ``rcd`` — randomized coordinate descent over components: a step
   re-projects dual blocks against the residual left by the others.  Where
   every component is an exact-oracle cut in a batched group, a step is a
-  chunk of τ blocks projected from one snapshot (τ by `_block_size`'s rule);
-  elsewhere it is one block, under the metric W⁻¹.
+  chunk of τ blocks projected from one snapshot (τ by `_block_size`'s rule),
+  accelerated and restarted at checkpoints (`_Approx`); elsewhere it is one
+  block, under the metric W⁻¹.
 * ``ap`` — alternating projections: a step is one round that re-splits the
   fixed total 2Wa across components and re-projects every block from one
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
@@ -35,6 +36,7 @@ A rerun with the same seed and configuration is bit-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -72,6 +74,9 @@ _RNG_CHUNK = 4096
 # 0.21-0.26 of them, 16 blocks 0.36-0.48 and 4 blocks 1.1-2.4.  The τ-block step also
 # loses the one-block step's ordering of gaps by fidelity weight at a fixed budget.
 _MIN_BLOCK = 32
+# `_Approx` restarts at 1/30 of the last start's gap: restarts every 10 or 20 epochs, on
+# a rising gap or at 1/100 took more epochs to 1e-5 or 1e-6
+_RESTART_FACTOR = 30
 Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
 
 
@@ -318,7 +323,7 @@ def _uniform_draws(rng: np.random.Generator, high: int) -> Iterator[int]:
 
 def _rcd_steps(
     instance: ProblemInstance, config: SolveConfig, tally: Counter
-) -> tuple[tuple[int, ...], Step, Step | None]:
+) -> tuple[tuple[int, ...], Step, Step | None, None]:
     """Randomized coordinate descent on the dual.
 
     A step draws a component uniformly at random and replaces its dual block
@@ -346,7 +351,7 @@ def _rcd_steps(
     def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
         sum_y[:] = np.bincount(incidence, weights=np.concatenate(ys), minlength=n)
 
-    return (1,), step, resync
+    return (1,), step, resync, None
 
 
 def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
@@ -365,18 +370,17 @@ def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
 
 def _block_steps(
     instance: ProblemInstance, config: SolveConfig, tally: Counter, tau: int
-) -> tuple[tuple[int, ...], Step, Step | None]:
+) -> tuple[tuple[int, ...], Step, Step | None, Callable[[float], None] | None]:
     """Parallel coordinate descent on the dual, τ blocks per step.
 
-    A step replaces the blocks of a chunk of components, all from one
-    snapshot, by the cone projections of y_r − ((Σy − 2Wa)/β)[S_r] under the
-    metric β·W⁻¹, with β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected
-    separable overapproximation of τ-block sampling and ψ the coverage
-    counts.  Each epoch splits a fresh permutation of the components into
-    ⌈R/τ⌉ chunks of near-equal size, and τ in β is the largest; a chunk
-    updates Σy with one bincount and the resync re-accumulates it.  With one
-    chunk (τ = R) β = Ψ exactly, and the step is a round of alternating
-    projections: every block in the binder's order, Σy re-accumulated.
+    A step projects a chunk of blocks from one snapshot under the metric β·W⁻¹,
+    with β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable
+    overapproximation of τ-block sampling (ψ the coverage counts).  Each epoch
+    splits a fresh permutation into ⌈R/τ⌉ near-equal chunks, which `_Approx`
+    takes; τ in β is the largest.  With one chunk (τ = R) β = Ψ, and a step
+    is a round of alternating projections: every y_r replaced by the
+    projection of y_r − ((Σy − 2Wa)/β)[S_r] in the binder's order, Σy
+    re-accumulated.
     """
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
     count = -(-big_r // tau)
@@ -386,22 +390,66 @@ def _block_steps(
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (max(sizes) - 1) / max(big_r - 1, 1), 1.0)
     members, project = bind_blocks(
         instance.atoms, layout, beta / instance.w, config.projection, config.delta, tally)
-    y = np.zeros(members.size)  # every block's y_r, laid out like members
-    # each epoch a fresh permutation split at the bounds; one chunk is every block
+    if count == 1:
+        y = np.zeros(members.size)  # every block's y_r, laid out like members
+
+        def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
+            project(y, phis, (sum_y - two_wa) / beta)
+            sum_y[:] = np.bincount(members, weights=y, minlength=n)
+
+        return sizes, step, None, None
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
+    approx = _Approx(instance, members, project, beta, chunks, max(sizes) / big_r)
+    return sizes, approx.step, approx.resync, approx.restart
 
-    def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
-        changed = project(y, phis, (sum_y - two_wa) / beta, next(chunks) if count > 1 else None)
-        if changed is None:
-            resync(sum_y, phis)
-        else:
-            sum_y += np.bincount(*changed, minlength=n)
 
-    def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
-        sum_y[:] = np.bincount(members, weights=y, minlength=n)
+class _Approx:
+    """APPROX (Fercoq & Richtárik 2015) on `_block_steps`' chunks, restarted
+    (O'Donoghue & Candès 2015).  With θ₀ = τ/R and c = θ/θ₀, a chunk projects
+    z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
+    times the change of z (both laid out like ``members``; φ alike) and sets θ
+    to (√(θ⁴ + 4θ²) − θ²)/2; the loop's Σy and φ wait for the resync.  Each
+    block of θ²u + z is a convex combination of cone points, so the resynced
+    gap is a certificate.  At θ₀, c = 1 and u = 0: the first chunk after a
+    start or restart is the plain τ-block step."""
 
-    return sizes, step, resync if count > 1 else None
+    def __init__(self, instance: ProblemInstance, members: np.ndarray, project: Callable,
+                 beta: np.ndarray, chunks: Iterator[np.ndarray], theta0: float) -> None:
+        self.n, self.two_wa, self.members, self.project = instance.n, instance._two_wa, members, project
+        self.beta, self.chunks, self.theta0, self.theta = beta, chunks, theta0, theta0
+        self.z, self.u = np.zeros((2, members.size))
+        self.z_phi, self.u_phi = np.zeros((2, instance.r))
+        self.sum_z, self.sum_u = np.zeros((2, instance.n))
+        self.start_gap: float | None = None  # the gap at the last start or restart
+
+    def step(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
+        picks, c, sq = next(self.chunks), self.theta / self.theta0, self.theta ** 2
+        shift = (sq * self.sum_u + self.sum_z - self.two_wa) / (c * self.beta)
+        phi_old = self.z_phi.take(picks)
+        pos, mem, change = self.project(self.z, self.z_phi, shift, picks, c)
+        total = np.bincount(mem, change, minlength=self.n)
+        self.sum_z += total
+        coef = (1.0 - c) / sq
+        np.subtract.at(self.u, pos, coef * change)
+        self.sum_u -= coef * total
+        self.u_phi[picks] -= coef * (self.z_phi.take(picks) - phi_old)
+        self.theta = (math.sqrt(sq * sq + 4.0 * sq) - sq) / 2.0
+
+    def resync(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
+        sq = self.theta ** 2
+        sum_y[:] = np.bincount(self.members, weights=sq * self.u + self.z, minlength=self.n)
+        np.add(sq * self.u_phi, self.z_phi, out=phis)
+
+    def restart(self, gap: float) -> None:
+        """Restart at a ``gap`` of at most 1/``_RESTART_FACTOR`` of the last start's."""
+        if self.start_gap is not None and gap > self.start_gap / _RESTART_FACTOR:
+            return
+        sq, self.theta, self.start_gap = self.theta ** 2, self.theta0, gap
+        self.z += sq * self.u
+        self.z_phi += sq * self.u_phi
+        self.u[:], self.u_phi[:], self.sum_u[:] = 0.0, 0.0, 0.0
+        self.sum_z[:] = np.bincount(self.members, weights=self.z, minlength=self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +477,14 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     tally: Counter = Counter()
     tau = big_r if config.algorithm == "ap" else _block_size(instance, config)
     bind = _rcd_steps if config.algorithm == "rcd" and tau == 1 else partial(_block_steps, tau=tau)
-    sizes, step, resync = bind(instance, config, tally) if big_r else ((1,), None, None)
+    sizes, step, resync, restart = bind(instance, config, tally) if big_r else ((1,), None, None, None)
+    restart = restart or (lambda gap: None)  # takes every checkpoint's gap, the start's first
     sum_y, phis = np.zeros(n), np.zeros(big_r)
 
     t0 = time.perf_counter()
     state = evaluate_dual_state(instance, sum_y, phis)
     trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
+    restart(state.gap)
     converged = target is not None and state.gap <= target
     sizes, done, last = cycle(sizes), 0, 0  # projections per step, done, at the last checkpoint
     upcoming, more = next(sizes), budget > 0 and big_r > 0
@@ -451,6 +501,7 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
             state = evaluate_dual_state(instance, sum_y, phis)
             elapsed = time.perf_counter() - t0
             trace.append(TraceRow(done, state.primal, state.dual, state.gap, elapsed))
+            restart(state.gap)
             if target is not None and state.gap <= target:
                 converged = True
             elif limit is not None and elapsed >= limit:

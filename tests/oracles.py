@@ -560,6 +560,44 @@ def ap_steps_reference(instance, config, tally):
     return step, None
 
 
+def block_steps_reference(instance, config, tally, tau):
+    """The plain τ-block step: each epoch splits a fresh permutation into
+    ⌈R/τ⌉ near-equal chunks, and a chunk replaces its blocks by the
+    projections of y_r − ((Σy − 2Wa)/β)[S_r] under the metric β·W⁻¹ (β from
+    the largest chunk), Σy updated by one bincount: the judge of the first
+    chunk of ``solvers``' accelerated step after every start or restart, and
+    the pace it must beat.  Returns (step, resync, y), ``y`` every block
+    laid out like the binder's members."""
+    from qdsfm.projection import bind_blocks
+
+    n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
+    count = -(-big_r // tau)
+    bounds = [big_r * j // count for j in range(count + 1)]
+    largest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    beta = np.maximum(1.0 + (layout.psi - 1.0) * (largest - 1) / max(big_r - 1, 1), 1.0)
+    members, project = bind_blocks(instance.atoms, layout, beta / instance.w, config.projection,
+                                   config.delta, tally)
+    y = np.zeros(members.size)
+    rng = np.random.default_rng(config.seed)
+
+    def chunks():
+        while True:
+            perm = rng.permutation(big_r)
+            for lo, hi in zip(bounds, bounds[1:]):
+                yield perm[lo:hi]
+
+    chunk = chunks()
+
+    def step(sum_y, phis):
+        _, mem, change = project(y, phis, (sum_y - two_wa) / beta, next(chunk))
+        sum_y += np.bincount(mem, change, minlength=n)
+
+    def resync(sum_y, phis):
+        sum_y[:] = np.bincount(members, weights=y, minlength=n)
+
+    return step, resync, y
+
+
 def solve_reference(instance, config):
     """The solve loop with steps of one projection (``rcd``) or one round of
     R projections (``ap``), the budget and the checkpoint stride rounded

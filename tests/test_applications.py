@@ -453,6 +453,20 @@ def test_sweep_rejects_edgeless_input():
             cheeger_sweep(hg, bad_w, x)
 
 
+def test_sweep_rejects_non_finite_input():
+    # a NaN score vector used to sweep to a cut, of conductance 0.143 here
+    hg, _, _ = generate_synthetic_hypergraph(40, 20, 20, 4, 1, seed=0)
+    x = np.linspace(-1.0, 1.0, 40)
+    for bad in (np.nan, np.inf, -np.inf):
+        for bad_x in (np.full(40, bad), np.where(x > 0.5, bad, x)):
+            with pytest.raises(ValueError, match="x and w must be finite"):
+                cheeger_sweep(hg, hg.degrees, bad_x)
+    for bad_w in (np.inf, np.where(x > 0.5, np.inf, 1.0)):
+        with pytest.raises(ValueError, match="x and w must be finite"):
+            cheeger_sweep(hg, bad_w, x)
+    assert cheeger_sweep(hg, hg.degrees, x).conductance >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

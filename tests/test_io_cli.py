@@ -537,6 +537,17 @@ def test_cli_project_atom_out_of_range(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_cli_project_rejects_infinite_delta(tmp_path, capsys):
+    # with δ = inf every mnp certificate holds at once: h = 9.917 against the optimum 9.25
+    inst = _write_json(tmp_path / "five.json", {
+        "a": [3, -1, 0.5, 2, -2], "atoms": [{"type": "hyperedge", "members": [0, 1, 2, 3, 4]}]})
+    for delta in ("inf", "-inf", "nan", "0"):
+        assert main(["project", "--instance", inst, "--method", "mnp", f"--delta={delta}"]) == 1
+        assert "delta must be positive and finite" in capsys.readouterr().err
+    assert main(["project", "--instance", inst, "--method", "mnp"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["h"] - 9.25) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # command line: ssl
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -426,8 +427,9 @@ def test_dispatch_and_validation():
     assert report.method == "mnp"
     with pytest.raises(ValueError, match="exact projection requires cut components"):
         project_exact(gen, np.ones(2), a)
-    with pytest.raises(ValueError):
-        ProjectionParams(delta=0.0)
+    for delta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            ProjectionParams(delta=delta)
     with pytest.raises(ValueError):
         ProjectionParams(max_major=0)
     with pytest.raises(ValueError):

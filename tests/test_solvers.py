@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import oracles
 from qdsfm import solvers
 from qdsfm.applications import build_ssl_instance, generate_synthetic_hypergraph
-from qdsfm.projection import ProjectionParams
+from qdsfm.projection import ConePoint, ProjectionParams
 from qdsfm.solvers import (
     ProblemInstance,
     SolveConfig,
@@ -521,6 +523,114 @@ def test_block_rule_keeps_one_block_steps():
     _assert_same_as_reference(table, SolveConfig(max_iters=2 * table.r, checkpoint_stride=150))
 
 
+# ---------------------------------------------------------------------------
+# the accelerated τ-block step
+
+
+def _two_size_instance():
+    # 200 hyperedges of 4 vertices and 200 of 6, interleaved, on 300 vertices: τ = 62
+    rng = np.random.default_rng(3)
+    atoms = tuple(hyperedge_cut(rng.choice(300, 4 + 2 * (i % 2), replace=False).tolist(),
+                                1.0 + i % 3) for i in range(400))
+    return ProblemInstance(rng.normal(size=300), rng.uniform(0.5, 2.0, 300), atoms)
+
+
+def _accelerated(inst):
+    """Chunks per epoch, step, resync and restart of the τ-block binder."""
+    cfg = SolveConfig()
+    sizes, *steps = solvers._block_steps(inst, cfg, Counter(), solvers._block_size(inst, cfg))
+    return len(sizes), *steps
+
+
+def _checkpoints(inst, per_epoch, step, resync, restart, target, epochs):
+    """The solve loop at its default stride of one epoch: yields every
+    checkpoint's (sum_y, phis, gap) before the restart callback takes the gap."""
+    sum_y, phis = np.zeros(inst.n), np.zeros(inst.r)
+    restart(evaluate_dual_state(inst, sum_y, phis).gap)
+    for _ in range(epochs):
+        for _ in range(per_epoch):
+            step(sum_y, phis)
+        resync(sum_y, phis)
+        gap = evaluate_dual_state(inst, sum_y, phis).gap
+        yield sum_y, phis, gap
+        restart(gap)
+        if gap <= target:
+            return
+
+
+def test_accelerated_step_starts_and_restarts_as_the_plain_step():
+    inst = _ssl_instance(5.0)
+    per_epoch, step, resync, restart = _accelerated(inst)
+    approx = step.__self__
+    ref_step, _, ref_y = oracles.block_steps_reference(inst, SolveConfig(), Counter(), 40)
+    sum_y, phis, ref_sum, ref_phis = np.zeros(inst.n), np.zeros(inst.r), None, None
+    restart(evaluate_dual_state(inst, sum_y, phis).gap)
+    fresh_chunks = 0
+    for _ in range(200):  # the start and three restarts
+        if fresh_chunks == 4:
+            break
+        for _ in range(per_epoch):
+            fresh = approx.theta == approx.theta0
+            if fresh:  # a start or a restart: the reference takes the same state
+                ref_y[:], ref_sum, ref_phis = approx.z, approx.sum_z.copy(), approx.z_phi.copy()
+            step(sum_y, phis)
+            ref_step(ref_sum if fresh else np.zeros(inst.n), ref_phis if fresh else phis.copy())
+            if fresh:
+                fresh_chunks += 1
+                assert np.array_equal(approx.z, ref_y) and np.array_equal(approx.sum_z, ref_sum)
+                assert np.array_equal(approx.z_phi, ref_phis) and not approx.u.any()
+            else:
+                assert approx.theta < approx.theta0
+        resync(sum_y, phis)
+        restart(evaluate_dual_state(inst, sum_y, phis).gap)
+    assert fresh_chunks == 4 and solvers._RESTART_FACTOR == 30
+
+
+@pytest.mark.parametrize("which", ["ssl", "two_sizes"])
+def test_accelerated_step_certifies_its_gaps(which):
+    inst = _ssl_instance(5.0) if which == "ssl" else _two_size_instance()
+    assert len(inst._layout.groups) == (1 if which == "ssl" else 2) and not inst._layout.rest
+    cfg = SolveConfig(target_gap=1e-8, max_iters=1000 * inst.r)
+    res = solve(inst, cfg)
+    per_epoch, step, resync, restart = _accelerated(inst)
+    approx, starts = step.__self__, []
+    for sum_y, phis, gap in _checkpoints(inst, per_epoch, step, resync, restart, 1e-8, 1000):
+        # the incremental θ²Σu + Σz stays at roundoff from its re-accumulation
+        drift = np.max(np.abs(approx.theta ** 2 * approx.sum_u + approx.sum_z - sum_y))
+        assert drift <= 1e-12 * np.max(np.abs(sum_y))
+        starts.append(approx.start_gap)
+    # the loop above is the solve's, bit for bit, and restarts fired in it
+    assert res.converged and gap == res.gap and len(set(starts)) >= 3
+    assert sum_y.tobytes() == res.sum_y.tobytes() and phis.tobytes() == res.phis.tobytes()
+    _, dual = dual_objective(inst, res.sum_y, res.phis)
+    assert abs(res.gap - (primal_objective(inst, res.x) - dual)) <= 1e-12
+    # every returned block θ²u + z is a point of its cone, and they sum to sum_y
+    blocks = approx.theta ** 2 * approx.u + approx.z
+    assert np.array_equal(np.bincount(approx.members, blocks, minlength=inst.n), res.sum_y)
+    assert np.all(res.phis >= 0.0)
+    lo = 0
+    for rows, matrix, _ in inst._layout.groups:
+        for r, mem in zip(rows, matrix):
+            hi = lo + mem.size
+            assert np.array_equal(approx.members[lo:hi], mem)
+            assert oracles.in_cone(inst.atoms[r], ConePoint(tuple(mem), blocks[lo:hi], res.phis[r]))
+            lo = hi
+    # reruns are bit-identical
+    again = solve(inst, cfg)
+    assert again.x.tobytes() == res.x.tobytes() and again.phis.tobytes() == res.phis.tobytes()
+    assert [row[:4] for row in again.trace] == [row[:4] for row in res.trace]
+
+
+def test_accelerated_step_beats_the_plain_step():
+    inst, target = _ssl_instance(5.0), 1e-8
+    per_epoch, *steps = _accelerated(inst)
+    fast = sum(1 for _ in _checkpoints(inst, per_epoch, *steps, target, 1000))
+    ref_step, ref_resync, _ = oracles.block_steps_reference(inst, SolveConfig(), Counter(), 40)
+    plain = list(_checkpoints(inst, per_epoch, ref_step, ref_resync, lambda gap: None, target,
+                              1000))
+    assert plain[-1][2] <= target and fast <= 0.6 * len(plain)
+
+
 def test_config_validation():
     # budgets and the seed are integers; gaps, limits and delta real numbers
     for bad in (
@@ -553,8 +663,9 @@ def test_config_validation():
         SolveConfig(checkpoint_stride=0)
     with pytest.raises(ValueError):
         SolveConfig(projection="newton")
-    with pytest.raises(ValueError):
-        SolveConfig(delta=0.0)
+    for delta in (0.0, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            SolveConfig(delta=delta)
     with pytest.raises(ValueError):
         SolveConfig(wall_clock_limit=-0.5)
 
