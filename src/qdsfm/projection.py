@@ -418,20 +418,22 @@ def _sweep(
 
 
 def _sweep_cut_batch(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, with_phi: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact cone projection for k undirected cut atoms of one size m at once.
 
     ``a`` is k × m (targets in local coordinates), ``rows`` the atoms' 3 × k × m
-    `_sweep_rows` and ``weight`` their k weights; returns y (k × m) and φ (k).
-    Row i solves the proximal problem of ``_bind_sweep``.  Rows are processed
-    in blocks of ``_BATCH_ROWS`` so the working memory stays bounded.
+    `_sweep_rows` and ``weight`` their k weights; returns y (k × m) and φ (k),
+    or None unless ``with_phi``.  Row i solves the proximal problem of
+    ``_bind_sweep``.  Rows are processed in blocks of ``_BATCH_ROWS`` so the
+    working memory stays bounded.
     """
     y = np.empty(a.shape)
-    phi = np.empty(a.shape[0])
+    phi = np.empty(a.shape[0]) if with_phi else None
     for lo in range(0, a.shape[0], _BATCH_ROWS):
         block = slice(lo, lo + _BATCH_ROWS)
-        _sweep_cut_block(a[block], rows[:, block], weight[block], y[block], phi[block])
+        _sweep_cut_block(a[block], rows[:, block], weight[block], y[block],
+                         None if phi is None else phi[block])
     return y, phi
 
 
@@ -445,9 +447,9 @@ def _merge_tables(m: int) -> tuple[np.ndarray, ...]:
 
 
 def _sweep_cut_block(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, y: np.ndarray, phi: np.ndarray
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, y: np.ndarray, phi: np.ndarray | None
 ) -> None:
-    """One block of ``_sweep_cut_batch``, written into ``y`` and ``phi``.
+    """One block of ``_sweep_cut_batch``, written into ``y`` and ``phi`` (if given).
 
     A flow t moves metric mass from the head side, where values above the
     cap γ are lowered to it, to the tail side, where values below the floor
@@ -502,16 +504,17 @@ def _sweep_cut_block(
     level = s - (flow - t) / w
     cap, floor = np.where(entry < by_2m[:, 0] + m, level, level[::-1])[:, :, None]
     np.negative(floor, out=floor)
+    np.maximum(np.minimum(b, cap, out=b), floor, out=b)
+    np.subtract(a, np.multiply(b, rows[1], out=b), out=y)
     # z is monotone in b, so its spread comes from the extreme values
     ends = signed[:, ::m] * np.array((1.0, -1.0))
     dead = ~((weight > 0.0) & (ends[:, 0] > ends[:, 1]))
-    np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
-    np.maximum(np.minimum(b, cap, out=b), floor, out=b)
-    np.subtract(a, np.multiply(b, rows[1], out=b), out=y)
-    np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], out=phi), out=phi)
-    phi *= 2.0 * np.sqrt(weight)
     y[dead] = 0.0
-    phi[dead] = 0.0
+    if phi is not None:
+        np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
+        np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], out=phi), out=phi)
+        phi *= 2.0 * np.sqrt(weight)
+        phi[dead] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +590,13 @@ def bind_blocks(
     Returns ``members``, every component's vertices concatenated, and
     ``project(y, phis, shift, picks=None, scale=1.0)``.  It replaces blocks
     in ``y``, laid out like ``members``, by the projections of y_r − shift[S_r]
-    under the diagonal ``metric`` and writes their φ into ``phis``: every
-    block, or the batched components ``picks`` under ``scale``·``metric``,
-    returning the positions in ``y`` it changed, their vertices and the
-    changes.  A group whose oracle is ``exact`` and which has at least
-    ``_BATCH_MIN_ROWS`` components is batched: it comes first in ``members``,
-    and its picked rows are one ``_sweep_cut_batch`` call.  Every other
-    component keeps its ``bind_projectors`` callable.
+    under the diagonal ``metric``: every block, writing their φ into ``phis``,
+    or the batched components ``picks`` under ``scale``·``metric``, leaving
+    their φ to the caller and returning the positions in ``y`` it changed,
+    their vertices and the changes.  A group whose oracle is ``exact`` and
+    which has at least ``_BATCH_MIN_ROWS`` components is batched: it comes
+    first in ``members``, and its picked rows are one ``_sweep_cut_batch``
+    call.  Every other component keeps its ``bind_projectors`` callable.
     """
     batched, rest = [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
@@ -623,13 +626,12 @@ def bind_blocks(
                 y[block], phis[r] = proj(y[block] - shift[members[block]])
             return None
         slots, changed = slot.take(picks) if len(batched) > 1 else None, []
-        scaling = np.array((scale, 1.0 / scale, 1.0 / scale))[:, None, None]
-        for g, (rows, matrix, sweep_rows, weights) in enumerate(batched):
+        for g, (_, matrix, sweep_rows, weights) in enumerate(batched):
             sel = row.take(picks if slots is None else picks[slots == g])
             pos, mem, scaled = places[g].take(sel, 0), matrix.take(sel, 0), sweep_rows.take(sel, 1)
+            scaled[2] /= scale  # y under scale·metric is the projection at weights scale·w
             old = y.take(pos)
-            new, phis[rows.take(sel)] = _sweep_cut_batch(
-                old - shift.take(mem), np.multiply(scaled, scaling, out=scaled), weights.take(sel))
+            new = _sweep_cut_batch(old - shift.take(mem), scaled, weights.take(sel), False)[0]
             y[pos] = new
             changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
         return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))

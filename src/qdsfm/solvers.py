@@ -19,13 +19,12 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
 * ``rcd`` — randomized coordinate descent over components: a step
   re-projects dual blocks against the residual left by the others.  Where
   every component is an exact-oracle cut in a batched group, a step is a
-  chunk of τ blocks projected from one snapshot (τ by `_block_size`'s rule),
-  accelerated and restarted at checkpoints (`_Approx`); elsewhere it is one
-  block, under the metric W⁻¹.
+  chunk of τ blocks projected from one snapshot (τ by `_block_size`'s rule)
+  and accelerated (`_Approx`); elsewhere it is one block, under the metric W⁻¹.
 * ``ap`` — alternating projections: a step is one round that re-splits the
   fixed total 2Wa across components and re-projects every block from one
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
-  in all: the τ-block step at τ = R.
+  in all: the plain τ-block step at τ = R.
 
 The loop counts projections.  It rounds the budget down to whole steps,
 records a checkpoint trace (a list of ``TraceRow``: projection count,
@@ -36,7 +35,6 @@ A rerun with the same seed and configuration is bit-identical.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -74,8 +72,7 @@ _RNG_CHUNK = 4096
 # 0.21-0.26 of them, 16 blocks 0.36-0.48 and 4 blocks 1.1-2.4.  The τ-block step also
 # loses the one-block step's ordering of gaps by fidelity weight at a fixed budget.
 _MIN_BLOCK = 32
-# `_Approx` restarts at 1/30 of the last start's gap: restarts every 10 or 20 epochs, on
-# a rising gap or at 1/100 took more epochs to 1e-5 or 1e-6
+# `_Approx` restarts at 1/30 of its last start's gap (fixed periods, 1/100 or a rise took longer)
 _RESTART_FACTOR = 30
 Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
 
@@ -374,13 +371,11 @@ def _block_steps(
     """Parallel coordinate descent on the dual, τ blocks per step.
 
     A step projects a chunk of blocks from one snapshot under the metric β·W⁻¹,
-    with β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable
-    overapproximation of τ-block sampling (ψ the coverage counts).  Each epoch
-    splits a fresh permutation into ⌈R/τ⌉ near-equal chunks, which `_Approx`
-    takes; τ in β is the largest.  With one chunk (τ = R) β = Ψ, and a step
-    is a round of alternating projections: every y_r replaced by the
-    projection of y_r − ((Σy − 2Wa)/β)[S_r] in the binder's order, Σy
-    re-accumulated.
+    β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable overapproximation
+    of τ-block sampling (ψ the coverage counts, τ the largest chunk).  Each epoch
+    splits a fresh permutation into ⌈R/τ⌉ near-equal chunks for `_Approx`.  One
+    chunk (τ = R, β = Ψ) is a round of alternating projections: every y_r
+    replaced by the projection of y_r − ((Σy − 2Wa)/β)[S_r], Σy re-accumulated.
     """
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
     count = -(-big_r // tau)
@@ -400,7 +395,7 @@ def _block_steps(
         return sizes, step, None, None
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
-    approx = _Approx(instance, members, project, beta, chunks, max(sizes) / big_r)
+    approx = _Approx(instance, members, project, beta, chunks, sizes)
     return sizes, approx.step, approx.resync, approx.restart
 
 
@@ -408,48 +403,50 @@ class _Approx:
     """APPROX (Fercoq & Richtárik 2015) on `_block_steps`' chunks, restarted
     (O'Donoghue & Candès 2015).  With θ₀ = τ/R and c = θ/θ₀, a chunk projects
     z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
-    times the change of z (both laid out like ``members``; φ alike) and sets θ
-    to (√(θ⁴ + 4θ²) − θ²)/2; the loop's Σy and φ wait for the resync.  Each
-    block of θ²u + z is a convex combination of cone points, so the resynced
-    gap is a certificate.  At θ₀, c = 1 and u = 0: the first chunk after a
-    start or restart is the plain τ-block step."""
+    times the change of z and sets θ to (√(θ⁴ + 4θ²) − θ²)/2: at θ₀ (u = 0)
+    the plain τ-block step.  The resync reports the blocks θ²u + z, convex
+    combinations of cone points, with the least φ of each.  Restarts take the
+    gap of every checkpoint, and the step takes one after an epoch without."""
 
     def __init__(self, instance: ProblemInstance, members: np.ndarray, project: Callable,
-                 beta: np.ndarray, chunks: Iterator[np.ndarray], theta0: float) -> None:
-        self.n, self.two_wa, self.members, self.project = instance.n, instance._two_wa, members, project
-        self.beta, self.chunks, self.theta0, self.theta = beta, chunks, theta0, theta0
-        self.z, self.u = np.zeros((2, members.size))
-        self.z_phi, self.u_phi = np.zeros((2, instance.r))
+                 beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...]) -> None:
+        self.instance, self.members, self.project, self.beta = instance, members, project, beta
+        self.chunks, self.count, self.theta0 = chunks, len(sizes), max(sizes) / instance.r
+        self.z, self.u = np.zeros((2, members.size))  # laid out like members
         self.sum_z, self.sum_u = np.zeros((2, instance.n))
-        self.start_gap: float | None = None  # the gap at the last start or restart
+        layout = instance._layout  # every group is batched: members holds them in this order
+        self.order = np.concatenate([rows for rows, _, _ in layout.groups])  # blocks' components
+        self.starts = np.concatenate(([0], np.cumsum(np.diff(layout.ends).take(self.order))[:-1]))
+        self.root_w = np.sqrt(np.where(layout.weights > 0.0, layout.weights, 1.0)).take(self.order)
+        self.theta, self.start_gap, self.unchecked = self.theta0, np.inf, 0  # chunks since a gap
 
     def step(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
+        if self.unchecked == self.count:
+            self.resync(sum_y, phis)
+            self.restart(evaluate_dual_state(self.instance, sum_y, phis).gap)
         picks, c, sq = next(self.chunks), self.theta / self.theta0, self.theta ** 2
-        shift = (sq * self.sum_u + self.sum_z - self.two_wa) / (c * self.beta)
-        phi_old = self.z_phi.take(picks)
-        pos, mem, change = self.project(self.z, self.z_phi, shift, picks, c)
-        total = np.bincount(mem, change, minlength=self.n)
+        shift = (sq * self.sum_u + self.sum_z - self.instance._two_wa) / (c * self.beta)
+        pos, mem, change = self.project(self.z, None, shift, picks, c)
+        total, coef = np.bincount(mem, change, minlength=self.instance.n), (1.0 - c) / sq
         self.sum_z += total
-        coef = (1.0 - c) / sq
-        np.subtract.at(self.u, pos, coef * change)
         self.sum_u -= coef * total
-        self.u_phi[picks] -= coef * (self.z_phi.take(picks) - phi_old)
-        self.theta = (math.sqrt(sq * sq + 4.0 * sq) - sq) / 2.0
+        np.subtract.at(self.u, pos, coef * change)
+        self.theta = ((sq * sq + 4.0 * sq) ** 0.5 - sq) / 2.0
+        self.unchecked += 1
 
     def resync(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
-        sq = self.theta ** 2
-        sum_y[:] = np.bincount(self.members, weights=sq * self.u + self.z, minlength=self.n)
-        np.add(sq * self.u_phi, self.z_phi, out=phis)
+        blocks = self.theta ** 2 * self.u + self.z
+        sum_y[:] = np.bincount(self.members, blocks, minlength=self.instance.n)
+        # y ∈ φ·B for a cut of weight w iff Σy = 0 and y's positive mass is at most φ√w
+        mass = np.add.reduceat(np.maximum(blocks, 0.0, out=blocks), self.starts)
+        phis[self.order] = mass / self.root_w
 
     def restart(self, gap: float) -> None:
-        """Restart at a ``gap`` of at most 1/``_RESTART_FACTOR`` of the last start's."""
-        if self.start_gap is not None and gap > self.start_gap / _RESTART_FACTOR:
-            return
-        sq, self.theta, self.start_gap = self.theta ** 2, self.theta0, gap
-        self.z += sq * self.u
-        self.z_phi += sq * self.u_phi
-        self.u[:], self.u_phi[:], self.sum_u[:] = 0.0, 0.0, 0.0
-        self.sum_z[:] = np.bincount(self.members, weights=self.z, minlength=self.n)
+        self.unchecked = 0
+        if gap <= self.start_gap / _RESTART_FACTOR:
+            self.z += self.theta ** 2 * self.u
+            self.theta, self.start_gap, self.u[:], self.sum_u[:] = self.theta0, gap, 0.0, 0.0
+            self.sum_z[:] = np.bincount(self.members, self.z, minlength=self.instance.n)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +474,8 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     tally: Counter = Counter()
     tau = big_r if config.algorithm == "ap" else _block_size(instance, config)
     bind = _rcd_steps if config.algorithm == "rcd" and tau == 1 else partial(_block_steps, tau=tau)
-    sizes, step, resync, restart = bind(instance, config, tally) if big_r else ((1,), None, None, None)
+    sizes, step, resync, restart = (
+        bind(instance, config, tally) if big_r else ((1,), None, None, None))
     restart = restart or (lambda gap: None)  # takes every checkpoint's gap, the start's first
     sum_y, phis = np.zeros(n), np.zeros(big_r)
 

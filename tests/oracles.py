@@ -564,10 +564,11 @@ def block_steps_reference(instance, config, tally, tau):
     """The plain τ-block step: each epoch splits a fresh permutation into
     ⌈R/τ⌉ near-equal chunks, and a chunk replaces its blocks by the
     projections of y_r − ((Σy − 2Wa)/β)[S_r] under the metric β·W⁻¹ (β from
-    the largest chunk), Σy updated by one bincount: the judge of the first
-    chunk of ``solvers``' accelerated step after every start or restart, and
-    the pace it must beat.  Returns (step, resync, y), ``y`` every block
-    laid out like the binder's members."""
+    the largest chunk), Σy updated by one bincount, and the resync sets each
+    block's least φ (positive mass over √w): the judge of the first chunk of
+    ``solvers``' accelerated step after every start or restart, and the pace
+    it must beat.  Returns (step, resync, y), ``y`` every block laid out like
+    the binder's members."""
     from qdsfm.projection import bind_blocks
 
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
@@ -594,6 +595,11 @@ def block_steps_reference(instance, config, tally, tau):
 
     def resync(sum_y, phis):
         sum_y[:] = np.bincount(members, weights=y, minlength=n)
+        lo = 0  # the binder lays the batched groups out in the layout's order
+        for rows, matrix, weights in layout.groups:
+            block = np.maximum(y[lo:lo + matrix.size], 0.0).reshape(matrix.shape)
+            phis[rows] = block.sum(axis=1) / np.sqrt(np.where(weights > 0.0, weights, 1.0))
+            lo += matrix.size
 
     return step, resync, y
 

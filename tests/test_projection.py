@@ -178,6 +178,9 @@ def test_sweep_batch_is_bitwise_reference(m, k):
     y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
     assert np.array_equal(y, y_ref) and np.array_equal(phi, phi_ref)
     assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
+    # without φ (τ-block chunks take the least φ of their own blocks) y keeps its bits
+    y_only, no_phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, False)
+    assert no_phi is None and y_only.tobytes() == y_ref.tobytes()
 
 
 def test_sweep_batch_memory_is_bounded():

@@ -562,8 +562,9 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
     inst = _ssl_instance(5.0)
     per_epoch, step, resync, restart = _accelerated(inst)
     approx = step.__self__
-    ref_step, _, ref_y = oracles.block_steps_reference(inst, SolveConfig(), Counter(), 40)
-    sum_y, phis, ref_sum, ref_phis = np.zeros(inst.n), np.zeros(inst.r), None, None
+    tau = solvers._block_size(inst, SolveConfig())
+    ref_step, _, ref_y = oracles.block_steps_reference(inst, SolveConfig(), Counter(), tau)
+    sum_y, phis, ref_sum = np.zeros(inst.n), np.zeros(inst.r), None
     restart(evaluate_dual_state(inst, sum_y, phis).gap)
     fresh_chunks = 0
     for _ in range(200):  # the start and three restarts
@@ -572,13 +573,13 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
         for _ in range(per_epoch):
             fresh = approx.theta == approx.theta0
             if fresh:  # a start or a restart: the reference takes the same state
-                ref_y[:], ref_sum, ref_phis = approx.z, approx.sum_z.copy(), approx.z_phi.copy()
+                ref_y[:], ref_sum = approx.z, approx.sum_z.copy()
             step(sum_y, phis)
-            ref_step(ref_sum if fresh else np.zeros(inst.n), ref_phis if fresh else phis.copy())
+            ref_step(ref_sum if fresh else np.zeros(inst.n), np.zeros(inst.r))
             if fresh:
                 fresh_chunks += 1
                 assert np.array_equal(approx.z, ref_y) and np.array_equal(approx.sum_z, ref_sum)
-                assert np.array_equal(approx.z_phi, ref_phis) and not approx.u.any()
+                assert not approx.u.any()
             else:
                 assert approx.theta < approx.theta0
         resync(sum_y, phis)
@@ -625,10 +626,24 @@ def test_accelerated_step_beats_the_plain_step():
     inst, target = _ssl_instance(5.0), 1e-8
     per_epoch, *steps = _accelerated(inst)
     fast = sum(1 for _ in _checkpoints(inst, per_epoch, *steps, target, 1000))
-    ref_step, ref_resync, _ = oracles.block_steps_reference(inst, SolveConfig(), Counter(), 40)
+    tau = solvers._block_size(inst, SolveConfig())
+    ref_step, ref_resync, _ = oracles.block_steps_reference(inst, SolveConfig(), Counter(), tau)
     plain = list(_checkpoints(inst, per_epoch, ref_step, ref_resync, lambda gap: None, target,
                               1000))
     assert plain[-1][2] <= target and fast <= 0.6 * len(plain)
+
+
+def test_accelerated_step_restarts_whatever_the_stride():
+    # without a checkpoint for an epoch the step takes the gap itself, at the same
+    # points and with the same bits as the loop's checkpoints at the default stride
+    inst = _ssl_instance(5.0)
+    runs = [solve(inst, SolveConfig(max_iters=90 * inst.r, checkpoint_stride=stride * inst.r))
+            for stride in (1, 7, 90)]
+    assert [len(res.trace) for res in runs] == [91, 14, 2]
+    for res in runs[1:]:
+        assert res.sum_y.tobytes() == runs[0].sum_y.tobytes()
+        assert res.phis.tobytes() == runs[0].phis.tobytes()
+    assert runs[0].gap < 1e-7
 
 
 def test_config_validation():
