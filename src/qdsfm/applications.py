@@ -37,6 +37,7 @@ __all__ = [
     "argmax_classify",
     "build_pagerank_instance",
     "pagerank_residual",
+    "adjacency_multiply",
     "cheeger_sweep",
     "generate_synthetic_hypergraph",
     "ingest_tabular_dataset",
@@ -91,7 +92,7 @@ class Hypergraph:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Partial labels over n samples: a map i → class in [0, num_classes).
+    """Partial labels over n ≥ 1 samples: a map i → class in [0, num_classes).
 
     ``n``, ``num_classes``, indices and classes are Python or NumPy integers
     (not bools, floats or strings) and are stored as Python ints."""
@@ -102,6 +103,8 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         (n,) = _as_ints((self.n,), "n")
+        if n < 1:
+            raise ValueError("n must be a positive integer")
         indices = _as_ints(self.labels, "labeled indices")
         labels = dict(zip(indices, _as_ints(self.labels.values(), "labels")))
         if self.num_classes is not None:
@@ -129,6 +132,16 @@ class LabeledDataset:
         for i, label in self.labels.items():
             a[i] = 1.0 if label == k else -1.0
         return a
+
+
+def _instance_on(
+    hg: Hypergraph, a: np.ndarray, w: np.ndarray, scale: np.ndarray
+) -> tuple[ProblemInstance, Callable[[np.ndarray], np.ndarray]]:
+    """The instance (a, w) on ``hg``'s edges, with ``hg``'s layout in its
+    layout cache instead of a second build, and the back map x ↦ scale·x."""
+    instance = ProblemInstance(a=a, w=w, atoms=hg.edges)
+    vars(instance)["_layout"] = hg._layout
+    return instance, lambda x: scale * np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +189,7 @@ def build_ssl_instance(
         raise ValueError(f"unknown normalization {normalization!r}")
 
     sqrt_w = np.sqrt(wdiag)
-    a_prime = ds.anchor(k) / sqrt_w
-    instance = ProblemInstance(a=a_prime, w=beta * wdiag, atoms=hg.edges)
-
-    def back(x_prime: np.ndarray) -> np.ndarray:
-        return sqrt_w * np.asarray(x_prime, dtype=float)
-
-    return instance, back
+    return _instance_on(hg, ds.anchor(k) / sqrt_w, beta * wdiag, sqrt_w)
 
 
 def ssl_score_matrix(
@@ -253,12 +260,7 @@ def build_pagerank_instance(
     s = _reals(s, "seed vector entries must be numbers")
     if s.shape != (hg.n,):
         raise ValueError(f"seed vector has shape {s.shape}, expected ({hg.n},)")
-    instance = ProblemInstance(a=s / d, w=((1.0 - alpha) / alpha) * d, atoms=hg.edges)
-
-    def back(x: np.ndarray) -> np.ndarray:
-        return d * np.asarray(x, dtype=float)
-
-    return instance, back
+    return _instance_on(hg, s / d, ((1.0 - alpha) / alpha) * d, d)
 
 
 def pagerank_residual(hg: Hypergraph, alpha: float, s, p) -> float:

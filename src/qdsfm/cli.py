@@ -37,6 +37,7 @@ from .projection import (
     ORACLES,
     ProjectionNumericsError,
     ProjectionParams,
+    _choose_oracle,
     project_cone,
 )
 from .solvers import ALGORITHMS, DEFAULT_SEED, SolveConfig, solve
@@ -274,7 +275,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     instance = qio.load_instance(args.instance)
     if not args.budget_seconds > 0:
         raise InputError("--budget-seconds must be positive")
-    runs = []  # every method's config is checked before the first one runs
+    runs = []  # every method's config and oracle are checked before the first one runs
     for token in filter(None, (t.strip() for t in args.methods.split(","))):
         algorithm, _, projection = token.partition(":")
         try:
@@ -286,6 +287,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 wall_clock_limit=args.budget_seconds,
                 target_gap=None,
             )
+            for atom in instance.atoms:
+                _choose_oracle(atom, config.projection)
         except ValueError as exc:
             raise InputError(f"method {token!r}: {exc}") from exc
         runs.append((token, config))

@@ -26,11 +26,15 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
   in all: the plain τ-block step at τ = R.
 
-The loop counts projections.  It rounds the budget down to whole steps,
-records a checkpoint trace (a list of ``TraceRow``: projection count,
-primal, dual, gap, elapsed seconds) and stops on a target gap, checked at
-checkpoints, the budget, or a wall-clock limit, checked after every step.
-A rerun with the same seed and configuration is bit-identical.
+Each algorithm's binder returns its step and its checkpoint, which brings
+Σy (and φ) up to date from the blocks, evaluates the state and, for the
+accelerated step, applies the restart rule to its gap.  The loop calls the
+checkpoint for the start row and at every checkpoint.  It counts
+projections, rounds the budget down to whole steps, records a checkpoint
+trace (a list of ``TraceRow``: projection count, primal, dual, gap, elapsed
+seconds) and stops on a target gap, checked at checkpoints, the budget, or
+a wall-clock limit, checked after every step.  A rerun with the same seed
+and configuration is bit-identical.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "TraceRow",
+    "DEFAULT_SEED",
     "primal_objective",
     "dual_objective",
     "primal_from_dual",
@@ -67,14 +72,15 @@ __all__ = [
 DEFAULT_SEED = 0
 ALGORITHMS = ("rcd", "ap")
 _RNG_CHUNK = 4096
-# Fewest blocks per τ-block step of rcd.  The rule's τ may need twice the epochs, so a
-# chunk must cost at most half of τ one-block steps: at |S_r| = 2 to 20, 32 blocks cost
-# 0.21-0.26 of them, 16 blocks 0.36-0.48 and 4 blocks 1.1-2.4.  The τ-block step also
-# loses the one-block step's ordering of gaps by fidelity weight at a fixed budget.
+# Fewest blocks per τ-block step of rcd.  Not set by cost (16 blocks cost 0.36-0.48 of 16
+# one-block steps): the τ-block step loses the one-block step's ordering of gaps by fidelity
+# weight at a fixed budget, and the floor keeps instances with a small τ, such as that of
+# test_gap_decays_linearly_and_tracks_fidelity_weight (τ = 11), on the one-block step.
 _MIN_BLOCK = 32
 # `_Approx` restarts at 1/30 of its last start's gap (fixed periods, 1/100 or a rise took longer)
 _RESTART_FACTOR = 30
 Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
+Checkpoint = Callable[[np.ndarray, np.ndarray], "StateEvaluation"]  # brought up to date, evaluated
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,13 +326,13 @@ def _uniform_draws(rng: np.random.Generator, high: int) -> Iterator[int]:
 
 def _rcd_steps(
     instance: ProblemInstance, config: SolveConfig, tally: Counter
-) -> tuple[tuple[int, ...], Step, Step | None, None]:
+) -> tuple[tuple[int, ...], Step, Checkpoint]:
     """Randomized coordinate descent on the dual.
 
     A step draws a component uniformly at random and replaces its dual block
     by the cone projection of what the remaining blocks leave of the total
     2Wa, under the metric W⁻¹.  The step updates Σ_r y_r incrementally; the
-    resync re-accumulates it from the blocks.
+    checkpoint re-accumulates it from the blocks.
     """
     n, layout = instance.n, instance._layout
     incidence, ends = layout.incidence, layout.ends.tolist()
@@ -345,10 +351,11 @@ def _rcd_steps(
         sum_y[mem] += y_new - ys[r]
         ys[r] = y_new
 
-    def resync(sum_y: np.ndarray, phis: np.ndarray) -> None:
+    def checkpoint(sum_y: np.ndarray, phis: np.ndarray) -> StateEvaluation:
         sum_y[:] = np.bincount(incidence, weights=np.concatenate(ys), minlength=n)
+        return evaluate_dual_state(instance, sum_y, phis)
 
-    return (1,), step, resync, None
+    return (1,), step, checkpoint
 
 
 def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
@@ -367,7 +374,7 @@ def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
 
 def _block_steps(
     instance: ProblemInstance, config: SolveConfig, tally: Counter, tau: int
-) -> tuple[tuple[int, ...], Step, Step | None, Callable[[float], None] | None]:
+) -> tuple[tuple[int, ...], Step, Checkpoint]:
     """Parallel coordinate descent on the dual, τ blocks per step.
 
     A step projects a chunk of blocks from one snapshot under the metric β·W⁻¹,
@@ -392,11 +399,11 @@ def _block_steps(
             project(y, phis, (sum_y - two_wa) / beta)
             sum_y[:] = np.bincount(members, weights=y, minlength=n)
 
-        return sizes, step, None, None
+        return sizes, step, partial(evaluate_dual_state, instance)
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
     approx = _Approx(instance, members, project, beta, chunks, sizes)
-    return sizes, approx.step, approx.resync, approx.restart
+    return sizes, approx.step, approx.checkpoint
 
 
 class _Approx:
@@ -404,9 +411,9 @@ class _Approx:
     (O'Donoghue & Candès 2015).  With θ₀ = τ/R and c = θ/θ₀, a chunk projects
     z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
     times the change of z and sets θ to (√(θ⁴ + 4θ²) − θ²)/2: at θ₀ (u = 0)
-    the plain τ-block step.  The resync reports the blocks θ²u + z, convex
-    combinations of cone points, with the least φ of each.  Restarts take the
-    gap of every checkpoint, and the step takes one after an epoch without."""
+    the plain τ-block step.  A checkpoint reports the blocks θ²u + z, convex
+    combinations of cone points, with the least φ of each, and restarts on
+    their gap; the step takes one itself after an epoch without."""
 
     def __init__(self, instance: ProblemInstance, members: np.ndarray, project: Callable,
                  beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...]) -> None:
@@ -422,8 +429,7 @@ class _Approx:
 
     def step(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
         if self.unchecked == self.count:
-            self.resync(sum_y, phis)
-            self.restart(evaluate_dual_state(self.instance, sum_y, phis).gap)
+            self.checkpoint(sum_y, phis)
         picks, c, sq = next(self.chunks), self.theta / self.theta0, self.theta ** 2
         shift = (sq * self.sum_u + self.sum_z - self.instance._two_wa) / (c * self.beta)
         pos, mem, change = self.project(self.z, None, shift, picks, c)
@@ -434,19 +440,19 @@ class _Approx:
         self.theta = ((sq * sq + 4.0 * sq) ** 0.5 - sq) / 2.0
         self.unchecked += 1
 
-    def resync(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
+    def checkpoint(self, sum_y: np.ndarray, phis: np.ndarray) -> StateEvaluation:
         blocks = self.theta ** 2 * self.u + self.z
         sum_y[:] = np.bincount(self.members, blocks, minlength=self.instance.n)
         # y ∈ φ·B for a cut of weight w iff Σy = 0 and y's positive mass is at most φ√w
         mass = np.add.reduceat(np.maximum(blocks, 0.0, out=blocks), self.starts)
         phis[self.order] = mass / self.root_w
-
-    def restart(self, gap: float) -> None:
+        state = evaluate_dual_state(self.instance, sum_y, phis)
         self.unchecked = 0
-        if gap <= self.start_gap / _RESTART_FACTOR:
+        if state.gap <= self.start_gap / _RESTART_FACTOR:  # restarts leave sum_y and phis be
             self.z += self.theta ** 2 * self.u
-            self.theta, self.start_gap, self.u[:], self.sum_u[:] = self.theta0, gap, 0.0, 0.0
+            self.theta, self.start_gap, self.u[:], self.sum_u[:] = self.theta0, state.gap, 0.0, 0.0
             self.sum_z[:] = np.bincount(self.members, self.z, minlength=self.instance.n)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +470,7 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     to whole steps, each at least one; a budget of 0, or R = 0, takes no
     step.  The loop owns the dual state, the trace and the stopping rules:
     the target gap at every checkpoint and the wall-clock limit after every
-    step.
+    step.  The step's binder owns what a checkpoint does to the state.
     """
     n, big_r = instance.n, instance.r
     budget = config.max_iters if config.max_iters is not None else 100 * big_r
@@ -474,15 +480,13 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     tally: Counter = Counter()
     tau = big_r if config.algorithm == "ap" else _block_size(instance, config)
     bind = _rcd_steps if config.algorithm == "rcd" and tau == 1 else partial(_block_steps, tau=tau)
-    sizes, step, resync, restart = (
-        bind(instance, config, tally) if big_r else ((1,), None, None, None))
-    restart = restart or (lambda gap: None)  # takes every checkpoint's gap, the start's first
+    evaluate = partial(evaluate_dual_state, instance)  # the checkpoint of R = 0, with no step
+    sizes, step, checkpoint = bind(instance, config, tally) if big_r else ((1,), None, evaluate)
     sum_y, phis = np.zeros(n), np.zeros(big_r)
 
     t0 = time.perf_counter()
-    state = evaluate_dual_state(instance, sum_y, phis)
+    state = checkpoint(sum_y, phis)
     trace = [TraceRow(0, state.primal, state.dual, state.gap, time.perf_counter() - t0)]
-    restart(state.gap)
     converged = target is not None and state.gap <= target
     sizes, done, last = cycle(sizes), 0, 0  # projections per step, done, at the last checkpoint
     upcoming, more = next(sizes), budget > 0 and big_r > 0
@@ -493,13 +497,9 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
         out_of_time = limit is not None and time.perf_counter() - t0 >= limit
         # checkpoint where the next step would pass the stride or the budget
         if done - last + upcoming > stride or not more or out_of_time:
-            last = done
-            if resync is not None:
-                resync(sum_y, phis)
-            state = evaluate_dual_state(instance, sum_y, phis)
+            last, state = done, checkpoint(sum_y, phis)
             elapsed = time.perf_counter() - t0
             trace.append(TraceRow(done, state.primal, state.dual, state.gap, elapsed))
-            restart(state.gap)
             if target is not None and state.gap <= target:
                 converged = True
             elif limit is not None and elapsed >= limit:

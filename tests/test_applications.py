@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qdsfm import applications
+from qdsfm import applications, solvers
 from qdsfm.applications import (
     Hypergraph,
     LabeledDataset,
@@ -107,6 +107,41 @@ def test_hypergraph_and_instance_read_one_layout(monkeypatch):
     assert _same_bits(sweep.conductances, conductances) and sweep.best_index == best_index
 
 
+def _count_layout_builds(monkeypatch):
+    """Spy on `_component_layout` wherever a hypergraph or an instance calls it."""
+    builds = []
+    for module in (applications, solvers):
+        def spy(*args, _real=module._component_layout):
+            builds.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "_component_layout", spy)
+    return builds
+
+
+def test_builder_instances_share_the_hypergraph_layout(monkeypatch):
+    hg, ds, _ = generate_synthetic_hypergraph(200, 100, 200, 5, 3, seed=0)
+    builds = _count_layout_builds(monkeypatch)
+    hg = Hypergraph(hg.n, hg.edges)
+    _, results = ssl_score_matrix(hg, ds, 5.0, config=SolveConfig(target_gap=1e-6))
+    assert len(builds) == 1 and len(results) == 2 and all(res.converged for res in results)
+    seed = np.full(4, 0.25)
+    graph = Hypergraph(4, tuple(graph_edge_cut(i, (i + 1) % 4, 1.0 + i) for i in range(4)))
+    inst, back = build_pagerank_instance(graph, 0.7, seed)
+    p = back(solve(inst, SolveConfig(target_gap=1e-12)).x)
+    assert pagerank_residual(graph, 0.7, seed, p) < 1e-5 and len(builds) == 2
+    assert inst._layout is graph._layout
+    # a builder's instance solves bit for bit as one that builds its own layout
+    for inst in (build_ssl_instance(hg, ds, 0, 5.0)[0], inst):
+        for algorithm in ("rcd", "ap"):
+            cfg = SolveConfig(algorithm=algorithm, max_iters=20 * inst.r, checkpoint_stride=inst.r)
+            shared = solve(inst, cfg)
+            own = solve(ProblemInstance(inst.a, inst.w, inst.atoms), cfg)
+            for field in ("x", "sum_y", "phis"):
+                assert getattr(shared, field).tobytes() == getattr(own, field).tobytes()
+            assert [row[:4] for row in shared.trace] == [row[:4] for row in own.trace]
+
+
 def test_degrees_and_adjacency_are_bitwise_reference():
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -150,6 +185,9 @@ def test_labeled_dataset():
         LabeledDataset(3, {0: 4}, num_classes=2)
     with pytest.raises(ValueError):
         LabeledDataset(3, {}, num_classes=1)
+    for n in (0, -1):  # rejected as Hypergraph rejects it, not later by anchor()
+        with pytest.raises(ValueError, match="positive integer"):
+            LabeledDataset(n, {})
     for labels in ({0: 1.7, "2": "0"}, {0: 1.7}, {"2": 0}, {0: "0"}, {True: 0}, {0: False}):
         with pytest.raises(ValueError, match="integers"):
             LabeledDataset(5, labels)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm import io as qio
-from qdsfm import projection
+from qdsfm import cli, projection
 from qdsfm.applications import Hypergraph
 from qdsfm.cli import main
 from qdsfm.solvers import ProblemInstance, TraceRow, solve
@@ -764,6 +764,22 @@ def test_cli_compare_rejects_bad_method(tmp_path, capsys):
     )
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+def test_cli_compare_checks_every_oracle_before_solving(tmp_path, monkeypatch, capsys):
+    # exact does not apply to the table atom: found before rcd spends its budget
+    inst = _write_json(tmp_path / "two.json", {"a": [1.0, -0.5, 0.25], "atoms": [
+        {"type": "hyperedge", "members": [0, 1, 2]},
+        {"type": "table", "members": [0, 1], "table": {"0": 0, "1": 1, "2": 1, "3": 0.5}}]})
+    solved = []
+    monkeypatch.setattr(cli, "solve", lambda *args: solved.append(args))
+    out = tmp_path / "c.csv"
+    rc = main(["compare", "--instance", inst, "--methods", "rcd:auto,ap:exact",
+               "--budget-seconds", "30", "--output", str(out)])
+    assert rc == 1 and solved == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: method 'ap:exact': exact projection requires cut components")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_log_level_env(tmp_path, monkeypatch, capsys):

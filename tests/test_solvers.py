@@ -536,36 +536,43 @@ def _two_size_instance():
 
 
 def _accelerated(inst):
-    """Chunks per epoch, step, resync and restart of the τ-block binder."""
+    """Chunks per epoch, step and checkpoint of the τ-block binder."""
     cfg = SolveConfig()
     sizes, *steps = solvers._block_steps(inst, cfg, Counter(), solvers._block_size(inst, cfg))
     return len(sizes), *steps
 
 
-def _checkpoints(inst, per_epoch, step, resync, restart, target, epochs):
+def _checkpoints(inst, per_epoch, step, checkpoint, target, epochs):
     """The solve loop at its default stride of one epoch: yields every
-    checkpoint's (sum_y, phis, gap) before the restart callback takes the gap."""
+    checkpoint's (sum_y, phis, gap)."""
     sum_y, phis = np.zeros(inst.n), np.zeros(inst.r)
-    restart(evaluate_dual_state(inst, sum_y, phis).gap)
+    checkpoint(sum_y, phis)
     for _ in range(epochs):
         for _ in range(per_epoch):
             step(sum_y, phis)
-        resync(sum_y, phis)
-        gap = evaluate_dual_state(inst, sum_y, phis).gap
+        gap = checkpoint(sum_y, phis).gap
         yield sum_y, phis, gap
-        restart(gap)
         if gap <= target:
             return
 
 
+def _plain_checkpoint(inst, resync):
+    """The checkpoint of a step that only re-accumulates its blocks."""
+    def checkpoint(sum_y, phis):
+        resync(sum_y, phis)
+        return evaluate_dual_state(inst, sum_y, phis)
+
+    return checkpoint
+
+
 def test_accelerated_step_starts_and_restarts_as_the_plain_step():
     inst = _ssl_instance(5.0)
-    per_epoch, step, resync, restart = _accelerated(inst)
+    per_epoch, step, checkpoint = _accelerated(inst)
     approx = step.__self__
     tau = solvers._block_size(inst, SolveConfig())
     ref_step, _, ref_y = oracles.block_steps_reference(inst, SolveConfig(), Counter(), tau)
     sum_y, phis, ref_sum = np.zeros(inst.n), np.zeros(inst.r), None
-    restart(evaluate_dual_state(inst, sum_y, phis).gap)
+    checkpoint(sum_y, phis)
     fresh_chunks = 0
     for _ in range(200):  # the start and three restarts
         if fresh_chunks == 4:
@@ -582,8 +589,7 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
                 assert not approx.u.any()
             else:
                 assert approx.theta < approx.theta0
-        resync(sum_y, phis)
-        restart(evaluate_dual_state(inst, sum_y, phis).gap)
+        checkpoint(sum_y, phis)
     assert fresh_chunks == 4 and solvers._RESTART_FACTOR == 30
 
 
@@ -593,15 +599,22 @@ def test_accelerated_step_certifies_its_gaps(which):
     assert len(inst._layout.groups) == (1 if which == "ssl" else 2) and not inst._layout.rest
     cfg = SolveConfig(target_gap=1e-8, max_iters=1000 * inst.r)
     res = solve(inst, cfg)
-    per_epoch, step, resync, restart = _accelerated(inst)
+    per_epoch, step, checkpoint = _accelerated(inst)
     approx, starts = step.__self__, []
-    for sum_y, phis, gap in _checkpoints(inst, per_epoch, step, resync, restart, 1e-8, 1000):
+
+    def checked(sum_y, phis):
         # the incremental θ²Σu + Σz stays at roundoff from its re-accumulation
-        drift = np.max(np.abs(approx.theta ** 2 * approx.sum_u + approx.sum_z - sum_y))
-        assert drift <= 1e-12 * np.max(np.abs(sum_y))
+        again = np.bincount(approx.members, approx.theta ** 2 * approx.u + approx.z,
+                            minlength=inst.n)
+        drift = np.max(np.abs(approx.theta ** 2 * approx.sum_u + approx.sum_z - again))
+        assert drift <= 1e-12 * np.max(np.abs(again))
         starts.append(approx.start_gap)
-    # the loop above is the solve's, bit for bit, and restarts fired in it
-    assert res.converged and gap == res.gap and len(set(starts)) >= 3
+        return checkpoint(sum_y, phis)
+
+    *_, (sum_y, phis, gap) = _checkpoints(inst, per_epoch, step, checked, 1e-8, 1000)
+    # the loop above is the solve's, bit for bit, and restarts fired in it (starts[0] is
+    # the ∞ read before the start row's checkpoint)
+    assert res.converged and gap == res.gap and len(set(starts[1:])) >= 3
     assert sum_y.tobytes() == res.sum_y.tobytes() and phis.tobytes() == res.phis.tobytes()
     _, dual = dual_objective(inst, res.sum_y, res.phis)
     assert abs(res.gap - (primal_objective(inst, res.x) - dual)) <= 1e-12
@@ -628,8 +641,8 @@ def test_accelerated_step_beats_the_plain_step():
     fast = sum(1 for _ in _checkpoints(inst, per_epoch, *steps, target, 1000))
     tau = solvers._block_size(inst, SolveConfig())
     ref_step, ref_resync, _ = oracles.block_steps_reference(inst, SolveConfig(), Counter(), tau)
-    plain = list(_checkpoints(inst, per_epoch, ref_step, ref_resync, lambda gap: None, target,
-                              1000))
+    plain = list(_checkpoints(inst, per_epoch, ref_step, _plain_checkpoint(inst, ref_resync),
+                              target, 1000))
     assert plain[-1][2] <= target and fast <= 0.6 * len(plain)
 
 
