@@ -273,8 +273,8 @@ def cmd_pagerank(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     instance = qio.load_instance(args.instance)
-    if not args.budget_seconds > 0:
-        raise InputError("--budget-seconds must be positive")
+    if not 0.0 < args.budget_seconds < np.inf:
+        raise InputError("--budget-seconds must be positive and finite")
     runs = []  # every method's config and oracle are checked before the first one runs
     for token in filter(None, (t.strip() for t in args.methods.split(","))):
         algorithm, _, projection = token.partition(":")

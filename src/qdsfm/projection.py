@@ -26,11 +26,11 @@ applies the iteration cap, runs the chosen oracle and reports.  This module
 owns the choice of oracle per component and the iteration caps.  Both solver
 binders read the instance's component layout: ``bind_projectors`` gives the
 one-block step one callable per component and ``bind_blocks`` gives the τ-block
-step one callable for any chunk of blocks, which sweeps the chunk's rows of each
-group of equal-size edges and hyperedges as one array kernel.  Both exact sweeps
-read rows computed once per solve, so a call repeats no work that depends only on
-a component and its metric; each matches, bit for bit, the tests' reference that
-recomputes everything on every call.
+step and the ``ap`` round one callable for any chunk of any components, which
+sweeps the chunk's rows of each batched group as one array kernel.  Both exact
+sweeps read rows computed once per solve, so a call repeats no work that depends
+only on a component and its metric; each matches, bit for bit, the tests'
+reference that recomputes everything on every call.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ _SNAP_TOL = 1e-12
 # Rows per block of the batched sweep: at 20 members, 128-row blocks (0.55 MB of
 # temporaries) passed glibc's heap-trim threshold and page-faulted every block.
 _BATCH_ROWS = 96
-# Fewest equal-size atoms worth one batched sweep: one call costs about as
-# much as three or four scalar sweeps, whatever the size (2 to 200 members).
+# Fewest rows of an equal-size group per chunk, on average, worth one batched sweep: one
+# call costs about as much as three or four scalar sweeps, whatever the size (2 to 200 members).
 _BATCH_MIN_ROWS = 4
 
 logger = logging.getLogger(__name__)
@@ -328,7 +328,7 @@ def _bind_sweep(
     """
     m, w = atom.size, atom.weight
     if m == 1 or w == 0.0:
-        return lambda a: (np.zeros(m), 0.0)
+        return lambda a, scale=1.0: (np.zeros(m), 0.0)
     rows = _sweep_rows(wt, w) if rows is None else rows
     hp, tp = atom.head_pos, atom.tail_pos
     sides = (hp, tp, rows[2, hp], rows[2, tp]) if atom.kind == "directed_hyperedge" else None
@@ -336,10 +336,10 @@ def _bind_sweep(
 
 
 def _sweep(
-    rows: np.ndarray, root_w: float, sides: tuple | None, a: np.ndarray
+    rows: np.ndarray, root_w: float, sides: tuple | None, a: np.ndarray, scale: float = 1.0
 ) -> tuple[np.ndarray, float]:
-    """The sweep bound by ``_bind_sweep``: ``root_w`` is 2√w, and ``sides`` is
-    None for an undirected atom, else its head and tail positions and masses."""
+    """The sweep bound by ``_bind_sweep``, under ``scale``·W̃: ``root_w`` is 2√w, and
+    ``sides`` None for an undirected atom, else its head and tail positions and masses."""
     b = rows[0] * a
     if sides is None:
         bh = bt = b
@@ -347,6 +347,8 @@ def _sweep(
     else:
         hp, tp, mwh, mwt = sides
         bh, bt = b[hp], b[tp]
+    if scale != 1.0:  # under scale·W̃: the masses at weight scale·w, and φ scaled (below)
+        mwh, mwt = mwh / scale, mwt / scale
     oh = np.argsort(-bh, kind="stable")
     hvals = bh[oh].tolist()
     ot = np.argsort(bt, kind="stable")
@@ -414,7 +416,7 @@ def _sweep(
         z[hp] = np.minimum(z[hp], gs)
         z[tp] = np.maximum(z[tp], ds)
         f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
-    return a - rows[1] * z, root_w * f1
+    return a - rows[1] * z, scale * root_w * f1
 
 
 def _sweep_cut_batch(
@@ -547,11 +549,11 @@ def bind_projectors(
     method: str,
     delta: float,
     tally: Counter,
-) -> list[Callable[[np.ndarray], tuple[np.ndarray, float]]]:
-    """Callables target ↦ (y, φ) in local coordinates for the components
-    ``picks`` of ``atoms``, in that order, each oracle chosen here, once.
-    ``metric`` is the metric's diagonal; the sweep rows of all components
-    are computed at once along the ``layout``, and each sweep binds its view.
+) -> list[Callable[..., tuple[np.ndarray, float]]]:
+    """Callables (target, scale=1.0) ↦ (y, φ) in local coordinates for the
+    components ``picks`` of ``atoms``, in that order, each oracle chosen here,
+    once, under ``scale`` times the diagonal ``metric``.  The sweep rows of all
+    components are computed at once along the ``layout``; each sweep binds its view.
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
@@ -568,8 +570,8 @@ def bind_projectors(
         local = _ITERATIVE[chosen]
         cap = _iteration_cap(atom, chosen, None)
 
-        def proj(tgt, _f=local, _a=atom, _w=wt[lo:hi], _n=chosen, _c=cap):
-            y, phi, _, _, converged, _ = _f(_a, _w, tgt, delta, _c, False)
+        def proj(tgt, scale=1.0, _f=local, _a=atom, _w=wt[lo:hi], _n=chosen, _c=cap):
+            y, phi, _, _, converged, _ = _f(_a, scale * _w, tgt, delta, _c, False)
             tally[_n, converged] += 1
             return y, phi
 
@@ -584,59 +586,70 @@ def bind_blocks(
     method: str,
     delta: float,
     tally: Counter,
-) -> tuple[np.ndarray, Callable[..., tuple[np.ndarray, ...] | None]]:
+    tau: int,
+) -> tuple[np.ndarray, np.ndarray, Callable[..., tuple[np.ndarray, ...] | None]]:
     """One callable that projects any chunk of the components from one snapshot.
 
-    Returns ``members``, every component's vertices concatenated, and
-    ``project(y, phis, shift, picks=None, scale=1.0)``.  It replaces blocks
-    in ``y``, laid out like ``members``, by the projections of y_r − shift[S_r]
-    under the diagonal ``metric``: every block, writing their φ into ``phis``,
-    or the batched components ``picks`` under ``scale``·``metric``, leaving
-    their φ to the caller and returning the positions in ``y`` it changed,
-    their vertices and the changes.  A group whose oracle is ``exact`` and
-    which has at least ``_BATCH_MIN_ROWS`` components is batched: it comes
-    first in ``members``, and its picked rows are one ``_sweep_cut_batch``
-    call.  Every other component keeps its ``bind_projectors`` callable.
+    Returns ``members``, every component's vertices concatenated, ``order``, its
+    components, and ``project(y, phis, shift, picks, scale=1.0)``, which replaces
+    the blocks ``picks`` in ``y`` (laid out like ``members``) by the projections of
+    y_r − shift[S_r] under ``scale``·``metric`` (a diagonal), writes their φ into
+    ``phis`` unless it is None and returns the positions in ``y`` it changed, their
+    vertices and the changes (None for a round: all R at scale 1).  A group of k
+    cuts under ``exact`` with k·τ/R ≥ ``_BATCH_MIN_ROWS`` comes first in
+    ``members``, and its picked rows are one ``_sweep_cut_batch`` call (in place in
+    a round).  Every other component keeps its ``bind_projectors`` callable.
     """
-    batched, rest = [], list(layout.rest)
+    big_r, batched, rest = len(atoms), [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
-        if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], method) == "exact":
+        if (rows.size * tau >= _BATCH_MIN_ROWS * big_r
+                and _choose_oracle(atoms[rows[0]], method) == "exact"):
             batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights))
         else:
             rest.extend(rows.tolist())
     rest.sort()
+    order = np.concatenate([g[0] for g in batched] + [np.array(rest, np.intp)])
     members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
     ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
     projectors = bind_projectors(atoms, layout, metric, rest, method, delta, tally) if rest else []
-    # each batched component's group and row in it, and each group's positions in members
-    slot, row = np.full(len(atoms), len(batched)), np.empty(len(atoms), np.intp)
+    # each component's group (−1 for the rest) and row in it, and each group's places in members
+    slot, row = np.full(big_r, -1), np.empty(big_r, np.intp)
     for g, (rows, _, _, _) in enumerate(batched):
         slot[rows], row[rows] = g, np.arange(rows.size)
+    row[rest] = np.arange(len(rest))
     places = [np.arange(b.start, b.stop).reshape(g[1].shape) for g, b in zip(batched, blocks)]
 
-    def project(y: np.ndarray, phis: np.ndarray, shift: np.ndarray, picks: np.ndarray | None = None,
+    def project(y: np.ndarray, phis: np.ndarray | None, shift: np.ndarray, picks: np.ndarray,
                 scale: float = 1.0) -> tuple[np.ndarray, ...] | None:
-        if picks is None:  # views: the targets overwrite y
-            for (rows, matrix, sweep_rows, weights), block in zip(batched, blocks):
-                y_g = y[block].reshape(matrix.shape)
-                y_g -= shift[matrix]
-                y_g[:], phis[rows] = _sweep_cut_batch(y_g, sweep_rows, weights)
-            for r, block, proj in zip(rest, blocks[len(batched):], projectors):
-                y[block], phis[r] = proj(y[block] - shift[members[block]])
-            return None
-        slots, changed = slot.take(picks) if len(batched) > 1 else None, []
-        for g, (_, matrix, sweep_rows, weights) in enumerate(batched):
-            sel = row.take(picks if slots is None else picks[slots == g])
-            pos, mem, scaled = places[g].take(sel, 0), matrix.take(sel, 0), sweep_rows.take(sel, 1)
-            scaled[2] /= scale  # y under scale·metric is the projection at weights scale·w
-            old = y.take(pos)
-            new = _sweep_cut_batch(old - shift.take(mem), scaled, weights.take(sel), False)[0]
-            y[pos] = new
-            changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
-        return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))
+        whole, changed = picks.size == big_r and scale == 1.0, []
+        slots = slot.take(picks) if len(batched) + bool(rest) > 1 else None
+        for g, (rows, matrix, sweep_rows, weights) in enumerate(batched):
+            if whole:  # the round: the group's own arrays, and its blocks of y in place
+                sub, y_g = rows, y[blocks[g]].reshape(matrix.shape)
+                y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
+                y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, phis is not None)
+            else:
+                sel = row.take(sub := picks if slots is None else picks[slots == g])
+                pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
+                rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
+                rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
+                new, phi = _sweep_cut_batch(old - shift.take(mem), rows_g, w_g, phis is not None)
+                changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
+                y[pos] = new
+            if phis is not None:
+                phis[sub] = scale * phi
+        for r in (picks if slots is None else picks[slots < 0]).tolist() if rest else ():
+            b = blocks[len(batched) + row[r]]
+            new, phi = projectors[row[r]](y[b] - shift.take(members[b]), scale)
+            changed.append((np.arange(b.start, b.stop), members[b], new - y[b]))
+            y[b] = new
+            if phis is not None:
+                phis[r] = phi
+        if not whole:  # the round's caller re-accumulates Σy from y
+            return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))
 
-    return members, project
+    return members, order, project
 
 
 def warn_unconverged(tally: Counter) -> None:
@@ -644,16 +657,10 @@ def warn_unconverged(tally: Counter) -> None:
     their certificate met δ: at the iteration cap, or (``mnp``) when the
     greedy point was already active."""
     for method in ("mnp", "fw"):
-        short = tally[method, False]
+        short, total = tally[method, False], tally[method, False] + tally[method, True]
         if short:
-            total = short + tally[method, True]
-            logger.warning(
-                "%d of %d %s projections stopped before meeting delta "
-                "(iteration cap or stall)",
-                short,
-                total,
-                method,
-            )
+            logger.warning("%d of %d %s projections stopped before meeting delta "
+                           "(iteration cap or stall)", short, total, method)
 
 
 def _project(

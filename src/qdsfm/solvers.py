@@ -18,13 +18,13 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
 
 * ``rcd`` — randomized coordinate descent over components: a step
   re-projects dual blocks against the residual left by the others.  Where
-  every component is an exact-oracle cut in a batched group, a step is a
-  chunk of τ blocks projected from one snapshot (τ by `_block_size`'s rule)
-  and accelerated (`_Approx`); elsewhere it is one block, under the metric W⁻¹.
+  `_block_size`'s rule gives τ ≥ 32, whatever the components, a step is a
+  chunk of τ blocks projected from one snapshot and accelerated (`_Approx`);
+  elsewhere it is one block, under the metric W⁻¹.
 * ``ap`` — alternating projections: a step is one round that re-splits the
   fixed total 2Wa across components and re-projects every block from one
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
-  in all: the plain τ-block step at τ = R.
+  in all: the plain τ-block step at τ = R, whose chunk is every component.
 
 Each algorithm's binder returns its step and its checkpoint, which brings
 Σy (and φ) up to date from the blocks, evaluates the state and, for the
@@ -49,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .projection import (
-    _BATCH_MIN_ROWS, DEFAULT_DELTA, ProjectionParams, bind_blocks, bind_projectors, warn_unconverged
+    DEFAULT_DELTA, ProjectionParams, bind_blocks, bind_projectors, warn_unconverged
 )
 from .submodular import (
     SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals, as_diagonal, lovasz_extension
@@ -73,9 +73,9 @@ DEFAULT_SEED = 0
 ALGORITHMS = ("rcd", "ap")
 _RNG_CHUNK = 4096
 # Fewest blocks per τ-block step of rcd.  Not set by cost (16 blocks cost 0.36-0.48 of 16
-# one-block steps): the τ-block step loses the one-block step's ordering of gaps by fidelity
-# weight at a fixed budget, and the floor keeps instances with a small τ, such as that of
-# test_gap_decays_linearly_and_tracks_fidelity_weight (τ = 11), on the one-block step.
+# one-block steps): the τ-block step loses the ordering of absolute gaps by fidelity weight at a
+# fixed budget, and the floor keeps test_gap_decays_linearly_and_tracks_fidelity_weight (τ = 11)
+# on the one-block step.
 _MIN_BLOCK = 32
 # `_Approx` restarts at 1/30 of its last start's gap (fixed periods, 1/100 or a rise took longer)
 _RESTART_FACTOR = 30
@@ -246,7 +246,7 @@ class SolveConfig:
 
     ``max_iters`` counts single-component projections; ``None`` selects 100
     per component.  The solve loop takes steps of one projection, of a chunk
-    of τ (``rcd`` on instances of batched exact cuts) or of one round of R
+    of τ (``rcd`` where the rule gives τ ≥ 32) or of one round of R
     (``ap``), and rounds the budget down to whole steps, at least one: ``ap``
     with ``max_iters < R`` still spends R projections.  ``checkpoint_stride``
     (also in projections, rounded down to whole steps, at least one) controls
@@ -359,15 +359,13 @@ def _rcd_steps(
 
 
 def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
-    """τ, the blocks per step of ``rcd``: ⌊1 + (R − 1)/(ψ̄ − 1)⌋ with
-    ψ̄ = Σψ_v²/Σψ_v (R when no vertex is shared), the τ at which the mean of β
-    over the incidences is 2, if every component is an exact-oracle cut in a
-    batched group (see `bind_blocks`) and τ ≥ ``_MIN_BLOCK``; else 1."""
+    """τ, the blocks per step: R under ``ap``; under ``rcd``, whatever the components,
+    ⌊1 + (R − 1)/(ψ̄ − 1)⌋ with ψ̄ = Σψ_v²/Σψ_v (R if no vertex is shared), the τ
+    at which the mean of β over the incidences is 2, if τ ≥ ``_MIN_BLOCK``; else 1."""
     layout, big_r = instance._layout, instance.r
-    if (layout.rest or config.projection not in ("auto", "exact")
-            or min((rows.size for rows, _, _ in layout.groups), default=0) < _BATCH_MIN_ROWS):
-        return 1
-    excess = float(np.dot(layout.psi, layout.psi) / layout.psi.sum()) - 1.0
+    if config.algorithm == "ap":
+        return big_r
+    excess = float(np.dot(layout.psi, layout.psi)) / max(float(layout.psi.sum()), 1.0) - 1.0
     tau = min(big_r, int(1 + (big_r - 1) / excess)) if excess > 0 else big_r
     return tau if tau >= _MIN_BLOCK else 1
 
@@ -377,12 +375,12 @@ def _block_steps(
 ) -> tuple[tuple[int, ...], Step, Checkpoint]:
     """Parallel coordinate descent on the dual, τ blocks per step.
 
-    A step projects a chunk of blocks from one snapshot under the metric β·W⁻¹,
-    β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable overapproximation
-    of τ-block sampling (ψ the coverage counts, τ the largest chunk).  Each epoch
-    splits a fresh permutation into ⌈R/τ⌉ near-equal chunks for `_Approx`.  One
-    chunk (τ = R, β = Ψ) is a round of alternating projections: every y_r
-    replaced by the projection of y_r − ((Σy − 2Wa)/β)[S_r], Σy re-accumulated.
+    A step projects a chunk of any blocks from one snapshot under the metric
+    β·W⁻¹, β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable
+    overapproximation of τ-block sampling (ψ the coverage counts, τ the largest
+    chunk).  Each epoch splits a fresh permutation into ⌈R/τ⌉ near-equal chunks
+    for `_Approx`.  One chunk (τ = R, β = Ψ) is a round of alternating projections:
+    every (y_r, φ_r) replaced by the projection of y_r − ((Σy − 2Wa)/β)[S_r].
     """
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
     count = -(-big_r // tau)
@@ -390,19 +388,19 @@ def _block_steps(
     sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # on an uncovered vertex (ψ = 0, never read) β is clamped to 1
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (max(sizes) - 1) / max(big_r - 1, 1), 1.0)
-    members, project = bind_blocks(
-        instance.atoms, layout, beta / instance.w, config.projection, config.delta, tally)
+    members, order, project = bind_blocks(
+        instance.atoms, layout, beta / instance.w, config.projection, config.delta, tally, tau)
     if count == 1:
         y = np.zeros(members.size)  # every block's y_r, laid out like members
 
         def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
-            project(y, phis, (sum_y - two_wa) / beta)
+            project(y, phis, (sum_y - two_wa) / beta, order)
             sum_y[:] = np.bincount(members, weights=y, minlength=n)
 
         return sizes, step, partial(evaluate_dual_state, instance)
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
-    approx = _Approx(instance, members, project, beta, chunks, sizes)
+    approx = _Approx(instance, members, order, project, beta, chunks, sizes)
     return sizes, approx.step, approx.checkpoint
 
 
@@ -412,19 +410,22 @@ class _Approx:
     z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
     times the change of z and sets θ to (√(θ⁴ + 4θ²) − θ²)/2: at θ₀ (u = 0)
     the plain τ-block step.  A checkpoint reports the blocks θ²u + z, convex
-    combinations of cone points, with the least φ of each, and restarts on
-    their gap; the step takes one itself after an epoch without."""
+    combinations of cone points, with the least φ of each cut block and θ²u_φ + z_φ
+    of each general one (its least φ is a submodular minimisation), and restarts
+    on their gap; the step takes one itself after an epoch without."""
 
-    def __init__(self, instance: ProblemInstance, members: np.ndarray, project: Callable,
-                 beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...]) -> None:
+    def __init__(self, instance: ProblemInstance, members: np.ndarray, order: np.ndarray,
+                 project: Callable, beta: np.ndarray, chunks: Iterator[np.ndarray],
+                 sizes: tuple[int, ...]) -> None:
         self.instance, self.members, self.project, self.beta = instance, members, project, beta
         self.chunks, self.count, self.theta0 = chunks, len(sizes), max(sizes) / instance.r
         self.z, self.u = np.zeros((2, members.size))  # laid out like members
         self.sum_z, self.sum_u = np.zeros((2, instance.n))
-        layout = instance._layout  # every group is batched: members holds them in this order
-        self.order = np.concatenate([rows for rows, _, _ in layout.groups])  # blocks' components
-        self.starts = np.concatenate(([0], np.cumsum(np.diff(layout.ends).take(self.order))[:-1]))
-        self.root_w = np.sqrt(np.where(layout.weights > 0.0, layout.weights, 1.0)).take(self.order)
+        layout, self.order = instance._layout, order  # the blocks' components, in members' order
+        self.starts = np.concatenate(([0], np.cumsum(np.diff(layout.ends).take(order))[:-1]))
+        self.root_w = np.sqrt(np.where(layout.weights > 0.0, layout.weights, 1.0)).take(order)
+        self.general = np.flatnonzero([not atom.is_cut for atom in instance.atoms])
+        self.z_phi, self.u_phi = np.zeros((2, instance.r))  # read and moved for those only
         self.theta, self.start_gap, self.unchecked = self.theta0, np.inf, 0  # chunks since a gap
 
     def step(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
@@ -432,11 +433,14 @@ class _Approx:
             self.checkpoint(sum_y, phis)
         picks, c, sq = next(self.chunks), self.theta / self.theta0, self.theta ** 2
         shift = (sq * self.sum_u + self.sum_z - self.instance._two_wa) / (c * self.beta)
-        pos, mem, change = self.project(self.z, None, shift, picks, c)
+        z_phi, old_phi = (self.z_phi, self.z_phi.take(picks)) if self.general.size else (None, 0)
+        pos, mem, change = self.project(self.z, z_phi, shift, picks, c)
         total, coef = np.bincount(mem, change, minlength=self.instance.n), (1.0 - c) / sq
         self.sum_z += total
         self.sum_u -= coef * total
         np.subtract.at(self.u, pos, coef * change)
+        if z_phi is not None:  # u_φ moves as u does
+            self.u_phi[picks] -= coef * (z_phi.take(picks) - old_phi)
         self.theta = ((sq * sq + 4.0 * sq) ** 0.5 - sq) / 2.0
         self.unchecked += 1
 
@@ -446,11 +450,14 @@ class _Approx:
         # y ∈ φ·B for a cut of weight w iff Σy = 0 and y's positive mass is at most φ√w
         mass = np.add.reduceat(np.maximum(blocks, 0.0, out=blocks), self.starts)
         phis[self.order] = mass / self.root_w
+        phis[self.general] = (self.theta ** 2 * self.u_phi + self.z_phi).take(self.general)
         state = evaluate_dual_state(self.instance, sum_y, phis)
         self.unchecked = 0
         if state.gap <= self.start_gap / _RESTART_FACTOR:  # restarts leave sum_y and phis be
-            self.z += self.theta ** 2 * self.u
-            self.theta, self.start_gap, self.u[:], self.sum_u[:] = self.theta0, state.gap, 0.0, 0.0
+            for z, u in ((self.z, self.u), (self.z_phi, self.u_phi)):
+                z += self.theta ** 2 * u
+                u[:] = 0.0
+            self.theta, self.start_gap, self.sum_u[:] = self.theta0, state.gap, 0.0
             self.sum_z[:] = np.bincount(self.members, self.z, minlength=self.instance.n)
         return state
 
@@ -463,9 +470,9 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     """Minimize ``instance`` with the algorithm named by ``config.algorithm``.
 
     A step of ``ap`` is one round of R projections.  A step of ``rcd`` is a
-    chunk of τ ≥ 32 projections (`_block_size`) on instances of batched
-    exact cuts, where its results differ from earlier versions' one-block
-    ``rcd`` within the certified gap, and one projection elsewhere.  The
+    chunk of τ projections where `_block_size`'s rule gives τ ≥ 32, whatever
+    the components and the oracle (its results differ from earlier versions'
+    one-block ``rcd`` within the certified gap), and one projection elsewhere.  The
     budget and the checkpoint stride count projections and are rounded down
     to whole steps, each at least one; a budget of 0, or R = 0, takes no
     step.  The loop owns the dual state, the trace and the stopping rules:
@@ -478,7 +485,7 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     limit, target = config.wall_clock_limit, config.target_gap
 
     tally: Counter = Counter()
-    tau = big_r if config.algorithm == "ap" else _block_size(instance, config)
+    tau = _block_size(instance, config)
     bind = _rcd_steps if config.algorithm == "rcd" and tau == 1 else partial(_block_steps, tau=tau)
     evaluate = partial(evaluate_dual_state, instance)  # the checkpoint of R = 0, with no step
     sizes, step, checkpoint = bind(instance, config, tally) if big_r else ((1,), None, evaluate)

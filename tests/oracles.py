@@ -576,8 +576,8 @@ def block_steps_reference(instance, config, tally, tau):
     bounds = [big_r * j // count for j in range(count + 1)]
     largest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (largest - 1) / max(big_r - 1, 1), 1.0)
-    members, project = bind_blocks(instance.atoms, layout, beta / instance.w, config.projection,
-                                   config.delta, tally)
+    members, _, project = bind_blocks(instance.atoms, layout, beta / instance.w,
+                                      config.projection, config.delta, tally, tau)
     y = np.zeros(members.size)
     rng = np.random.default_rng(config.seed)
 

@@ -219,9 +219,9 @@ def test_conditional_gradient_satisfies_rate_envelope():
 # 6. linear gap decay and fidelity-weight sensitivity
 
 
-def _decay_instance(beta=1.0):
+def _decay_instance(beta=1.0, n=100, big_r=100):
     rng = np.random.default_rng(0)
-    n, big_r, size = 100, 100, 10
+    size = 10
     atoms = tuple(
         hyperedge_cut(sorted(int(v) for v in rng.choice(n, size=size, replace=False)))
         for _ in range(big_r)
@@ -254,6 +254,25 @@ def test_gap_decays_linearly_and_tracks_fidelity_weight():
         final[beta] = res.gap
     assert final[0.01] > final[0.1] > final[1.0]
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_fidelity_weight_orders_the_rate_of_the_block_step():
+    # 200 hyperedges of 10 on 400 vertices: rcd takes chunks of τ = 40.  Absolute gaps of
+    # problems of different scale need not keep the order (at τ = 101 they invert); the gap
+    # relative to the primal and the fitted slope of log(gap) per 10 epochs keep it
+    big_r = 200
+    for seed in range(3):
+        relative, slope = {}, {}
+        for beta in (1.0, 0.1, 0.01):
+            instance = _decay_instance(beta, n=400, big_r=big_r)
+            assert solve(instance, SolveConfig(wall_clock_limit=0.0)).iterations == 40
+            res = solve(instance, SolveConfig(max_iters=100 * big_r, seed=seed))
+            relative[beta] = res.gap / res.primal
+            rows = [row for row in res.trace if row.iteration >= 10 * big_r]
+            epochs = [row.iteration / big_r for row in rows]
+            slope[beta] = 10.0 * np.polyfit(epochs, np.log([row.gap for row in rows]), 1)[0]
+        assert relative[1.0] < relative[0.1] < relative[0.01]
+        assert slope[1.0] < slope[0.1] < slope[0.01] < 0.0
 
 
 # ---------------------------------------------------------------------------

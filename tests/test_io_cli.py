@@ -766,6 +766,15 @@ def test_cli_compare_rejects_bad_method(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+def test_cli_compare_rejects_a_budget_not_positive_and_finite(tmp_path, capsys, budget):
+    out = tmp_path / "c.csv"
+    rc = main(["compare", "--instance", _edge_instance_file(tmp_path), "--methods", "rcd:exact",
+               "--budget-seconds", budget, "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == "error: --budget-seconds must be positive and finite\n"
+
+
 def test_cli_compare_checks_every_oracle_before_solving(tmp_path, monkeypatch, capsys):
     # exact does not apply to the table atom: found before rcd spends its budget
     inst = _write_json(tmp_path / "two.json", {"a": [1.0, -0.5, 0.25], "atoms": [

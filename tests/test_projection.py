@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,9 +239,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     )
     batch_shapes = []
 
-    def spy(a, rows, weight):
+    def spy(a, rows, weight, with_phi=True):
         batch_shapes.append(a.shape)
-        return _sweep_cut_batch(a, rows, weight)
+        return _sweep_cut_batch(a, rows, weight, with_phi)
 
     monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
     rng = np.random.default_rng(4)
@@ -478,3 +479,41 @@ def test_cone_point_dense_and_feasibility():
     assert oracles.in_cone(atom, point)
     bad = ConePoint((1, 3), np.array([2.0, -2.0]), 0.5)
     assert not oracles.in_cone(atom, bad)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_chunk_projects_every_kind_under_a_scaled_metric(scale):
+    # a chunk of every kind of component, projected from one snapshot under scale·metric,
+    # against each component's own projection under that metric: y and φ
+    covers = [{0, 1}, {1, 2}, {2, 3, 4}]
+    tbl = {bits: float(len(set().union(*(covers[p] for p in range(3) if bits >> p & 1))))
+           for bits in range(8)}
+    atoms = tuple(hyperedge_cut([i, i + 1, i + 3], 1.0 + i % 3) for i in range(8)) + (
+        directed_hyperedge_cut([0, 1], [4, 5], weight=2.0),
+        general_oracle([1, 3, 5], table=tbl), graph_edge_cut(4, 5, 0.0), hyperedge_cut([5]),
+        graph_edge_cut(2, 6, 0.5))
+    rng = np.random.default_rng(8)
+    inst = ProblemInstance(a=rng.normal(size=11), w=None, atoms=atoms)
+    metric, shift = rng.uniform(0.5, 2.0, 11), rng.normal(size=11)
+    # τ = 7 of R = 13: the 8 three-member hyperedges are batched (8·7/13 ≥ 4), the rest is scalar
+    members, order, project = projection.bind_blocks(
+        atoms, inst._layout, metric, "auto", 1e-12, Counter(), 7)
+    assert order.tolist() == list(range(13))
+    y, phis = rng.normal(size=members.size), np.full(13, np.nan)
+    picks = np.array([12, 1, 8, 5, 9, 3, 10, 11])  # both kinds, out of order
+    before = y.copy()
+    pos, mem, change = project(y, phis, shift, picks, scale)
+    ends = np.cumsum([0] + [atoms[r].size for r in order])
+    for r in range(13):
+        block = slice(ends[r], ends[r + 1])
+        if r not in picks:
+            assert np.array_equal(y[block], before[block]) and np.isnan(phis[r])
+            continue
+        target = np.zeros(11)
+        target[atoms[r].members_arr] = before[block] - shift[atoms[r].members_arr]
+        point, _ = project_cone(atoms[r], scale * metric, target,
+                                ProjectionParams(delta=1e-12))
+        assert np.max(np.abs(y[block] - point.y)) <= 1e-9
+        assert abs(phis[r] - point.phi) <= 1e-9
+    assert np.array_equal(mem, members[pos]) and np.array_equal(change, y[pos] - before[pos])
+    assert sorted(pos.tolist()) == sorted(p for r in picks for p in range(ends[r], ends[r + 1]))

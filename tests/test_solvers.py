@@ -507,6 +507,8 @@ def test_block_step_counts_projections():
 
 
 def test_block_rule_keeps_one_block_steps():
+    # the rule reads neither the oracle nor the component kinds: the SSL input under mnp takes
+    # its τ = 40, and with a table atom (R = 401) τ = 41, in ten chunks of 40 or 41
     inst = _ssl_instance(5.0)
     tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}
     table = ProblemInstance(inst.a, inst.w, inst.atoms + (general_oracle([0, 1], table=tbl),))
@@ -515,12 +517,11 @@ def test_block_rule_keeps_one_block_steps():
     small = ProblemInstance(rng.normal(size=100), None, tuple(
         hyperedge_cut(rng.choice(100, 10, replace=False).tolist()) for _ in range(100)))
     assert solvers._MIN_BLOCK == 32
-    for case, cfg in ((inst, SolveConfig(projection="mnp")), (table, SolveConfig()),
-                      (small, SolveConfig())):
-        assert solvers._block_size(case, cfg) == 1
+    for case, cfg, tau, first in ((inst, SolveConfig(projection="mnp"), 40, 40),
+                                  (table, SolveConfig(), 41, 40), (small, SolveConfig(), 1, 1)):
+        assert solvers._block_size(case, cfg) == tau
         res = solve(case, SolveConfig(projection=cfg.projection, wall_clock_limit=0.0))
-        assert res.iterations == 1
-    _assert_same_as_reference(table, SolveConfig(max_iters=2 * table.r, checkpoint_stride=150))
+        assert res.iterations == first
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +536,26 @@ def _two_size_instance():
     return ProblemInstance(rng.normal(size=300), rng.uniform(0.5, 2.0, 300), atoms)
 
 
-def _accelerated(inst):
+def _ssl_mixed_instance():
+    # the CI-size SSL input plus three table atoms, three directed hyperedges, two
+    # 3-member hyperedges (a group the batching rule leaves to the scalar sweep), a
+    # single-vertex atom and an edge of weight 0: R = 410, τ = 41
+    inst, rng = _ssl_instance(5.0), np.random.default_rng(9)
+    covers = [{0, 1}, {1, 2}, {2, 3}]
+    tbl = {bits: float(len(set().union(*(covers[p] for p in range(3) if bits >> p & 1))))
+           for bits in range(8)}
+    extra = [general_oracle(rng.choice(inst.n, 3, replace=False).tolist(), table=tbl,
+                            weight=0.5 + i) for i in range(3)]
+    extra += [directed_hyperedge_cut(rng.choice(inst.n, 2, replace=False).tolist(),
+                                     rng.choice(inst.n, 3, replace=False).tolist(), weight=2.0)
+              for _ in range(3)]
+    extra += [hyperedge_cut(rng.choice(inst.n, 3, replace=False).tolist()) for _ in range(2)]
+    extra += [hyperedge_cut([7]), graph_edge_cut(3, 11, 0.0)]
+    return ProblemInstance(inst.a, inst.w, inst.atoms[:200] + tuple(extra) + inst.atoms[200:])
+
+
+def _accelerated(inst, cfg=SolveConfig()):
     """Chunks per epoch, step and checkpoint of the τ-block binder."""
-    cfg = SolveConfig()
     sizes, *steps = solvers._block_steps(inst, cfg, Counter(), solvers._block_size(inst, cfg))
     return len(sizes), *steps
 
@@ -593,14 +611,20 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
     assert fresh_chunks == 4 and solvers._RESTART_FACTOR == 30
 
 
-@pytest.mark.parametrize("which", ["ssl", "two_sizes"])
+@pytest.mark.parametrize("which", ["ssl", "two_sizes", "mixed", "mnp"])
 def test_accelerated_step_certifies_its_gaps(which):
-    inst = _ssl_instance(5.0) if which == "ssl" else _two_size_instance()
-    assert len(inst._layout.groups) == (1 if which == "ssl" else 2) and not inst._layout.rest
-    cfg = SolveConfig(target_gap=1e-8, max_iters=1000 * inst.r)
+    inst = {"two_sizes": _two_size_instance, "mixed": _ssl_mixed_instance}.get(
+        which, lambda: _ssl_instance(5.0))()
+    layout = inst._layout
+    assert len(layout.groups) == {"two_sizes": 2, "mixed": 3}.get(which, 1)
+    assert len(layout.rest) == (7 if which == "mixed" else 0)
+    # mnp takes about 100 µs a projection: its solve stops at 1e-4, after three restarts
+    cfg = SolveConfig(target_gap=1e-4 if which == "mnp" else 1e-8, max_iters=1000 * inst.r,
+                      projection="mnp" if which == "mnp" else "auto")
     res = solve(inst, cfg)
-    per_epoch, step, checkpoint = _accelerated(inst)
+    per_epoch, step, checkpoint = _accelerated(inst, cfg)
     approx, starts = step.__self__, []
+    assert per_epoch == -(-inst.r // solvers._block_size(inst, cfg)) and per_epoch > 1
 
     def checked(sum_y, phis):
         # the incremental θ²Σu + Σz stays at roundoff from its re-accumulation
@@ -611,24 +635,23 @@ def test_accelerated_step_certifies_its_gaps(which):
         starts.append(approx.start_gap)
         return checkpoint(sum_y, phis)
 
-    *_, (sum_y, phis, gap) = _checkpoints(inst, per_epoch, step, checked, 1e-8, 1000)
+    *_, (sum_y, phis, gap) = _checkpoints(inst, per_epoch, step, checked, cfg.target_gap, 1000)
     # the loop above is the solve's, bit for bit, and restarts fired in it (starts[0] is
     # the ∞ read before the start row's checkpoint)
     assert res.converged and gap == res.gap and len(set(starts[1:])) >= 3
     assert sum_y.tobytes() == res.sum_y.tobytes() and phis.tobytes() == res.phis.tobytes()
     _, dual = dual_objective(inst, res.sum_y, res.phis)
     assert abs(res.gap - (primal_objective(inst, res.x) - dual)) <= 1e-12
-    # every returned block θ²u + z is a point of its cone, and they sum to sum_y
+    # every returned block θ²u + z, in the binder's order, is a point of its cone at its
+    # reported φ, and they sum to sum_y
     blocks = approx.theta ** 2 * approx.u + approx.z
     assert np.array_equal(np.bincount(approx.members, blocks, minlength=inst.n), res.sum_y)
-    assert np.all(res.phis >= 0.0)
-    lo = 0
-    for rows, matrix, _ in inst._layout.groups:
-        for r, mem in zip(rows, matrix):
-            hi = lo + mem.size
-            assert np.array_equal(approx.members[lo:hi], mem)
-            assert oracles.in_cone(inst.atoms[r], ConePoint(tuple(mem), blocks[lo:hi], res.phis[r]))
-            lo = hi
+    assert np.all(res.phis >= 0.0) and sorted(approx.order.tolist()) == list(range(inst.r))
+    ends = np.append(approx.starts, approx.members.size)
+    for r, lo, hi in zip(approx.order, ends[:-1], ends[1:]):
+        mem = approx.members[lo:hi]
+        assert np.array_equal(mem, inst.atoms[r].members_arr)
+        assert oracles.in_cone(inst.atoms[r], ConePoint(tuple(mem), blocks[lo:hi], res.phis[r]))
     # reruns are bit-identical
     again = solve(inst, cfg)
     assert again.x.tobytes() == res.x.tobytes() and again.phis.tobytes() == res.phis.tobytes()
