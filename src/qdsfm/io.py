@@ -63,7 +63,7 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
@@ -194,7 +194,7 @@ def load_table_rows(path: str) -> list[dict[str, str]]:
             if reader.fieldnames is None:
                 raise InputError(f"{path}: empty file, expected a CSV header")
             return [dict(row) for row in reader]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -19,8 +19,9 @@ Two algorithms share one solve loop, ``solve``, and differ only in its step:
 * ``rcd`` — randomized coordinate descent over components: a step
   re-projects dual blocks against the residual left by the others.  Where
   `_block_size`'s rule gives τ ≥ 32, whatever the components, a step is a
-  chunk of τ blocks projected from one snapshot and accelerated (`_Approx`);
-  elsewhere it is one block, under the metric W⁻¹.
+  chunk of τ blocks projected from one snapshot and accelerated (`_Approx`),
+  whose first epoch is ``ap``'s first round, one chunk at a time; elsewhere
+  it is one block, under the metric W⁻¹.
 * ``ap`` — alternating projections: a step is one round that re-splits the
   fixed total 2Wa across components and re-projects every block from one
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
@@ -379,8 +380,10 @@ def _block_steps(
     β·W⁻¹, β_v = 1 + (ψ_v − 1)(τ − 1)/(R − 1) the expected separable
     overapproximation of τ-block sampling (ψ the coverage counts, τ the largest
     chunk).  Each epoch splits a fresh permutation into ⌈R/τ⌉ near-equal chunks
-    for `_Approx`.  One chunk (τ = R, β = Ψ) is a round of alternating projections:
-    every (y_r, φ_r) replaced by the projection of y_r − ((Σy − 2Wa)/β)[S_r].
+    for `_Approx`, which projects the first epoch's chunks under Ψ·W⁻¹ through a
+    second binder of the same layout.  One chunk (τ = R, β = Ψ) is a round of
+    alternating projections: every (y_r, φ_r) replaced by the projection of
+    y_r − ((Σy − 2Wa)/β)[S_r].
     """
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
     count = -(-big_r // tau)
@@ -388,9 +391,13 @@ def _block_steps(
     sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # on an uncovered vertex (ψ = 0, never read) β is clamped to 1
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (max(sizes) - 1) / max(big_r - 1, 1), 1.0)
-    members, order, project = bind_blocks(
-        instance.atoms, layout, beta / instance.w, config.projection, config.delta, tally, tau)
+
+    def bind(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
+        return bind_blocks(instance.atoms, layout, beta / instance.w, config.projection,
+                           config.delta, tally, tau)
+
     if count == 1:
+        members, order, project = bind(beta)
         y = np.zeros(members.size)  # every block's y_r, laid out like members
 
         def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
@@ -400,7 +407,8 @@ def _block_steps(
         return sizes, step, partial(evaluate_dual_state, instance)
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
-    approx = _Approx(instance, members, order, project, beta, chunks, sizes)
+    # the opening's metric is ap's: β at τ = R, which is Ψ clamped to 1, bit for bit
+    approx = _Approx(instance, bind, np.maximum(layout.psi, 1.0), beta, chunks, sizes)
     return sizes, approx.step, approx.checkpoint
 
 
@@ -409,31 +417,49 @@ class _Approx:
     (O'Donoghue & Candès 2015).  With θ₀ = τ/R and c = θ/θ₀, a chunk projects
     z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
     times the change of z and sets θ to (√(θ⁴ + 4θ²) − θ²)/2: at θ₀ (u = 0)
-    the plain τ-block step.  A checkpoint reports the blocks θ²u + z, convex
+    the plain τ-block step.  The opening epoch is ``ap``'s first round split into
+    its chunks: each projects its blocks from the start point z = 0, a fixed shift
+    −2Wa/Ψ, under Ψ·W⁻¹, and moves Σz by its changes; θ stays at θ₀ and u at 0,
+    and each block reports its projection's φ, as in ``ap``.  The first chunk after
+    it binds β's projector.  A checkpoint reports the blocks θ²u + z, convex
     combinations of cone points, with the least φ of each cut block and θ²u_φ + z_φ
     of each general one (its least φ is a submodular minimisation), and restarts
     on their gap; the step takes one itself after an epoch without."""
 
-    def __init__(self, instance: ProblemInstance, members: np.ndarray, order: np.ndarray,
-                 project: Callable, beta: np.ndarray, chunks: Iterator[np.ndarray],
-                 sizes: tuple[int, ...]) -> None:
-        self.instance, self.members, self.project, self.beta = instance, members, project, beta
+    def __init__(self, instance: ProblemInstance, bind: Callable, psi: np.ndarray,
+                 beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...]) -> None:
+        self.members, order, self.project = bind(psi)  # the opening's binder, then β's
+        self.instance, self.bind, self.beta = instance, bind, beta
         self.chunks, self.count, self.theta0 = chunks, len(sizes), max(sizes) / instance.r
-        self.z, self.u = np.zeros((2, members.size))  # laid out like members
+        self.opening, self.shift = self.count, -instance._two_wa / psi  # its chunks left, its shift
+        self.z, self.u = np.zeros((2, self.members.size))  # laid out like members
         self.sum_z, self.sum_u = np.zeros((2, instance.n))
         layout, self.order = instance._layout, order  # the blocks' components, in members' order
         self.starts = np.concatenate(([0], np.cumsum(np.diff(layout.ends).take(order))[:-1]))
         self.root_w = np.sqrt(np.where(layout.weights > 0.0, layout.weights, 1.0)).take(order)
-        self.general = np.flatnonzero([not atom.is_cut for atom in instance.atoms])
+        # the blocks whose φ is read from (z_φ, u_φ): in the opening every block's, as in
+        # ap, and after it the general ones'
+        self.general = np.arange(instance.r)
         self.z_phi, self.u_phi = np.zeros((2, instance.r))  # read and moved for those only
         self.theta, self.start_gap, self.unchecked = self.theta0, np.inf, 0  # chunks since a gap
 
     def step(self, sum_y: np.ndarray, phis: np.ndarray) -> None:
         if self.unchecked == self.count:
             self.checkpoint(sum_y, phis)
-        picks, c, sq = next(self.chunks), self.theta / self.theta0, self.theta ** 2
-        shift = (sq * self.sum_u + self.sum_z - self.instance._two_wa) / (c * self.beta)
+        if self.opening == 0:  # β's projector, bound once the opening's sweep rows are released
+            self.project, self.opening = None, -1
+            self.project = self.bind(self.beta)[2]
+            self.general = np.flatnonzero([not atom.is_cut for atom in self.instance.atoms])
+        picks = next(self.chunks)
         z_phi, old_phi = (self.z_phi, self.z_phi.take(picks)) if self.general.size else (None, 0)
+        self.unchecked += 1
+        if self.opening > 0:  # a chunk of ap's first round: θ stays at θ₀ and u at 0
+            _, mem, change = self.project(self.z, z_phi, self.shift, picks)
+            self.sum_z += np.bincount(mem, change, minlength=self.instance.n)
+            self.opening -= 1
+            return
+        c, sq = self.theta / self.theta0, self.theta ** 2
+        shift = (sq * self.sum_u + self.sum_z - self.instance._two_wa) / (c * self.beta)
         pos, mem, change = self.project(self.z, z_phi, shift, picks, c)
         total, coef = np.bincount(mem, change, minlength=self.instance.n), (1.0 - c) / sq
         self.sum_z += total
@@ -442,7 +468,6 @@ class _Approx:
         if z_phi is not None:  # u_φ moves as u does
             self.u_phi[picks] -= coef * (z_phi.take(picks) - old_phi)
         self.theta = ((sq * sq + 4.0 * sq) ** 0.5 - sq) / 2.0
-        self.unchecked += 1
 
     def checkpoint(self, sum_y: np.ndarray, phis: np.ndarray) -> StateEvaluation:
         blocks = self.theta ** 2 * self.u + self.z
@@ -472,7 +497,11 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     A step of ``ap`` is one round of R projections.  A step of ``rcd`` is a
     chunk of τ projections where `_block_size`'s rule gives τ ≥ 32, whatever
     the components and the oracle (its results differ from earlier versions'
-    one-block ``rcd`` within the certified gap), and one projection elsewhere.  The
+    one-block ``rcd`` within the certified gap), and one projection elsewhere.
+    The chunks of ``rcd``'s first epoch make up ``ap``'s first round: on a budget
+    of R both return the same ``sum_y``, ``phis`` and gap, bit for bit unless
+    ``ap`` batches a group of cuts that ``rcd``'s chunks leave to the scalar
+    sweep (then within roundoff).  The
     budget and the checkpoint stride count projections and are rounded down
     to whole steps, each at least one; a budget of 0, or R = 0, takes no
     step.  The loop owns the dual state, the trace and the stopping rules:

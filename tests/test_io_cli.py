@@ -3,6 +3,8 @@
 import csv
 import json
 import logging
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -164,6 +166,25 @@ def test_invalid_json_rejected(tmp_path):
         qio.load_instance(str(path))
     with pytest.raises(qio.InputError, match="cannot read"):
         qio.load_instance(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("load", [
+    qio.load_instance, qio.load_hypergraph, partial(qio.load_labels, n=2), qio.load_schema,
+    qio.load_table_rows, qio.load_vector, qio.read_solution,
+])
+def test_loaders_reject_files_that_are_not_utf8(tmp_path, load):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"a": [1.0], "name": "caf\xe9"}\n')
+    with pytest.raises(qio.InputError, match=f"cannot read {re.escape(str(path))}: 'utf-8'"):
+        load(str(path))
+
+
+def test_cli_names_the_file_it_cannot_decode(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", "--instance", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and len(err.splitlines()) == 1
 
 
 # JSON-shaped values: every scalar kind JSON can carry (NaN and Infinity

@@ -591,6 +591,13 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
     ref_step, _, ref_y = oracles.block_steps_reference(inst, SolveConfig(), Counter(), tau)
     sum_y, phis, ref_sum = np.zeros(inst.n), np.zeros(inst.r), None
     checkpoint(sum_y, phis)
+    # the opening epoch is ap's first round (test_rcd_opens_with_the_ap_round); its
+    # checkpoint, the first below ∞/30, starts the accelerated step from its blocks
+    for _ in range(per_epoch):
+        step(sum_y, phis)
+        ref_step(np.zeros(inst.n), np.zeros(inst.r))  # the reference draws the same chunks
+        assert approx.theta == approx.theta0 and not approx.u.any()
+    checkpoint(sum_y, phis)
     fresh_chunks = 0
     for _ in range(200):  # the start and three restarts
         if fresh_chunks == 4:
@@ -609,6 +616,35 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
                 assert approx.theta < approx.theta0
         checkpoint(sum_y, phis)
     assert fresh_chunks == 4 and solvers._RESTART_FACTOR == 30
+
+
+@pytest.mark.parametrize("which", ["ssl", "two_sizes"])
+def test_rcd_opens_with_the_ap_round(which):
+    # the first epoch of the accelerated step is ap's first round, one chunk at a time:
+    # each chunk projects its blocks from the start point under Ψ·W⁻¹, θ stays at θ₀
+    inst = _two_size_instance() if which == "two_sizes" else _ssl_instance(0.02)
+    tau = solvers._block_size(inst, SolveConfig())
+    ap = solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
+    for stride in (None, tau):
+        res = solve(inst, SolveConfig(max_iters=inst.r, checkpoint_stride=stride))
+        assert res.sum_y.tobytes() == ap.sum_y.tobytes() and res.gap == ap.gap
+        assert res.phis.tobytes() == ap.phis.tobytes()
+    # at stride τ every checkpoint of the opening reports cone points and certifies its gap
+    per_epoch, step, checkpoint = _accelerated(inst)
+    approx, sum_y, phis, gaps = step.__self__, np.zeros(inst.n), np.zeros(inst.r), []
+    ends = np.append(approx.starts, approx.members.size)
+    checkpoint(sum_y, phis)
+    for _ in range(per_epoch):
+        step(sum_y, phis)
+        assert approx.theta == approx.theta0 and not approx.u.any()
+        state = checkpoint(sum_y, phis)
+        _, dual = dual_objective(inst, sum_y, phis)
+        assert abs(state.gap - (primal_objective(inst, state.x) - dual)) <= 1e-12
+        for r, lo, hi in zip(approx.order, ends[:-1], ends[1:]):
+            point = ConePoint(tuple(approx.members[lo:hi]), approx.z[lo:hi], phis[r])
+            assert oracles.in_cone(inst.atoms[r], point)
+        gaps.append(state.gap)
+    assert gaps == [row.gap for row in res.trace[1:]] and len(gaps) > 1
 
 
 @pytest.mark.parametrize("which", ["ssl", "two_sizes", "mixed", "mnp"])
