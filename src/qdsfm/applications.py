@@ -453,6 +453,8 @@ def ingest_tabular_dataset(
             if lo == hi:
                 logger.info("column %r is constant; dropped its single bin", name)
                 continue
+            if np.isinf(hi - lo):  # halving is exact, so every value keeps its bin
+                values, lo, hi = values / 2.0, lo / 2.0, hi / 2.0
             if equal_frequency:
                 cuts = np.quantile(values, np.linspace(0.0, 1.0, bins + 1))[1:-1]
                 assignment = np.searchsorted(cuts, values, side="right")

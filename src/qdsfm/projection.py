@@ -309,8 +309,11 @@ _ITERATIVE = {"mnp": _mnp_local, "fw": _fw_local}
 
 def _sweep_rows(wt: np.ndarray, weights) -> np.ndarray:
     """The exact sweep's rows W̃/2, 2M and M/w (M = W̃⁻¹; a weight w = 0 divides as 1)."""
-    metric = 1.0 / wt
-    return np.array((0.5 * wt, 2.0 * metric, metric / np.where(weights > 0.0, weights, 1.0)))
+    rows = np.empty((3,) + wt.shape)
+    np.multiply(wt, 0.5, rows[0])
+    np.multiply(np.divide(1.0, wt, rows[2]), 2.0, rows[1])
+    rows[2] /= np.where(weights > 0.0, weights, 1.0)
+    return rows
 
 
 def _bind_sweep(
@@ -432,20 +435,30 @@ def _sweep_cut_batch(
     """
     y = np.empty(a.shape)
     phi = np.empty(a.shape[0]) if with_phi else None
-    for lo in range(0, a.shape[0], _BATCH_ROWS):
+    if a.shape[0] <= _BATCH_ROWS:
+        _sweep_cut_block(a, rows, weight, y, phi)
+    for lo in range(0, a.shape[0], _BATCH_ROWS) if a.shape[0] > _BATCH_ROWS else ():
         block = slice(lo, lo + _BATCH_ROWS)
         _sweep_cut_block(a[block], rows[:, block], weight[block], y[block],
                          None if phi is None else phi[block])
     return y, phi
 
 
-@lru_cache(maxsize=64)
-def _merge_tables(m: int) -> tuple[np.ndarray, ...]:
-    """The read-only index tables of `_sweep_cut_block` for rows of m members."""
-    block, side = np.arange(_BATCH_ROWS)[:, None], np.arange(m)
-    start = np.repeat([m, 0], m)  # per entry, the other side's first
-    return tuple(map(_frozen, (m * block, 2 * m * block, np.concatenate((side[::-1], side)),
-                               np.arange(2 * m), start, start - np.tile(side + 1, 2))))
+@lru_cache(maxsize=8)
+def _merge_tables(m: int) -> list:
+    """`_sweep_cut_block`'s read-only tables for rows of m members (index 0; at index k
+    their first k rows, viewed at first use), each as large as the array it meets so no
+    call broadcasts along short rows: per row i the offsets i·m, each side's places in a
+    row's order (the head's reversed) and signs, the offsets i·2m, each entry's place, its
+    other side's first less its side index + 1, that first's place, and the column i·2m."""
+    rows, side, block = _BATCH_ROWS, np.arange(m), np.arange(_BATCH_ROWS)[:, None, None]
+    sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
+    tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
+              (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
+              (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
+              (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
+    full = tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*table))) for table in tables)
+    return [full] + [None] * rows
 
 
 def _sweep_cut_block(
@@ -460,61 +473,72 @@ def _sweep_cut_block(
     are linear, with slopes −1/w_H and 1/w_T (w the clipped mass).  The
     balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
     breakpoints of both sides; the last positive one fixes the clipped sets,
-    and on that piece the balance is zero at t*.
+    and on that piece the balance is zero at t*.  Outputs go by position where
+    NumPy allows (``out=`` costs more to parse) and arrays are indexed, not unpacked.
     """
     k, m = a.shape
-    by_m, by_2m, sides, positions, start, lagged = _merge_tables(m)
-    by_m, by_2m = by_m[:k], by_2m[:k]
+    tables = _merge_tables(m)
+    tables[k] = tables[k] or tuple(table[:k] for table in tables[0])
+    by_m, sides, signs, by_2m, places, lagged, start, offset = tables[k]
     b = rows[0] * a
-    order = (b.argsort(axis=1, kind="stable") + by_m)[:, sides]
+    order = (b.argsort(axis=1, kind="stable") + by_m).ravel()[sides]
     # both sides as descending rows: head values, then negated tail values.
     # Past a breakpoint (value v, flow f, clipped mass w) a side's level is
     # v − (t − f)/w: γ on the head side and −δ on the tail side, so γ − δ is
     # the sum of the two levels
-    signed, mass, flows = buffer = np.empty((3, k, 2 * m))
+    buffer = np.empty((3, k, 2, m))
+    signed, mass, flows = buffer[0], buffer[1], buffer[2]
     b.take(order, out=signed, mode="clip")
+    signed *= signs
     rows[2].take(order, out=mass, mode="clip")
-    np.negative(signed[:, m:], out=signed[:, m:])
-    np.add.accumulate(mass.reshape(k, 2, m), axis=2, out=mass.reshape(k, 2, m))
-    # a side's entry j + 1 adds (v_j − v_{j+1})·w_j to the flow; the terms that
-    # straddle two sides become −0, which adds nothing, and after the sum +0
-    v, w, t = flat = buffer.reshape(3, -1)
-    np.subtract(v[:-1], v[1:], out=t[1:])
-    t[1:] *= w[:-1]
-    flows[:, ::m] = -0.0
-    np.add.accumulate(flows.reshape(k, 2, m), axis=2, out=flows.reshape(k, 2, m))
-    flows[:, ::m] = 0.0
+    np.add.accumulate(mass, 2, None, mass)
+    # a side's entry j + 1 adds (v_j − v_{j+1})·w_j ≥ +0 to its flow, which starts at +0
+    flat = buffer.reshape(3, -1)
+    v, w, steps = flat[0], flat[1], flat[2, 1:]
+    np.multiply(np.subtract(v[:-1], v[1:], steps), w[:-1], steps)
+    flows[:, :, 0] = 0.0
+    np.add.accumulate(flows, 2, None, flows)
     # each side's flows rise with its index, so in the stable merged order the
     # entry at p with side index q has p − q of the other side before it:
     # ``other`` is the last of those per entry (or the other side's first)
-    own = flows.argsort(axis=1, kind="stable") + by_2m
-    other = np.empty((k, 2 * m), np.intp)
-    other.reshape(-1)[own] = positions
-    np.maximum(np.add(other, lagged, out=other), start, out=other)
-    other += by_2m
-    s_other, w_other, t_other = flat.take(other, axis=1)
+    own = flows.reshape(k, 2 * m).argsort(axis=1, kind="stable") + by_2m
+    other = np.empty((k, 2, m), np.intp)
+    other.ravel()[own] = places
+    np.maximum(np.add(other, lagged, other), start, out=other)
+    gathered = flat.take(other, axis=1)
+    s_other, w_other, t_other = gathered[0], gathered[1], gathered[2]
     # the balance signed + s_other − (flows − t_other)/w_other − flows, in place
-    np.divide(np.subtract(flows, t_other, out=t_other), w_other, out=t_other)
-    np.subtract(np.add(signed, s_other, out=s_other), t_other, out=s_other)
-    balance = np.subtract(s_other, flows, out=s_other)
+    np.divide(np.subtract(flows, t_other, t_other), w_other, t_other)
+    balance = np.subtract(np.subtract(np.add(signed, s_other, s_other), t_other, s_other),
+                          flows, s_other)
+    # the last positive entry precedes the first other one past the first, the head's
+    # first (its balance max b − min b is positive unless the row is constant, and dead);
     # the final entry's balance is never positive (one side is fully clipped)
-    last = np.maximum((balance.take(own) <= 0.0).argmax(axis=1) - 1, 0) + by_2m[:, 0]
-    entry = own.take(last)
-    # s, w and t of the last positive entry (row 0) and of its other entry (row 1)
-    s, w, t = flat.take(np.array((entry, other.take(entry))), axis=1)
-    flow = (s[0] + s[1] + t[0] / w[0] + t[1] / w[1]) / (1.0 + 1.0 / w[0] + 1.0 / w[1])
-    level = s - (flow - t) / w
-    cap, floor = np.where(entry < by_2m[:, 0] + m, level, level[::-1])[:, :, None]
-    np.negative(floor, out=floor)
+    pair = np.empty((2, k), np.intp)
+    last = (balance.take(own)[:, 1:] <= 0.0).argmax(axis=1)
+    entry = own.take(np.add(last, offset, last), out=pair[0])
+    other.take(entry, out=pair[1])
+    # s, w and t of the last positive entry (row 0) and of its other entry (row 1);
+    # the flow (s₀ + s₁ + t₀/w₀ + t₁/w₁) / (1 + 1/w₀ + 1/w₁), summed left to right
+    gathered = flat.take(pair, axis=1)
+    s, w, t = gathered[0], gathered[1], gathered[2]
+    ratio, inverse = t / w, 1.0 / w
+    flow = s[0] + s[1]
+    flow += ratio[0]
+    flow += ratio[1]
+    flow /= np.add(1.0, inverse[0], inverse[0]) + inverse[1]
+    level = np.subtract(s, np.divide(np.subtract(flow, t, t), w, t), s)
+    bounds = np.where(entry < pair[1], level, level[::-1])  # a row's head side comes first
+    cap, floor = bounds[0, :, None], np.negative(bounds[1, :, None])
     np.maximum(np.minimum(b, cap, out=b), floor, out=b)
-    np.subtract(a, np.multiply(b, rows[1], out=b), out=y)
-    # z is monotone in b, so its spread comes from the extreme values
-    ends = signed[:, ::m] * np.array((1.0, -1.0))
-    dead = ~((weight > 0.0) & (ends[:, 0] > ends[:, 1]))
+    np.subtract(a, np.multiply(b, rows[1], b), y)
+    # a row is live where its weight and max b − min b are positive
+    dead = ~(np.minimum(np.add(signed[:, 0, 0], signed[:, 1, 0]), weight) > 0.0)
     y[dead] = 0.0
-    if phi is not None:
+    if phi is not None:  # z is monotone in b, so its spread comes from the extreme values
+        ends = signed[:, :, 0] * signs[:, :, 0]
         np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
-        np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], out=phi), out=phi)
+        np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], phi), out=phi)
         phi *= 2.0 * np.sqrt(weight)
         phi[dead] = 0.0
 
@@ -630,7 +654,8 @@ def bind_blocks(
                 y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
                 y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, phis is not None)
             else:
-                sel = row.take(sub := picks if slots is None else picks[slots == g])
+                sub = picks if slots is None else picks[slots == g]
+                sel = sub if rows.size == big_r else row.take(sub)  # every component's group
                 pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w

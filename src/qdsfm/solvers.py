@@ -136,11 +136,12 @@ class ProblemInstance:
 
     def _penalty(self, x: np.ndarray) -> float:
         """Σ_r f_r(x)²: each group of equal-size symmetric cuts in a few array
-        operations, every other component by its Lovász extension."""
+        operations, down the columns of its members, and every other component
+        by its Lovász extension."""
         total = 0.0
-        for _, members, weights in self._layout.groups:
-            vals = x[members]
-            spread = vals.max(axis=1) - vals.min(axis=1)
+        for (_, _, weights), columns in zip(self._layout.groups, self._layout.columns):
+            vals = x[columns]
+            spread = vals.max(axis=0) - vals.min(axis=0)
             total += float(np.dot(weights, spread * spread))
         for r in self._layout.rest:
             v = lovasz_extension(self.atoms[r], x)
@@ -177,14 +178,15 @@ def _component_layout(atoms: Sequence[SubmodularAtom], n: int) -> _Layout:
 
 def _symmetric_cut_groups(
     symmetric: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray
-) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple, tuple[int, ...]]:
     """The components flagged ``symmetric`` (edges and hyperedges with more
     than one member) grouped by size as read-only (indices, k × size members
-    matrix, k weights), and the other components' indices.  A matrix is a
-    view of ``incidence`` when its components are consecutive, else a gather."""
+    matrix, k weights), each matrix transposed (size × k, C order), and the
+    other components' indices.  A matrix is a view of ``incidence`` when its
+    components are consecutive, else a gather."""
     picked = np.flatnonzero(symmetric)
     sizes = np.diff(ends)[picked]
-    groups = []
+    groups, columns = [], []
     for size in dict.fromkeys(sizes.tolist()):  # in order of first appearance
         rows = picked[sizes == size]
         k, lo = rows.size, ends[rows[0]]
@@ -193,16 +195,24 @@ def _symmetric_cut_groups(
         else:
             matrix = incidence[ends[rows, None] + np.arange(size)]
         groups.append((_frozen(rows), _frozen(matrix), _frozen(weights[rows])))
-    return tuple(groups), tuple(np.flatnonzero(~symmetric).tolist())
+        columns.append(_frozen(np.ascontiguousarray(matrix.T)))
+    return tuple(groups), tuple(columns), tuple(np.flatnonzero(~symmetric).tolist())
 
 
 # ---------------------------------------------------------------------------
 # objective values
 
 
+def _vector(value, size: int, name: str) -> np.ndarray:
+    """``value`` as a float array of shape (size,); ValueError naming the shape otherwise."""
+    if (value := np.asarray(value, dtype=float)).shape != (size,):
+        raise ValueError(f"{name!r} has shape {value.shape}, expected ({size},)")
+    return value
+
+
 def primal_objective(instance: ProblemInstance, x) -> float:
     """‖x − a‖²_W + Σ_r f_r(x)²."""
-    x = np.asarray(x, dtype=float)
+    x = _vector(x, instance.n, "x")
     d = x - instance.a
     return float(np.dot(instance.w, d * d)) + instance._penalty(x)
 
@@ -210,15 +220,15 @@ def primal_objective(instance: ProblemInstance, x) -> float:
 def dual_objective(instance: ProblemInstance, sum_y, phis) -> tuple[float, float]:
     """Return (g, dual): the dual block objective and the certified bound
     dual = ‖a‖²_W − g/4.  ``sum_y`` is the aggregated Σ_r y_r."""
-    sum_y = np.asarray(sum_y, dtype=float)
-    resid = sum_y - instance._two_wa
+    resid = _vector(sum_y, instance.n, "sum_y") - instance._two_wa
+    phis = _vector(phis, instance.r, "phis")
     g = float(np.dot(instance.winv, resid * resid)) + float(np.dot(phis, phis))
     return g, instance._wa_sq - 0.25 * g
 
 
 def primal_from_dual(instance: ProblemInstance, sum_y) -> np.ndarray:
     """x = a − ½·W⁻¹·Σ_r y_r."""
-    return instance.a - 0.5 * instance.winv * np.asarray(sum_y, dtype=float)
+    return instance.a - 0.5 * instance.winv * _vector(sum_y, instance.n, "sum_y")
 
 
 class StateEvaluation(NamedTuple):

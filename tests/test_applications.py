@@ -656,6 +656,21 @@ def test_ingest_equal_frequency_differs_from_width():
     assert sorted(e.members for e in freq.edges) == [(0, 1), (2, 3), (4, 5), (6, 7)]
 
 
+@pytest.mark.parametrize("equal_frequency", [False, True])
+def test_ingest_bins_columns_wider_than_the_float_range(equal_frequency):
+    # max − min of the first column overflows; equal-width binning used to warn, cast
+    # garbage and leave vertices without a hyperedge.  A power-of-two scaling keeps the bins
+    wide, plain = [1e308, -1e308, 2, 3, 5e307, -5e307], [0.5, -1.5, 4.0, 2.5, -3.0, 1.0]
+    for column, bins in ((wide, 3), (plain, 2), (plain, 3)):
+        found = []
+        for scale in (1.0, 2.0**-4, 2.0**-900):
+            rows = [{"v": repr(v * scale)} for v in column]
+            hg = ingest_tabular_dataset(rows, [("v", "numeric")], bins, equal_frequency)
+            found.append([e.members for e in hg.edges])
+        assert found[0] == found[1] == found[2] != []
+        assert column is plain or found[0] == [(1, 5), (2, 3), (0, 4)]
+
+
 def test_ingest_schema_forms_and_column_order():
     rows = [{"a": "x", "b": "1"}, {"a": "x", "b": "2"}, {"a": "y", "b": "1"}]
     hg = ingest_tabular_dataset(rows, [("a", "categorical")])

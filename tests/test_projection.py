@@ -201,6 +201,43 @@ def test_sweep_batch_memory_is_bounded():
     assert peak <= 1 << 20
 
 
+def test_sweep_rows_are_bitwise_the_expression():
+    # the rows written into one array, against the expression that stacked three temporaries
+    rng = np.random.default_rng(21)
+    wt = rng.uniform(0.01, 100.0, size=(40, 7))
+    for weights in (rng.choice([0.0, 0.25, 1.0, 3.0], size=(40, 1)), np.ones((40, 1)),
+                    np.repeat(rng.choice([0.0, 0.5, 7.0], size=40), 7).reshape(40, 7)):
+        metric = 1.0 / wt
+        want = np.array((0.5 * wt, 2.0 * metric, metric / np.where(weights > 0.0, weights, 1.0)))
+        assert _sweep_rows(wt, weights).tobytes() == want.tobytes()
+    flat, w = wt.ravel(), 0.0  # the scalar sweep's rows: one atom's metric and weight
+    for w in (0.0, 2.5):
+        want = np.array((0.5 * flat, 2.0 / flat, (1.0 / flat) / (w if w > 0.0 else 1.0)))
+        assert _sweep_rows(flat, w).tobytes() == want.tobytes()
+
+
+def test_sweep_tables_stay_bounded():
+    # the batched sweep's per-size tables, after calls at 67 distinct sizes: the cache
+    # keeps 8 sizes, each 13·_BATCH_ROWS values of 8 bytes per member (2 MB at 200)
+    rng = np.random.default_rng(3)
+    sizes = list(range(2, 201, 3))
+    projection._merge_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in sizes:
+            for k in (1, 7, _BATCH_ROWS):
+                a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
+                y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
+                y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
+                assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
+        del a, wt, weight, y, phi, y_ref, phi_ref
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) >= 64 and projection._merge_tables.cache_info().currsize == 8
+    assert held <= 8 * 13 * _BATCH_ROWS * 8 * 200 + (1 << 20)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
 @pytest.mark.parametrize("directed", [False, True])
 def test_bound_sweep_is_bitwise_reference(m, directed):

@@ -134,6 +134,29 @@ def test_objectives_match_definitions():
     assert state.gap == pytest.approx(state.primal - state.dual)
 
 
+def test_objectives_check_shapes():
+    # a wrong-length phis used to give a dual for it (with R = 1, five φ² summed)
+    inst = ProblemInstance(a=np.ones(3), w=None, atoms=(graph_edge_cut(0, 1),))
+    empty = ProblemInstance(a=np.ones(3), w=None, atoms=())
+    x, sum_y = np.zeros(3), np.zeros(3)
+    for case, phis in ((inst, np.zeros(1)), (empty, np.zeros(0))):
+        for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.0):
+            with pytest.raises(ValueError, match=r"'x' has shape .*, expected \(3,\)"):
+                primal_objective(case, bad)
+            for call in (lambda: dual_objective(case, bad, phis),
+                         lambda: primal_from_dual(case, bad),
+                         lambda: evaluate_dual_state(case, bad, phis)):
+                with pytest.raises(ValueError, match=r"'sum_y' has shape .*, expected \(3,\)"):
+                    call()
+        for bad in (np.zeros(case.r + 1), np.zeros(5), np.zeros((case.r, 1)), [1.0] * 5):
+            for call in (dual_objective, evaluate_dual_state):
+                with pytest.raises(ValueError, match=rf"'phis' has shape .*, expected \({case.r},\)"):
+                    call(case, sum_y, bad)
+        # the right shapes, as lists too
+        assert evaluate_dual_state(case, list(sum_y), list(phis)).gap == pytest.approx(0.0)
+        assert primal_objective(case, list(x)) == dual_objective(case, sum_y, phis)[1] + 3.0
+
+
 def test_penalty_groups_and_fallback_agree():
     # grouped symmetric components plus directed/general fallbacks
     tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}
@@ -219,6 +242,29 @@ def test_group_matrices_view_or_gather_incidence():
     assert not np.shares_memory(pair, layout.incidence)
     assert np.shares_memory(triple, layout.incidence) and not triple.flags.writeable
     assert triple.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+
+
+def test_penalty_columns_are_bitwise_the_row_formula():
+    # each group's penalty read down its column-major member matrix, as the row-wise
+    # formula it replaces reads across the rows, in the gather case and in the view case
+    view = ProblemInstance(a=np.zeros(5), w=None, atoms=(
+        graph_edge_cut(0, 4, 2.0), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3], 0.5),
+        hyperedge_cut([2, 3, 4], 3.0), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3)))
+    rng = np.random.default_rng(13)
+    for inst in (_mixed_instance(), view, _ssl_instance(0.02)):
+        layout = inst._layout
+        for (_, matrix, _), columns in zip(layout.groups, layout.columns):
+            assert columns.flags.c_contiguous and not columns.flags.writeable
+            assert columns.tobytes() == np.ascontiguousarray(matrix.T).tobytes()
+        for x in (rng.normal(size=inst.n), np.round(rng.normal(size=inst.n)), -np.zeros(inst.n)):
+            want = 0.0
+            for _, members, weights in layout.groups:
+                vals = x[members]
+                spread = vals.max(axis=1) - vals.min(axis=1)
+                want += float(np.dot(weights, spread * spread))
+            for r in layout.rest:
+                want += lovasz_extension(inst.atoms[r], x) ** 2
+            assert inst._penalty(x) == want
 
 
 @pytest.mark.parametrize("algorithm", ["rcd", "ap"])
