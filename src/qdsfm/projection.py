@@ -435,9 +435,7 @@ def _sweep_cut_batch(
     """
     y = np.empty(a.shape)
     phi = np.empty(a.shape[0]) if with_phi else None
-    if a.shape[0] <= _BATCH_ROWS:
-        _sweep_cut_block(a, rows, weight, y, phi)
-    for lo in range(0, a.shape[0], _BATCH_ROWS) if a.shape[0] > _BATCH_ROWS else ():
+    for lo in range(0, a.shape[0], _BATCH_ROWS):
         block = slice(lo, lo + _BATCH_ROWS)
         _sweep_cut_block(a[block], rows[:, block], weight[block], y[block],
                          None if phi is None else phi[block])
@@ -655,7 +653,7 @@ def bind_blocks(
                 y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, phis is not None)
             else:
                 sub = picks if slots is None else picks[slots == g]
-                sel = sub if rows.size == big_r else row.take(sub)  # every component's group
+                sel = sub if rows.size == big_r else row.take(sub)  # a group of all R: sel = sub
                 pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
