@@ -136,12 +136,12 @@ class ProblemInstance:
 
     def _penalty(self, x: np.ndarray) -> float:
         """Σ_r f_r(x)²: each group of equal-size symmetric cuts in a few array
-        operations, down the columns of its members, and every other component
-        by its Lovász extension."""
+        operations, every other component by its Lovász extension."""
         total = 0.0
-        for (_, _, weights), columns in zip(self._layout.groups, self._layout.columns):
-            vals = x[columns]
-            spread = vals.max(axis=0) - vals.min(axis=0)
+        for _, members, weights in self._layout.groups:
+            vals = x[members].ravel()
+            starts = np.arange(0, vals.size, members.shape[1])  # costs less per row than axis=1
+            spread = np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)
             total += float(np.dot(weights, spread * spread))
         for r in self._layout.rest:
             v = lovasz_extension(self.atoms[r], x)
@@ -178,15 +178,14 @@ def _component_layout(atoms: Sequence[SubmodularAtom], n: int) -> _Layout:
 
 def _symmetric_cut_groups(
     symmetric: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray
-) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple, tuple[int, ...]]:
+) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
     """The components flagged ``symmetric`` (edges and hyperedges with more
     than one member) grouped by size as read-only (indices, k × size members
-    matrix, k weights), each matrix transposed (size × k, C order), and the
-    other components' indices.  A matrix is a view of ``incidence`` when its
-    components are consecutive, else a gather."""
+    matrix, k weights), and the other components' indices.  A matrix is a
+    view of ``incidence`` when its components are consecutive, else a gather."""
     picked = np.flatnonzero(symmetric)
     sizes = np.diff(ends)[picked]
-    groups, columns = [], []
+    groups = []
     for size in dict.fromkeys(sizes.tolist()):  # in order of first appearance
         rows = picked[sizes == size]
         k, lo = rows.size, ends[rows[0]]
@@ -195,8 +194,7 @@ def _symmetric_cut_groups(
         else:
             matrix = incidence[ends[rows, None] + np.arange(size)]
         groups.append((_frozen(rows), _frozen(matrix), _frozen(weights[rows])))
-        columns.append(_frozen(np.ascontiguousarray(matrix.T)))
-    return tuple(groups), tuple(columns), tuple(np.flatnonzero(~symmetric).tolist())
+    return tuple(groups), tuple(np.flatnonzero(~symmetric).tolist())
 
 
 # ---------------------------------------------------------------------------

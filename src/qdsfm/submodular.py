@@ -264,7 +264,6 @@ class _Layout(NamedTuple):
     weights: np.ndarray  # component r's weight
     psi: np.ndarray  # per-vertex coverage counts Ψ, as floats
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # `_symmetric_cut_groups`
-    columns: tuple[np.ndarray, ...]  # each group's member matrix, transposed
     rest: tuple[int, ...]  # and the indices of all other components
 
 
