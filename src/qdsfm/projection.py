@@ -39,7 +39,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -442,21 +442,30 @@ def _sweep_cut_batch(
     return y, phi
 
 
-@lru_cache(maxsize=8)
+_TABLES: dict[int, list] = {}  # `_merge_tables`' cache by member count, least recent first
+_TABLE_MEMBERS = 1024  # its bound in members: 13·_BATCH_ROWS values of 8 bytes each, 10 MB
+
+
 def _merge_tables(m: int) -> list:
-    """`_sweep_cut_block`'s read-only tables for rows of m members (index 0; at index k
-    their first k rows, viewed at first use), each as large as the array it meets so no
-    call broadcasts along short rows: per row i the offsets i·m, each side's places in a
-    row's order (the head's reversed) and signs, the offsets i·2m, each entry's place, its
-    other side's first less its side index + 1, that first's place, and the column i·2m."""
-    rows, side, block = _BATCH_ROWS, np.arange(m), np.arange(_BATCH_ROWS)[:, None, None]
-    sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
-    tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
-              (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
-              (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
-              (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
-    full = tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*table))) for table in tables)
-    return [full] + [None] * rows
+    """`_sweep_cut_block`'s read-only tables for rows of m members (index k ≥ 1: views of
+    their first k rows, made at first use), each as large as the array it meets so no call
+    broadcasts along short rows: per row i the offsets i·m, the sides' places in a row's order
+    (the head's reversed) and signs, the offsets i·2m, each entry's place, the other side's
+    first less the entry's side index + 1, that first's place, and the column i·2m."""
+    tables = _TABLES.pop(m, None)
+    while tables is None and _TABLES and sum(_TABLES) + m > _TABLE_MEMBERS:
+        _TABLES.pop(next(iter(_TABLES)), None)
+    if tables is None:
+        rows, side, block = _BATCH_ROWS, np.arange(m), np.arange(_BATCH_ROWS)[:, None, None]
+        sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
+        tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
+                  (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
+                  (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
+                  (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
+        tables = [tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*t))) for t in tables)]
+        tables += [None] * rows
+    _TABLES[m] = tables
+    return tables
 
 
 def _sweep_cut_block(
@@ -471,8 +480,8 @@ def _sweep_cut_block(
     are linear, with slopes −1/w_H and 1/w_T (w the clipped mass).  The
     balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
     breakpoints of both sides; the last positive one fixes the clipped sets,
-    and on that piece the balance is zero at t*.  Outputs go by position where
-    NumPy allows (``out=`` costs more to parse) and arrays are indexed, not unpacked.
+    and on that piece the balance is zero at t*.  For small blocks, outputs go by
+    position where NumPy allows and arrays are indexed rather than unpacked.
     """
     k, m = a.shape
     tables = _merge_tables(m)
@@ -509,9 +518,8 @@ def _sweep_cut_block(
     np.divide(np.subtract(flows, t_other, t_other), w_other, t_other)
     balance = np.subtract(np.subtract(np.add(signed, s_other, s_other), t_other, s_other),
                           flows, s_other)
-    # the last positive entry precedes the first other one past the first, the head's
-    # first (its balance max b − min b is positive unless the row is constant, and dead);
-    # the final entry's balance is never positive (one side is fully clipped)
+    # the last positive entry precedes the first other one after the head's first (its balance,
+    # max b − min b, is positive in a live row); the final entry's is never positive
     pair = np.empty((2, k), np.intp)
     last = (balance.take(own)[:, 1:] <= 0.0).argmax(axis=1)
     entry = own.take(np.add(last, offset, last), out=pair[0])
@@ -521,9 +529,7 @@ def _sweep_cut_block(
     gathered = flat.take(pair, axis=1)
     s, w, t = gathered[0], gathered[1], gathered[2]
     ratio, inverse = t / w, 1.0 / w
-    flow = s[0] + s[1]
-    flow += ratio[0]
-    flow += ratio[1]
+    flow = s[0] + s[1] + ratio[0] + ratio[1]
     flow /= np.add(1.0, inverse[0], inverse[0]) + inverse[1]
     level = np.subtract(s, np.divide(np.subtract(flow, t, t), w, t), s)
     bounds = np.where(entry < pair[1], level, level[::-1])  # a row's head side comes first

@@ -203,25 +203,26 @@ def test_sweep_batch_memory_is_bounded():
 
 def test_sweep_rows_are_bitwise_the_expression():
     # the rows written into one array, against the expression that stacked three temporaries
+    def expression(wt, weights):
+        metric = 1.0 / wt
+        return np.array((0.5 * wt, 2.0 * metric, metric / np.where(weights > 0.0, weights, 1.0)))
+
     rng = np.random.default_rng(21)
     wt = rng.uniform(0.01, 100.0, size=(40, 7))
-    for weights in (rng.choice([0.0, 0.25, 1.0, 3.0], size=(40, 1)), np.ones((40, 1)),
-                    np.repeat(rng.choice([0.0, 0.5, 7.0], size=40), 7).reshape(40, 7)):
-        metric = 1.0 / wt
-        want = np.array((0.5 * wt, 2.0 * metric, metric / np.where(weights > 0.0, weights, 1.0)))
-        assert _sweep_rows(wt, weights).tobytes() == want.tobytes()
-    flat, w = wt.ravel(), 0.0  # the scalar sweep's rows: one atom's metric and weight
-    for w in (0.0, 2.5):
-        want = np.array((0.5 * flat, 2.0 / flat, (1.0 / flat) / (w if w > 0.0 else 1.0)))
-        assert _sweep_rows(flat, w).tobytes() == want.tobytes()
+    # a group's rows (a weight per row), the layout's (one per entry) and an atom's (a number)
+    for wt, weights in ((wt, rng.choice([0.0, 0.25, 1.0, 3.0], size=(40, 1))),
+                        (wt, np.ones((40, 1))),
+                        (wt, np.repeat(rng.choice([0.0, 0.5, 7.0], size=40), 7).reshape(40, 7)),
+                        (wt.ravel(), 0.0), (wt.ravel(), 2.5)):
+        assert _sweep_rows(wt, weights).tobytes() == expression(wt, weights).tobytes()
 
 
 def test_sweep_tables_stay_bounded():
-    # the batched sweep's per-size tables, after calls at 67 distinct sizes: the cache
-    # keeps 8 sizes, each 13·_BATCH_ROWS values of 8 bytes per member (2 MB at 200)
+    # the batched sweep's per-size tables, 13·_BATCH_ROWS values of 8 bytes per member, after
+    # calls at 67 distinct sizes: the cache keeps the latest sizes of _TABLE_MEMBERS members
     rng = np.random.default_rng(3)
     sizes = list(range(2, 201, 3))
-    projection._merge_tables.cache_clear()
+    projection._TABLES.clear()
     tracemalloc.start()
     try:
         for m in sizes:
@@ -234,8 +235,22 @@ def test_sweep_tables_stay_bounded():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(sizes) >= 64 and projection._merge_tables.cache_info().currsize == 8
-    assert held <= 8 * 13 * _BATCH_ROWS * 8 * 200 + (1 << 20)
+    kept = list(projection._TABLES)
+    assert len(sizes) >= 64 and kept == sizes[-len(kept):]
+    assert sum(kept) <= projection._TABLE_MEMBERS < sum(kept) + sizes[-len(kept) - 1]
+    assert held <= projection._TABLE_MEMBERS * 13 * _BATCH_ROWS * 8 + (1 << 20)
+    # a solve that cycles through the groups of 16 small sizes builds each size's tables once
+    first = {m: projection._merge_tables(m) for m in range(2, 18)}
+    for _ in range(3):
+        for m in range(2, 18):
+            assert projection._merge_tables(m) is first[m]
+    # the least recently used size goes first: a size in use stays while larger ones pass
+    projection._TABLES.clear()
+    hot = projection._merge_tables(20)
+    for m in (400, 500, 600, 700):
+        projection._merge_tables(m)
+        assert projection._merge_tables(20) is hot
+        assert sum(projection._TABLES) <= projection._TABLE_MEMBERS
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])

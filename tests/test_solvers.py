@@ -150,7 +150,8 @@ def test_objectives_check_shapes():
                     call()
         for bad in (np.zeros(case.r + 1), np.zeros(5), np.zeros((case.r, 1)), [1.0] * 5):
             for call in (dual_objective, evaluate_dual_state):
-                with pytest.raises(ValueError, match=rf"'phis' has shape .*, expected \({case.r},\)"):
+                shape = rf"'phis' has shape .*, expected \({case.r},\)"
+                with pytest.raises(ValueError, match=shape):
                     call(case, sum_y, bad)
         # the right shapes, as lists too
         assert evaluate_dual_state(case, list(sum_y), list(phis)).gap == pytest.approx(0.0)
