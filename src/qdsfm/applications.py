@@ -386,12 +386,9 @@ def generate_synthetic_hypergraph(
     if min(within, across, seed) < 0:
         raise ValueError("within_per_cluster, across and seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    rows = np.empty((2 * within + across, edge_size), dtype=np.intp)
-    for r in range(rows.shape[0]):  # cluster 0's within rows, cluster 1's, then the across rows
-        if r < 2 * within:
-            rows[r] = rng.choice(half, size=edge_size, replace=False) + half * (r >= within)
-        else:
-            rows[r] = rng.choice(n, size=edge_size, replace=False)
+    # cluster 0's within rows, cluster 1's, then the across rows
+    rows = _choice_rows(rng, np.repeat([half, n], [2 * within, across]), edge_size)
+    rows[within : 2 * within] += half
     edges = _cut_rows("hyperedge", rows, [1.0] * rows.shape[0])
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
@@ -402,6 +399,53 @@ def generate_synthetic_hypergraph(
             labels[int(v)] = klass
     hg = Hypergraph(n, tuple(edges))
     return hg, LabeledDataset(n, labels, num_classes=2), truth
+
+
+def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.ndarray:
+    """``[rng.choice(p, size, replace=False) for p in pops]`` as one matrix,
+    drawing the same stream.
+
+    For a row with p ≤ 10000 or size ≤ p // 50, NumPy's `Generator.choice`
+    runs Floyd's algorithm: for column c it draws v in [0, j], j = p − size + c,
+    and takes v, or j if v is taken already.  It then shuffles the row with
+    one draw in [0, i] per i = size − 1, …, 1, swapping columns i and the draw.
+    Each of these is one Lemire-bounded draw, as ``rng.integers(0, highs,
+    endpoint=True)`` draws element by element (a bound of 0 draws nothing
+    in both), so a run of such rows takes one call.  Rows of NumPy's other
+    branch, a tail shuffle of ``range(p)``, keep their own call, in order.
+    """
+    pops = np.asarray(pops, dtype=np.int64)
+    out = np.empty((pops.size, size), dtype=np.int64)
+    tail = (pops > 10000) & (size > pops // 50)
+    cuts = [0, *(np.flatnonzero(tail[1:] != tail[:-1]) + 1).tolist(), pops.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo < hi and tail[lo]:
+            for r in range(lo, hi):
+                out[r] = rng.choice(pops[r], size=size, replace=False)
+            continue
+        steps = np.arange(size)
+        base = pops[lo:hi, None] - size
+        highs = np.hstack([base + steps, np.broadcast_to(steps[:0:-1], (hi - lo, size - 1))])
+        draws = rng.integers(0, highs, endpoint=True)
+        picks, swaps = draws[:, :size], draws[:, size:]
+        # Floyd's set holds every earlier v of the row and the j of every earlier
+        # repeat, so v repeats iff it equals an earlier v or an earlier repeat's j
+        order = np.argsort(picks, axis=1, kind="stable")
+        ranked = np.take_along_axis(picks, order, axis=1)
+        repeat = np.zeros(picks.shape, dtype=bool)
+        np.put_along_axis(repeat, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        column = picks - base  # the column whose j a pick equals
+        for c in range(1, size):
+            hit = np.flatnonzero((column[:, c] >= 0) & (column[:, c] < c))
+            repeat[hit, c] |= repeat[hit, column[hit, c]]
+        picks[repeat] = (base + steps)[repeat]
+        rows = np.arange(hi - lo)
+        for i, j in zip(range(size - 1, 0, -1), swaps.T):
+            held = picks[rows, j]
+            picks[rows, j] = picks[:, i]
+            picks[:, i] = held
+        out[lo:hi] = picks
+    return out
 
 
 # ---------------------------------------------------------------------------

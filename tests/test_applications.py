@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm import applications, solvers
@@ -535,7 +536,11 @@ def test_generator_shapes_and_determinism():
 @pytest.mark.parametrize(
     "args",
     [(50, 7, 4, 5, 2), (4, 1, 0, 2, 0), (10, 3, 5, 1, 2), (12, 0, 6, 6, 6), (200, 20, 40, 20, 3),
-     (40, 9, 12, 1, 4), (40, 9, 12, 2, 4)],
+     (40, 9, 12, 1, 4), (40, 9, 12, 2, 4), (2, 0, 0, 1, 1),
+     # the benchmark's inputs; population = edge size; every row in NumPy's tail
+     # shuffle (population > 10000, size > population // 50); the within rows in
+     # the tail shuffle and the across rows in Floyd's algorithm
+     (1000, 500, 1000, 20, 3), (40, 3, 2, 20, 1), (20002, 2, 2, 401, 1), (20002, 2, 3, 300, 2)],
 )
 def test_generator_matches_reference(args):
     for seed in (0, 1, 5):
@@ -544,6 +549,20 @@ def test_generator_matches_reference(args):
         assert [e.members for e in hg.edges] == edges
         assert list(ds.labels.items()) == list(labels.items())
         assert _same_bits(truth, ref_truth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_choice_rows_draw_numpys_per_row_stream(data):
+    size = data.draw(st.one_of(st.integers(1, 30), st.integers(200, 450)))
+    pop = st.one_of(st.integers(size, size + 40), st.integers(max(size, 10001), 22000))
+    pops = data.draw(st.lists(pop, max_size=6))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = applications._choice_rows(mine, np.array(pops, dtype=np.int64), size)
+    assert rows.shape == (len(pops), size)
+    assert rows.tolist() == [numpys.choice(p, size=size, replace=False).tolist() for p in pops]
+    assert mine.integers(1 << 62) == numpys.integers(1 << 62)
 
 
 def test_generator_atoms_share_one_member_matrix():
