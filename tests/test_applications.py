@@ -555,7 +555,8 @@ def test_generator_matches_reference(args):
 @given(st.data())
 def test_choice_rows_draw_numpys_per_row_stream(data):
     size = data.draw(st.one_of(st.integers(1, 30), st.integers(200, 450)))
-    pop = st.one_of(st.integers(size, size + 40), st.integers(max(size, 10001), 22000))
+    pop = st.one_of(st.integers(size, size + 40), st.integers(max(size, 10001), 22000),
+                    st.integers(2**31 - 2, 2**33))  # past int32, and past 32-bit draws
     pops = data.draw(st.lists(pop, max_size=6))
     seed = data.draw(st.integers(0, 2**32 - 1))
     mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
