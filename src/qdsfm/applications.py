@@ -417,6 +417,10 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
     pops = np.asarray(pops, dtype=np.int64)
     out = np.empty((pops.size, size), dtype=np.int64)
     tail = (pops > 10000) & (size > pops // 50)
+    # NumPy draws a bound below 2**32 as 32 bits at any dtype, so int32 gives the
+    # same numbers in half the memory: a freed int64 draw matrix raised glibc's
+    # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB
+    dtype = np.int32 if pops.max(initial=0) < 2**31 else np.int64
     cuts = [0, *(np.flatnonzero(tail[1:] != tail[:-1]) + 1).tolist(), pops.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if lo < hi and tail[lo]:
@@ -425,13 +429,11 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
             continue
         steps = np.arange(size)
         base = pops[lo:hi, None] - size
-        # NumPy draws a bound below 2**32 as 32 bits at any dtype, so int32 gives the
-        # same numbers in half the memory: a freed int64 draw matrix raised glibc's
-        # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB
-        highs = np.empty((hi - lo, 2 * size - 1), np.int32 if pops.max(initial=0) < 2**31 else np.int64)
-        highs[:, :size] = base + steps
+        floyd = base + steps  # column c's j
+        highs = np.empty((hi - lo, 2 * size - 1), dtype)
+        highs[:, :size] = floyd
         highs[:, size:] = steps[:0:-1]
-        draws = rng.integers(0, highs, endpoint=True, dtype=highs.dtype)
+        draws = rng.integers(0, highs, endpoint=True, dtype=dtype)
         picks, swaps = draws[:, :size], draws[:, size:]
         # Floyd's set holds every earlier v of the row and the j of every earlier
         # repeat, so v repeats iff it equals an earlier v or an earlier repeat's j
@@ -443,7 +445,7 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
         for c in range(1, size):
             hit = np.flatnonzero((column[:, c] >= 0) & (column[:, c] < c))
             repeat[hit, c] |= repeat[hit, column[hit, c]]
-        picks[repeat] = (base + steps)[repeat]
+        picks[repeat] = floyd[repeat]
         rows = np.arange(hi - lo)
         for i, j in zip(range(size - 1, 0, -1), swaps.T):
             held = picks[rows, j]
