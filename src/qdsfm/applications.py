@@ -74,7 +74,8 @@ class Hypergraph:
 
     @property
     def incidence(self) -> np.ndarray:
-        """Every hyperedge's ``members_arr``, concatenated in edge order (read-only)."""
+        """Every hyperedge's ``members_arr``, concatenated in edge order (read-only;
+        for a generated hypergraph, a view of its member matrix)."""
         return self._layout.incidence
 
     @property
@@ -389,7 +390,7 @@ def generate_synthetic_hypergraph(
     # cluster 0's within rows, cluster 1's, then the across rows
     rows = _choice_rows(rng, np.repeat([half, n], [2 * within, across]), edge_size)
     rows[within : 2 * within] += half
-    edges = _cut_rows("hyperedge", rows, [1.0] * rows.shape[0])
+    edges, matrix = _cut_rows("hyperedge", rows, [1.0] * rows.shape[0], n)
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
     labels: dict[int, int] = {}
@@ -398,6 +399,8 @@ def generate_synthetic_hypergraph(
         for v in picks:
             labels[int(v)] = klass
     hg = Hypergraph(n, tuple(edges))
+    # the edges' members, concatenated in order, are the member matrix itself
+    vars(hg)["_layout"] = _component_layout(hg.edges, n, matrix.reshape(-1))
     return hg, LabeledDataset(n, labels, num_classes=2), truth
 
 
@@ -485,6 +488,7 @@ def ingest_tabular_dataset(
     if bins < 1:
         raise ValueError("bins must be at least 1")
     edges = []
+    vertices = list(range(len(rows)))  # one int object per row, shared by its hyperedges
     for name, kind in schema:
         if kind == "categorical":
             keys: list = [_cell(row, name, idx) for idx, row in enumerate(rows)]
@@ -516,7 +520,7 @@ def ingest_tabular_dataset(
         else:
             raise ValueError(f"column {name!r}: unknown kind {kind!r}")
         groups: dict = {}
-        for idx, key in enumerate(keys):
+        for idx, key in zip(vertices, keys):
             groups.setdefault(key, []).append(idx)
         dropped = 0
         for _, members in sorted(groups.items()):

@@ -162,13 +162,18 @@ def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -
                 f"{noun} {idx} references vertex {atom.members[-1]} outside 0..{n - 1}")
 
 
-def _component_layout(atoms: Sequence[SubmodularAtom], n: int) -> _Layout:
+def _component_layout(
+    atoms: Sequence[SubmodularAtom], n: int, incidence: np.ndarray | None = None
+) -> _Layout:
+    """The layout of ``atoms`` on n vertices.  ``incidence``, when given, is
+    their ``members_arr`` already concatenated in order (a generator's member
+    matrix, raveled), which the layout then views instead of copying."""
     members, weights, symmetric = [np.empty(0, np.intp)], [], []
     for atom in atoms:
         members.append(atom.members_arr)
         weights.append(atom.weight)
         symmetric.append(atom.kind in ("edge", "hyperedge") and atom.size > 1)
-    incidence = _frozen(np.concatenate(members))
+    incidence = _frozen(np.concatenate(members) if incidence is None else incidence)
     ends = _frozen(np.cumsum([m.size for m in members]))  # members[0] is empty: ends[0] = 0
     weights_arr = _frozen(np.array(weights, dtype=float))
     psi = _frozen(np.bincount(incidence, minlength=n).astype(float))

@@ -218,11 +218,15 @@ class SubmodularAtom:
         return self.kind in _CUT_KINDS
 
 
-def _cut_rows(kind: str, rows: np.ndarray, weights: Sequence[float]) -> list[SubmodularAtom]:
+def _cut_rows(
+    kind: str, rows: np.ndarray, weights: Sequence[float], n: int
+) -> tuple[list[SubmodularAtom], np.ndarray]:
     """k atoms of kind "edge" or "hyperedge" from a k × m integer matrix of
-    members and k weights, checked by the constructor's rules on the whole
-    matrix at once.  Each atom's ``members_arr`` is a read-only row view of
-    one row-sorted copy of ``rows``; all share one read-only position array."""
+    members on vertices 0..n−1 and k weights, checked by the constructor's
+    rules on the whole matrix at once, and the read-only row-sorted copy of
+    ``rows`` whose row views are the atoms' ``members_arr``.  All atoms share
+    one read-only position array, and their member tuples share one int
+    object per vertex."""
     if rows.dtype.kind not in "iu":
         raise ValueError("members: expected integers, not bools, floats or strings")
     if rows.shape[1] == 0:
@@ -232,8 +236,11 @@ def _cut_rows(kind: str, rows: np.ndarray, weights: Sequence[float]) -> list[Sub
         raise ValueError("members contains negative indices")
     if np.any(np.diff(rows, axis=1) == 0):
         raise ValueError("members contains duplicate indices")
-    if rows.size and rows[:, -1].max() > np.iinfo(np.intp).max:
+    top = int(rows[:, -1].max()) if rows.size else -1
+    if top > np.iinfo(np.intp).max:
         raise ValueError("member indices must fit in a machine integer")
+    if top >= n:
+        raise ValueError(f"member indices must lie in 0..{n - 1}")
     if kind == "edge" and rows.shape[1] != 2:
         raise ValueError("an edge needs exactly two members")
     weights = [_real(w, "weight must be a number") for w in weights]
@@ -241,18 +248,20 @@ def _cut_rows(kind: str, rows: np.ndarray, weights: Sequence[float]) -> list[Sub
         raise ValueError("weight must be finite and nonnegative")
     rows = _frozen(rows.astype(np.intp, copy=False))
     pos = _frozen(np.arange(rows.shape[1], dtype=np.intp))
+    vertices = np.arange(n).astype(object)  # one Python int per vertex, shared by the tuples
+    members = map(tuple, vertices[rows].tolist())
     put, atoms = object.__setattr__, []
-    for row, w in zip(rows, weights, strict=True):
+    for row, mem, w in zip(rows, members, weights, strict=True):
         atom = object.__new__(SubmodularAtom)  # checked above, not by __post_init__
         put(atom, "kind", kind)  # head, tail, table and fn keep their defaults (None)
-        put(atom, "members", tuple(row.tolist()))
+        put(atom, "members", mem)
         put(atom, "weight", w)
         put(atom, "_members_arr", row)
         put(atom, "_head_pos", pos)
         put(atom, "_tail_pos", pos)
         put(atom, "_sqrt_w", math.sqrt(w))
         atoms.append(atom)
-    return atoms
+    return atoms, rows
 
 
 class _Layout(NamedTuple):

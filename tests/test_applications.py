@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -567,13 +569,45 @@ def test_choice_rows_draw_numpys_per_row_stream(data):
 
 
 def test_generator_atoms_share_one_member_matrix():
-    hg, _, _ = generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)
+    hg, _, _ = generate_synthetic_hypergraph(600, 9, 12, 4, 2, seed=3)
     matrix = hg.edges[0].members_arr.base
     assert matrix.shape == (30, 4) and not matrix.flags.writeable
     assert all(e.members_arr.base is matrix for e in hg.edges)
-    assert np.array_equal(matrix, [e.members for e in hg.edges])
     assert all((e.kind, e.weight, e.sqrt_w) == ("hyperedge", 1.0, 1.0) for e in hg.edges)
+    # the member tuples are the matrix's rows as ints, one int object per vertex
+    assert [e.members for e in hg.edges] == list(map(tuple, matrix.tolist()))
+    assert {type(v) for e in hg.edges for v in e.members} == {int}
+    objects = {}
+    for v in (v for e in hg.edges for v in e.members):
+        assert objects.setdefault(v, v) is v
+    assert max(objects) > 256  # past the ints Python caches anyway
+    # the incidence is the matrix itself, read-only
     assert _same_bits(hg.incidence, matrix.ravel())
+    assert np.shares_memory(hg.incidence, hg.edges[0].members_arr)
+    assert not hg.incidence.flags.writeable
+    with pytest.raises(ValueError):
+        hg.incidence[0] = 0
+    # a hypergraph on some or reordered edges concatenates their members
+    for edges in (hg.edges[::-1], hg.edges[5:]):
+        other = Hypergraph(hg.n, edges)
+        assert _same_bits(other.incidence, np.concatenate([e.members_arr for e in edges]))
+        assert not np.shares_memory(other.incidence, matrix)
+
+
+def test_generated_instance_memory_is_bounded():
+    """What a benchmark-size input holds: the hypergraph with its layout, the
+    labels and the truth.  1.39 MB measured with NumPy 2.4 on CPython 3.11
+    (2.64 MB when every tuple held its own ints and the layout its own copy of
+    the member matrix); the bound leaves 15% for other builds."""
+    generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)  # lazy first-call state
+    tracemalloc.start()
+    try:
+        held = generate_synthetic_hypergraph(1000, 500, 1000, 20, 3, seed=0)
+        held[0]._layout
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1.6e6
 
 
 def test_generator_arguments_are_integers():
@@ -638,6 +672,16 @@ def test_ingest_categorical_grouping():
     hg = ingest_tabular_dataset(rows, [("color", "categorical")])
     assert hg.n == 4
     assert sorted(e.members for e in hg.edges) == [(0, 1), (2, 3)]
+
+
+def test_ingest_shares_one_int_per_row_across_columns():
+    rows = [{"c": "a" if i < 300 else "b", "v": str(i % 2)} for i in range(600)]
+    hg = ingest_tabular_dataset(rows, [("c", "categorical"), ("v", "categorical")])
+    assert [e.members for e in hg.edges] == [
+        tuple(range(300)), tuple(range(300, 600)), tuple(range(0, 600, 2)), tuple(range(1, 600, 2))]
+    # row 400 is in the second hyperedge of "c" and the first of "v"
+    by_c, by_v = hg.edges[1].members, hg.edges[2].members
+    assert by_c[100] == by_v[200] == 400 and by_c[100] is by_v[200]
 
 
 def test_ingest_equal_width_bins_drop_singletons():

@@ -332,7 +332,7 @@ def test_cut_rows_match_constructor(m):
     weights = [1.0, 0.0, 2.5, 3, np.float64(0.25), np.int32(7)]
     x = rng.standard_normal(50)
     for kind in ("edge", "hyperedge") if m == 2 else ("hyperedge",):
-        atoms = _cut_rows(kind, rows, weights)
+        atoms, matrix = _cut_rows(kind, rows, weights, 50)
         assert len(atoms) == len(rows)
         for row, weight, atom in zip(rows, weights, atoms):
             ref = SubmodularAtom(kind, row, weight)
@@ -347,8 +347,7 @@ def test_cut_rows_match_constructor(m):
             assert lovasz_extension(atom, x) == lovasz_extension(ref, x)
             assert np.array_equal(greedy_linear_minimizer(atom, x), greedy_linear_minimizer(ref, x))
         # one sorted matrix and one position array stand behind every atom
-        matrix = atoms[0].members_arr.base
-        assert matrix is not None and matrix.shape == rows.shape
+        assert matrix.shape == rows.shape and np.array_equal(matrix, np.sort(rows, axis=1))
         assert all(atom.members_arr.base is matrix for atom in atoms)
         assert all(atom.head_pos is atom.tail_pos is atoms[0].head_pos for atom in atoms)
         for arr in (matrix, atoms[-1].members_arr, atoms[-1].head_pos):
@@ -378,7 +377,12 @@ _BAD_ROWS = [
 @pytest.mark.parametrize("kind, rows, weights", _BAD_ROWS)
 def test_cut_rows_reject_what_the_constructor_rejects(kind, rows, weights):
     with pytest.raises(ValueError) as by_rows:
-        _cut_rows(kind, rows, weights)
+        _cut_rows(kind, rows, weights, 10)
     with pytest.raises(ValueError) as by_atom:
         SubmodularAtom(kind, rows[-1], weights[-1])
     assert str(by_rows.value) == str(by_atom.value)
+
+
+def test_cut_rows_reject_members_past_the_vertex_count():
+    with pytest.raises(ValueError, match=r"member indices must lie in 0\.\.9"):
+        _cut_rows("hyperedge", np.array([[0, 1], [9, 10]]), [1.0, 1.0], 10)
