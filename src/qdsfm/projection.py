@@ -23,14 +23,14 @@ Three interchangeable oracles are provided:
 The three, and ``project_cone``, which picks one by ``ProjectionParams.method``,
 take dense inputs and share one body: it gathers the incidence-set slices,
 applies the iteration cap, runs the chosen oracle and reports.  This module
-owns the choice of oracle per component and the iteration caps.  Both solver
-binders read the instance's component layout: ``bind_projectors`` gives the
-one-block step one callable per component and ``bind_blocks`` gives the τ-block
-step and the ``ap`` round one callable for any chunk of any components, which
-sweeps the chunk's rows of each batched group as one array kernel.  Both exact
-sweeps read rows computed once per solve, so a call repeats no work that depends
-only on a component and its metric; each matches, bit for bit, the tests'
-reference that recomputes everything on every call.
+owns the choice of oracle per component and the iteration caps.  The solvers'
+binder, ``bind_blocks``, reads the instance's component layout and gives the
+τ-block step and the ``ap`` round one callable for any chunk of any components,
+which sweeps the chunk's rows of each batched group as one array kernel and
+projects every other component through its ``bind_projectors`` callable.  Both
+exact sweeps read rows computed once per solve, so a call repeats no work that
+depends only on a component and its metric; each matches, bit for bit, the
+tests' reference that recomputes everything on every call.
 """
 
 from __future__ import annotations

@@ -17,11 +17,10 @@ primal(x) − dual is the solvers' convergence measure.
 Two algorithms share one solve loop, ``solve``, and differ only in its step:
 
 * ``rcd`` — randomized coordinate descent over components: a step
-  re-projects dual blocks against the residual left by the others.  Where
-  `_block_size`'s rule gives τ ≥ 32, whatever the components, a step is a
-  chunk of τ blocks projected from one snapshot and accelerated (`_Approx`),
-  whose first epoch is ``ap``'s first round, one chunk at a time; elsewhere
-  it is one block, under the metric W⁻¹.
+  re-projects a chunk of τ dual blocks, τ from `_block_size`'s rule whatever
+  the components, against the residual left by the others, from one snapshot
+  and accelerated (`_Approx`); its first epoch is ``ap``'s first round, one
+  chunk at a time.
 * ``ap`` — alternating projections: a step is one round that re-splits the
   fixed total 2Wa across components and re-projects every block from one
   snapshot (metric Ψ·W⁻¹, Ψ the per-vertex coverage counts), R projections
@@ -50,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .projection import (
-    DEFAULT_DELTA, ProjectionParams, bind_blocks, bind_projectors, warn_unconverged
+    DEFAULT_DELTA, ProjectionParams, bind_blocks, warn_unconverged
 )
 from .submodular import (
     SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals, as_diagonal, lovasz_extension
@@ -72,12 +71,6 @@ __all__ = [
 
 DEFAULT_SEED = 0
 ALGORITHMS = ("rcd", "ap")
-_RNG_CHUNK = 4096
-# Fewest blocks per τ-block step of rcd.  Not set by cost (16 blocks cost 0.36-0.48 of 16
-# one-block steps): the τ-block step loses the ordering of absolute gaps by fidelity weight at a
-# fixed budget, and the floor keeps test_gap_decays_linearly_and_tracks_fidelity_weight (τ = 11)
-# on the one-block step.
-_MIN_BLOCK = 32
 # `_Approx` restarts at 1/30 of its last start's gap (fixed periods, 1/100 or a rise took longer)
 _RESTART_FACTOR = 30
 Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in place
@@ -259,13 +252,12 @@ class SolveConfig:
     """Solver knobs.
 
     ``max_iters`` counts single-component projections; ``None`` selects 100
-    per component.  The solve loop takes steps of one projection, of a chunk
-    of τ (``rcd`` where the rule gives τ ≥ 32) or of one round of R
-    (``ap``), and rounds the budget down to whole steps, at least one: ``ap``
-    with ``max_iters < R`` still spends R projections.  ``checkpoint_stride``
-    (also in projections, rounded down to whole steps, at least one) controls
-    how often the trace is extended and the target gap is checked; ``None``
-    means once per component count.  ``wall_clock_limit`` is checked after
+    per component.  The solve loop takes steps of a chunk of at most τ
+    (``rcd``) or of one round of R (``ap``), and rounds the budget down to
+    whole steps, at least one: ``ap`` with ``max_iters < R`` still spends R
+    projections.  ``checkpoint_stride`` (also in projections, rounded down to
+    whole steps, at least one) controls how often the trace is extended and
+    the target gap is checked; ``None`` means once per component count.  ``wall_clock_limit`` is checked after
     every step.
 
     ``max_iters``, ``checkpoint_stride`` and ``seed`` are integers and
@@ -332,56 +324,15 @@ class SolveResult:
 # algorithm steps: each updates the loop's ``sum_y`` and ``phis`` in place
 
 
-def _uniform_draws(rng: np.random.Generator, high: int) -> Iterator[int]:
-    """Indices drawn uniformly from 0..high−1, ``_RNG_CHUNK`` at a time."""
-    while True:
-        yield from rng.integers(0, high, size=_RNG_CHUNK).tolist()
-
-
-def _rcd_steps(
-    instance: ProblemInstance, config: SolveConfig, tally: Counter
-) -> tuple[tuple[int, ...], Step, Checkpoint]:
-    """Randomized coordinate descent on the dual.
-
-    A step draws a component uniformly at random and replaces its dual block
-    by the cone projection of what the remaining blocks leave of the total
-    2Wa, under the metric W⁻¹.  The step updates Σ_r y_r incrementally; the
-    checkpoint re-accumulates it from the blocks.
-    """
-    n, layout = instance.n, instance._layout
-    incidence, ends = layout.incidence, layout.ends.tolist()
-    mems = [incidence[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    base_flat = instance._two_wa[incidence]
-    base = [base_flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    projectors = bind_projectors(instance.atoms, layout, instance.winv, range(instance.r),
-                                 config.projection, config.delta, tally)
-    ys = [np.zeros(mem.size) for mem in mems]
-    draws = _uniform_draws(np.random.default_rng(config.seed), instance.r)
-
-    def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
-        r = next(draws)
-        mem = mems[r]
-        y_new, phis[r] = projectors[r](base[r] - sum_y[mem] + ys[r])
-        sum_y[mem] += y_new - ys[r]
-        ys[r] = y_new
-
-    def checkpoint(sum_y: np.ndarray, phis: np.ndarray) -> StateEvaluation:
-        sum_y[:] = np.bincount(incidence, weights=np.concatenate(ys), minlength=n)
-        return evaluate_dual_state(instance, sum_y, phis)
-
-    return (1,), step, checkpoint
-
-
 def _block_size(instance: ProblemInstance, config: SolveConfig) -> int:
     """τ, the blocks per step: R under ``ap``; under ``rcd``, whatever the components,
     ⌊1 + (R − 1)/(ψ̄ − 1)⌋ with ψ̄ = Σψ_v²/Σψ_v (R if no vertex is shared), the τ
-    at which the mean of β over the incidences is 2, if τ ≥ ``_MIN_BLOCK``; else 1."""
+    at which the mean of β over the incidences is 2.  As ψ_v ≤ R, τ ≥ 2 when R ≥ 2."""
     layout, big_r = instance._layout, instance.r
     if config.algorithm == "ap":
         return big_r
     excess = float(np.dot(layout.psi, layout.psi)) / max(float(layout.psi.sum()), 1.0) - 1.0
-    tau = min(big_r, int(1 + (big_r - 1) / excess)) if excess > 0 else big_r
-    return tau if tau >= _MIN_BLOCK else 1
+    return min(big_r, int(1 + (big_r - 1) / excess)) if excess > 0 else big_r
 
 
 def _block_steps(
@@ -507,10 +458,10 @@ class _Approx:
 def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> SolveResult:
     """Minimize ``instance`` with the algorithm named by ``config.algorithm``.
 
-    A step of ``ap`` is one round of R projections.  A step of ``rcd`` is a
-    chunk of τ projections where `_block_size`'s rule gives τ ≥ 32, whatever
+    A step of ``ap`` is one round of R projections.  A step of ``rcd`` is one
+    of an epoch's ⌈R/τ⌉ near-equal chunks, τ from `_block_size`'s rule whatever
     the components and the oracle (its results differ from earlier versions'
-    one-block ``rcd`` within the certified gap), and one projection elsewhere.
+    one-block ``rcd`` within the certified gap).
     The chunks of ``rcd``'s first epoch make up ``ap``'s first round: on a budget
     of R both return the same ``sum_y``, ``phis`` and gap, bit for bit unless
     ``ap`` batches a group of cuts that ``rcd``'s chunks leave to the scalar
@@ -527,10 +478,9 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     limit, target = config.wall_clock_limit, config.target_gap
 
     tally: Counter = Counter()
-    tau = _block_size(instance, config)
-    bind = _rcd_steps if config.algorithm == "rcd" and tau == 1 else partial(_block_steps, tau=tau)
     evaluate = partial(evaluate_dual_state, instance)  # the checkpoint of R = 0, with no step
-    sizes, step, checkpoint = bind(instance, config, tally) if big_r else ((1,), None, evaluate)
+    sizes, step, checkpoint = (_block_steps(instance, config, tally, _block_size(instance, config))
+                               if big_r else ((1,), None, evaluate))
     sum_y, phis = np.zeros(n), np.zeros(big_r)
 
     t0 = time.perf_counter()

@@ -485,9 +485,9 @@ def write_hypergraph_json(hg, path):
 
 
 def rcd_steps_reference(instance, config, tally):
-    """Randomized coordinate descent one block per step, with its draw
-    stream of 4096 indices per ``rng.integers`` call: the judge that
-    ``solvers.solve`` must match bit for bit wherever ``rcd`` keeps τ = 1.
+    """Randomized coordinate descent one block per step, under the metric
+    W⁻¹, drawing components 4096 at a time: the paper's RCD, whose solutions
+    ``solvers.solve``'s τ-block ``rcd`` must match within the certified gap.
     Returns (step, resync), each taking (sum_y, phis) and updating in place."""
     from qdsfm.projection import bind_projectors
 
@@ -607,8 +607,9 @@ def block_steps_reference(instance, config, tally, tau):
 def solve_reference(instance, config):
     """The solve loop with steps of one projection (``rcd``) or one round of
     R projections (``ap``), the budget and the checkpoint stride rounded
-    down to whole steps: the judge of ``solvers.solve`` wherever it keeps
-    those steps.  Returns (x, sum_y, phis, iterations, trace rows without
+    down to whole steps: the judge that ``solvers.solve`` must match bit for
+    bit under ``ap``, and within the certified gap under ``rcd``, whose steps
+    are chunks.  Returns (x, sum_y, phis, iterations, trace rows without
     seconds)."""
     from qdsfm.solvers import TraceRow, evaluate_dual_state
 

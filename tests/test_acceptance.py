@@ -244,15 +244,19 @@ def test_gap_decays_linearly_and_tracks_fidelity_weight():
     assert slope < 0
     assert gaps[300 * big_r] <= 1e-6 * gaps[10 * big_r]
 
-    # shrinking the fidelity weight slows convergence at a fixed budget
-    final = {}
-    for beta in (1.0, 0.1, 0.01):
-        res = solve(
-            _decay_instance(beta),
-            SolveConfig(max_iters=100 * big_r, checkpoint_stride=100 * big_r),
-        )
-        final[beta] = res.gap
-    assert final[0.01] > final[0.1] > final[1.0]
+    # shrinking the fidelity weight slows convergence at a fixed budget.  The primal shrinks
+    # with it, so the order is read from the gap relative to the primal and from the fitted
+    # slope of log(gap) per 10 epochs, not from absolute gaps (at seed 4 those invert)
+    for seed in range(3):
+        relative, slope = {}, {}
+        for beta in (1.0, 0.1, 0.01):
+            res = solve(_decay_instance(beta), SolveConfig(max_iters=100 * big_r, seed=seed))
+            relative[beta] = res.gap / res.primal
+            rows = [row for row in res.trace if row.iteration >= 10 * big_r]
+            epochs = [row.iteration / big_r for row in rows]
+            slope[beta] = 10.0 * np.polyfit(epochs, np.log([row.gap for row in rows]), 1)[0]
+        assert relative[1.0] < relative[0.1] < relative[0.01]
+        assert slope[1.0] < slope[0.1] < slope[0.01] < 0.0
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm import solvers
@@ -30,6 +31,7 @@ from qdsfm.submodular import (
     hyperedge_cut,
     lovasz_extension,
 )
+from test_acceptance import _decay_instance
 
 
 def _edge_instance():
@@ -395,13 +397,23 @@ def test_projection_method_override_agrees():
 # trace, budgets, determinism
 
 
+def _chunk_sizes(inst):
+    """The projections per step of an ``rcd`` epoch, in order."""
+    cfg = SolveConfig()
+    return solvers._block_steps(inst, cfg, Counter(), solvers._block_size(inst, cfg))[0]
+
+
 def test_trace_checkpoints_and_budget_rcd():
     rng = np.random.default_rng(2)
     inst = _random_cut_instance(rng, 5, 4)
     res = solve(inst, SolveConfig(max_iters=57, checkpoint_stride=10))
     assert not res.converged
-    assert res.iterations == 57
-    assert [row.iteration for row in res.trace] == [0, 10, 20, 30, 40, 50, 57]
+    # R = 4 takes chunks of 2: the budget is rounded down to whole chunks, and rows fall every
+    # 10 projections (five chunks) and at the last chunk
+    (chunk,) = set(_chunk_sizes(inst))
+    done = 57 - 57 % chunk
+    assert chunk == 2 and res.iterations == done
+    assert [row.iteration for row in res.trace] == [*range(0, done, 10), done]
     gaps = [row.gap for row in res.trace]
     assert gaps[-1] < gaps[0]
     seconds = [row.seconds for row in res.trace]
@@ -432,16 +444,17 @@ def test_wall_clock_limit_stops_early():
         inst,
         SolveConfig(max_iters=100_000, checkpoint_stride=1, wall_clock_limit=0.0),
     )
-    assert res.iterations == 1
+    first = _chunk_sizes(inst)[0]
+    assert res.iterations == first
     assert not res.converged
-    # the clock is checked after every projection (rcd) or round (ap), not
+    # the clock is checked after every chunk (rcd) or round (ap), not
     # only at checkpoints, and the stopping iteration gets a trace row
     res = solve(
         inst,
         SolveConfig(max_iters=1000, checkpoint_stride=1000, wall_clock_limit=0.0),
     )
-    assert res.iterations == 1
-    assert [row.iteration for row in res.trace] == [0, 1]
+    assert res.iterations == first
+    assert [row.iteration for row in res.trace] == [0, first]
     res = solve(
         inst,
         SolveConfig(
@@ -471,7 +484,7 @@ def test_same_seed_reproduces_run():
 
 
 # ---------------------------------------------------------------------------
-# the one-block and τ-block steps against the loop they replaced
+# the τ-block step against the loops it replaced
 
 
 def _ssl_instance(beta):
@@ -491,16 +504,28 @@ def _assert_same_as_reference(inst, cfg):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rcd_below_the_block_rule_matches_reference(seed):
+    # R = 2-9, far below the τ of the SSL inputs: the chunk path at the rule's τ = 2-4 agrees
+    # with the one-block reference loop within the certified gap, under either oracle
     rng = np.random.default_rng(seed)
     if seed == 0:
         inst = _mixed_instance()
     else:
         inst = _random_cut_instance(rng, int(rng.integers(3, 8)), int(rng.integers(2, 9)))
-    assert solvers._block_size(inst, SolveConfig()) == 1
-    for cfg in (SolveConfig(max_iters=40 * inst.r + 3, checkpoint_stride=3, seed=seed),
-                SolveConfig(max_iters=100 * inst.r, target_gap=1e-6, seed=seed),
-                SolveConfig(max_iters=10 * inst.r, projection="mnp", seed=seed)):
-        _assert_same_as_reference(inst, cfg)
+    assert 2 <= solvers._block_size(inst, SolveConfig()) <= 4
+    for projection in ("auto", "mnp"):
+        cfg = SolveConfig(max_iters=10_000 * inst.r, target_gap=1e-8, seed=seed,
+                          projection=projection)
+        res = solve(inst, cfg)
+        x_ref, _, _, _, rows = oracles.solve_reference(inst, cfg)
+        gap_ref = rows[-1][3]
+        assert res.converged and res.gap <= 1e-8 and gap_ref <= 1e-8
+        d = res.x - x_ref
+        assert float(np.dot(inst.w, d * d)) <= res.gap + gap_ref
+        _, dual = dual_objective(inst, res.sum_y, res.phis)
+        assert abs(res.gap - (primal_objective(inst, res.x) - dual)) <= 1e-12
+        again = solve(inst, cfg)
+        assert again.x.tobytes() == res.x.tobytes() and again.phis.tobytes() == res.phis.tobytes()
+        assert [row[:4] for row in again.trace] == [row[:4] for row in res.trace]
 
 
 @pytest.mark.parametrize("projection", ["auto", "mnp"])
@@ -552,22 +577,34 @@ def test_block_step_counts_projections():
     assert [row.iteration for row in res.trace] == [0, 40]
 
 
-def test_block_rule_keeps_one_block_steps():
+def test_block_rule_sets_the_chunks_of_every_rcd_solve():
     # the rule reads neither the oracle nor the component kinds: the SSL input under mnp takes
     # its τ = 40, and with a table atom (R = 401) τ = 41, in ten chunks of 40 or 41
     inst = _ssl_instance(5.0)
     tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}
     table = ProblemInstance(inst.a, inst.w, inst.atoms + (general_oracle([0, 1], table=tbl),))
-    # 100 hyperedges of 10 on 100 vertices: the rule gives τ = 11, below _MIN_BLOCK
+    # 100 hyperedges of 10 on 100 vertices: the rule gives τ = 11, so ten chunks of 10
     rng = np.random.default_rng(0)
     small = ProblemInstance(rng.normal(size=100), None, tuple(
         hyperedge_cut(rng.choice(100, 10, replace=False).tolist()) for _ in range(100)))
-    assert solvers._MIN_BLOCK == 32
     for case, cfg, tau, first in ((inst, SolveConfig(projection="mnp"), 40, 40),
-                                  (table, SolveConfig(), 41, 40), (small, SolveConfig(), 1, 1)):
+                                  (table, SolveConfig(), 41, 40), (small, SolveConfig(), 11, 10)):
         assert solvers._block_size(case, cfg) == tau
         res = solve(case, SolveConfig(projection=cfg.projection, wall_clock_limit=0.0))
         assert res.iterations == first
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_rule_takes_two_blocks_or_more_once_r_is_two(data):
+    # ψ_v ≤ R, so ψ̄ − 1 ≤ R − 1 and the rule's τ = ⌊1 + (R − 1)/(ψ̄ − 1)⌋ is at least 2
+    n = data.draw(st.integers(1, 12))
+    members = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    weights = st.sampled_from([0.5, 1.0, 2.0])
+    edges = data.draw(st.lists(st.tuples(members, weights), min_size=1, max_size=60))
+    inst = ProblemInstance(np.zeros(n), None, tuple(hyperedge_cut(m, wt) for m, wt in edges))
+    tau = solvers._block_size(inst, SolveConfig())
+    assert 1 <= tau <= inst.r and (tau == 1) == (inst.r == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +730,14 @@ def test_rcd_opens_with_the_ap_round(which):
     assert gaps == [row.gap for row in res.trace[1:]] and len(gaps) > 1
 
 
-@pytest.mark.parametrize("which", ["ssl", "two_sizes", "mixed", "mnp"])
+@pytest.mark.parametrize("which", ["ssl", "two_sizes", "mixed", "mnp",
+                                   "decay-1", "decay-0.1", "decay-0.01"])
 def test_accelerated_step_certifies_its_gaps(which):
-    inst = {"two_sizes": _two_size_instance, "mixed": _ssl_mixed_instance}.get(
-        which, lambda: _ssl_instance(5.0))()
+    if which.startswith("decay"):  # the acceptance suite's decay instances, at τ = 11
+        inst = _decay_instance(float(which.split("-")[1]))
+    else:
+        inst = {"two_sizes": _two_size_instance, "mixed": _ssl_mixed_instance}.get(
+            which, lambda: _ssl_instance(5.0))()
     layout = inst._layout
     assert len(layout.groups) == {"two_sizes": 2, "mixed": 3}.get(which, 1)
     assert len(layout.rest) == (7 if which == "mixed" else 0)
