@@ -2,7 +2,7 @@
 
 Solvers for problems of the form
 
-    min_x  ‖x − a‖²_W + Σ_r [f_r(x)]²
+    min_x  ‖x − a‖²_W + Σ_r [f_r(x)]₊²
 
 where each f_r is the support function (Lovász extension) of a submodular
 component restricted to a small incidence set.  The dual is a best-

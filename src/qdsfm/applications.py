@@ -14,7 +14,7 @@ This module reduces concrete learning tasks to `ProblemInstance`s:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -22,10 +22,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .solvers import (
-    ProblemInstance, SolveConfig, SolveResult, _check_components, _component_layout, solve
+    ProblemInstance, SolveConfig, SolveResult, _check_components, _columns, _component_layout,
+    solve
 )
 from .submodular import (
-    SubmodularAtom, _as_ints, _cut_rows, _frozen, _Layout, _real, _reals, as_diagonal, hyperedge_cut
+    _ALL_KINDS, SubmodularAtom, _as_ints, _cut_rows, _frozen, _Layout, _real, _reals, as_diagonal
 )
 
 __all__ = [
@@ -46,31 +47,41 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Hypergraph:
     """A vertex count plus cut components (edges, hyperedges, directed
     hyperedges) reused directly as solver atoms.  ``n`` is a Python or NumPy
-    integer ≥ 1 (stored as an int) and bounds every edge's members."""
+    integer ≥ 1 (stored as an int) and bounds every edge's members.  The
+    hypergraph holds its edges in columnar form, its layout, which the
+    instances built on it share; a generated or ingested hypergraph builds
+    ``edges`` on first read."""
 
     n: int
-    edges: tuple[SubmodularAtom, ...]
+    _layout: _Layout = field(repr=False)
 
-    def __post_init__(self) -> None:
-        (n,) = _as_ints((self.n,), "'n'")
+    def __init__(self, n: int, edges: Sequence[SubmodularAtom]) -> None:
+        (n,) = _as_ints((n,), "'n'")
         if n < 1:
             raise ValueError("'n' must be a positive integer")
-        edges = tuple(self.edges)
+        edges = tuple(edges)
         _check_components(edges, n, "hyperedge", cut_only=True)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        vars(self).update(n=n, _layout=_component_layout(n, *_columns(edges), edges))
+
+    @classmethod
+    def _of(cls, n: int, *columns: np.ndarray) -> Hypergraph:
+        """The hypergraph on n vertices of checked cuts in columnar form (see
+        `_component_layout`)."""
+        hg = cls.__new__(cls)
+        vars(hg).update(n=n, _layout=_component_layout(n, *columns))
+        return hg
+
+    @property
+    def edges(self) -> tuple[SubmodularAtom, ...]:
+        return self._layout.atoms
 
     @property
     def r(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        return _component_layout(self.edges, self.n)
+        return self._layout.kinds.size
 
     @property
     def incidence(self) -> np.ndarray:
@@ -138,11 +149,9 @@ class LabeledDataset:
 def _instance_on(
     hg: Hypergraph, a: np.ndarray, w: np.ndarray, scale: np.ndarray
 ) -> tuple[ProblemInstance, Callable[[np.ndarray], np.ndarray]]:
-    """The instance (a, w) on ``hg``'s edges, with ``hg``'s layout in its
-    layout cache instead of a second build, and the back map x ↦ scale·x."""
-    instance = ProblemInstance(a=a, w=w, atoms=hg.edges)
-    vars(instance)["_layout"] = hg._layout
-    return instance, lambda x: scale * np.asarray(x, dtype=float)
+    """The instance (a, w) on ``hg``'s edges, which shares ``hg``'s layout
+    instead of checking the edges again, and the back map x ↦ scale·x."""
+    return ProblemInstance._on(a, w, hg._layout), lambda x: scale * np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +230,10 @@ def argmax_classify(scores: np.ndarray) -> np.ndarray:
 
 
 def _require_graph(hg: Hypergraph) -> None:
-    for idx, edge in enumerate(hg.edges):
-        if edge.size != 2 or edge.kind == "directed_hyperedge":
-            raise ValueError(f"hyperedge {idx} is not an undirected 2-vertex edge")
+    layout = hg._layout
+    bad = (np.diff(layout.ends) != 2) | (layout.kinds == _ALL_KINDS.index("directed_hyperedge"))
+    if bad.any():
+        raise ValueError(f"hyperedge {int(np.argmax(bad))} is not an undirected 2-vertex edge")
 
 
 def adjacency_multiply(hg: Hypergraph, v: np.ndarray) -> np.ndarray:
@@ -390,7 +400,7 @@ def generate_synthetic_hypergraph(
     # cluster 0's within rows, cluster 1's, then the across rows
     rows = _choice_rows(rng, np.repeat([half, n], [2 * within, across]), edge_size)
     rows[within : 2 * within] += half
-    edges, matrix = _cut_rows("hyperedge", rows, [1.0] * rows.shape[0], n)
+    columns = _cut_rows("hyperedge", rows, np.ones(rows.shape[0]), n)
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
     labels: dict[int, int] = {}
@@ -398,10 +408,7 @@ def generate_synthetic_hypergraph(
         picks = rng.choice(half, size=labeled, replace=False) + start
         for v in picks:
             labels[int(v)] = klass
-    hg = Hypergraph(n, tuple(edges))
-    # the edges' members, concatenated in order, are the member matrix itself
-    vars(hg)["_layout"] = _component_layout(hg.edges, n, matrix.reshape(-1))
-    return hg, LabeledDataset(n, labels, num_classes=2), truth
+    return Hypergraph._of(n, *columns), LabeledDataset(n, labels, num_classes=2), truth
 
 
 def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.ndarray:
@@ -487,8 +494,7 @@ def ingest_tabular_dataset(
     (bins,) = _as_ints((bins,), "bins")
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    edges = []
-    vertices = list(range(len(rows)))  # one int object per row, shared by its hyperedges
+    incidence, ends = [], [0]  # the hyperedges' members, concatenated, and their ends
     for name, kind in schema:
         if kind == "categorical":
             keys: list = [_cell(row, name, idx) for idx, row in enumerate(rows)]
@@ -520,17 +526,20 @@ def ingest_tabular_dataset(
         else:
             raise ValueError(f"column {name!r}: unknown kind {kind!r}")
         groups: dict = {}
-        for idx, key in zip(vertices, keys):
+        for idx, key in enumerate(keys):
             groups.setdefault(key, []).append(idx)
         dropped = 0
-        for _, members in sorted(groups.items()):
+        for _, members in sorted(groups.items()):  # ascending, distinct rows
             if len(members) < 2:
                 dropped += 1
                 continue
-            edges.append(hyperedge_cut(members))
+            incidence += members
+            ends.append(len(incidence))
         if dropped:
             logger.info("column %r: dropped %d singleton group(s)", name, dropped)
-    return Hypergraph(len(rows), tuple(edges))
+    kinds = np.full(len(ends) - 1, _ALL_KINDS.index("hyperedge"), dtype=np.int8)
+    return Hypergraph._of(len(rows), kinds, np.array(incidence, dtype=np.intp),
+                          np.array(ends, dtype=np.intp), np.ones(kinds.size))
 
 
 def _cell(row: Mapping[str, str], name: str, idx: int) -> str:

@@ -288,7 +288,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 target_gap=None,
             )
             for atom in instance.atoms:
-                _choose_oracle(atom, config.projection)
+                _choose_oracle(atom.is_cut, config.projection)
         except ValueError as exc:
             raise InputError(f"method {token!r}: {exc}") from exc
         runs.append((token, config))

@@ -40,12 +40,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .submodular import (
-    SubmodularAtom, _as_ints, _frozen, _greedy_local, _Layout, _real, as_diagonal
+    _CUT_KINDS, SubmodularAtom, _as_ints, _frozen, _greedy_local, _Layout, _real, as_diagonal
 )
 
 __all__ = [
@@ -551,11 +551,12 @@ def _sweep_cut_block(
 # Oracle choice, solver binding and public wrappers
 
 
-def _choose_oracle(atom: SubmodularAtom, method: str) -> str:
-    """Resolve ``auto`` for ``atom`` and refuse ``exact`` on a general one."""
+def _choose_oracle(cut: bool, method: str) -> str:
+    """Resolve ``auto`` for a cut component (``cut``) or a general one, and
+    refuse ``exact`` on a general one."""
     if method == "auto":
-        return "exact" if atom.is_cut else "mnp"
-    if method == "exact" and not atom.is_cut:
+        return "exact" if cut else "mnp"
+    if method == "exact" and not cut:
         raise ValueError(
             "exact projection requires cut components; "
             "use the mnp or fw method for general ones"
@@ -570,7 +571,6 @@ def _iteration_cap(atom: SubmodularAtom, method: str, max_major: int | None) -> 
 
 
 def bind_projectors(
-    atoms: Sequence[SubmodularAtom],
     layout: _Layout,
     metric: np.ndarray,
     picks: Iterable[int],
@@ -579,7 +579,7 @@ def bind_projectors(
     tally: Counter,
 ) -> list[Callable[..., tuple[np.ndarray, float]]]:
     """Callables (target, scale=1.0) ↦ (y, φ) in local coordinates for the
-    components ``picks`` of ``atoms``, in that order, each oracle chosen here,
+    components ``picks`` of ``layout.atoms``, in that order, each oracle chosen here,
     once, under ``scale`` times the diagonal ``metric``.  The sweep rows of all
     components are computed at once along the ``layout``; each sweep binds its view.
 
@@ -588,10 +588,10 @@ def bind_projectors(
     """
     wt, offsets = metric[layout.incidence], layout.ends.tolist()
     rows = _sweep_rows(wt, np.repeat(layout.weights, np.diff(layout.ends)))
-    projectors = []
+    atoms, projectors = layout.atoms, []
     for r in picks:
         atom, lo, hi = atoms[r], offsets[r], offsets[r + 1]
-        chosen = _choose_oracle(atom, method)
+        chosen = _choose_oracle(atom.is_cut, method)
         if chosen == "exact":
             projectors.append(_bind_sweep(atom, wt[lo:hi], rows[:, lo:hi]))
             continue
@@ -608,7 +608,6 @@ def bind_projectors(
 
 
 def bind_blocks(
-    atoms: Sequence[SubmodularAtom],
     layout: _Layout,
     metric: np.ndarray,
     method: str,
@@ -626,21 +625,25 @@ def bind_blocks(
     vertices and the changes (None for a round: all R at scale 1).  A group of k
     cuts under ``exact`` with k·τ/R ≥ ``_BATCH_MIN_ROWS`` comes first in
     ``members``, and its picked rows are one ``_sweep_cut_batch`` call (in place in
-    a round).  Every other component keeps its ``bind_projectors`` callable.
+    a round).  Every other component keeps its ``bind_projectors`` callable, the
+    only reader of ``layout.atoms`` here.
     """
-    big_r, batched, rest = len(atoms), [], list(layout.rest)
-    for rows, matrix, weights in layout.groups:
+    big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
+    for rows, matrix, weights in layout.groups:  # a group's kind codes are all cuts
         if (rows.size * tau >= _BATCH_MIN_ROWS * big_r
-                and _choose_oracle(atoms[rows[0]], method) == "exact"):
+                and _choose_oracle(layout.kinds[rows[0]] < len(_CUT_KINDS), method) == "exact"):
             batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights))
         else:
             rest.extend(rows.tolist())
     rest.sort()
     order = np.concatenate([g[0] for g in batched] + [np.array(rest, np.intp)])
-    members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
-    ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
+    offsets = layout.ends.tolist()
+    members = np.concatenate([g[1].ravel() for g in batched]
+                             + [layout.incidence[offsets[r]:offsets[r + 1]] for r in rest])
+    ends = np.cumsum([0] + [g[1].size for g in batched]
+                     + [offsets[r + 1] - offsets[r] for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
-    projectors = bind_projectors(atoms, layout, metric, rest, method, delta, tally) if rest else []
+    projectors = bind_projectors(layout, metric, rest, method, delta, tally) if rest else []
     # each component's group (−1 for the rest) and row in it, and each group's places in members
     slot, row = np.full(big_r, -1), np.empty(big_r, np.intp)
     for g, (rows, _, _, _) in enumerate(batched):
@@ -703,7 +706,7 @@ def _project(
     """The body behind the four public entry points: gather the incidence-set
     slices of ``wtilde`` and ``a``, run the oracle ``method`` resolves to
     under the iteration cap, and report the point with its objective h."""
-    method = _choose_oracle(atom, method)
+    method = _choose_oracle(atom.is_cut, method)
     a = np.asarray(a, dtype=float)
     wt = as_diagonal(wtilde, len(a))[atom.members_arr]
     al = a[atom.members_arr]

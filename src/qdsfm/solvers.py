@@ -2,10 +2,10 @@
 
 The primal problem
 
-    min_x  ‖x − a‖²_W + Σ_r f_r(x)²
+    min_x  ‖x − a‖²_W + Σ_r max(f_r(x), 0)²
 
 (W a positive diagonal, each f_r the extension of a normalized submodular
-component) is handled through its dual: find, for every component, a point
+component; a cut has f_r ≥ 0) is handled through its dual: find, for every component, a point
 (y_r, φ_r) of the cone {φ ≥ 0, y ∈ φ·B_r} minimizing
 
     g(y, φ) = ‖Σ_r y_r − 2Wa‖²_{W⁻¹} + Σ_r φ_r²,
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import cycle, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -52,7 +52,8 @@ from .projection import (
     DEFAULT_DELTA, ProjectionParams, bind_blocks, warn_unconverged
 )
 from .submodular import (
-    SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals, as_diagonal, lovasz_extension
+    _ALL_KINDS, _CUT_KINDS, SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals,
+    as_diagonal, lovasz_extension
 )
 
 __all__ = [
@@ -77,31 +78,38 @@ Step = Callable[[np.ndarray, np.ndarray], None]  # (sum_y, phis), updated in pla
 Checkpoint = Callable[[np.ndarray, np.ndarray], "StateEvaluation"]  # brought up to date, evaluated
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ProblemInstance:
     """The data of one minimization: anchor ``a``, diagonal weights ``w``
-    (the diagonal of W), and the submodular components.  ``a`` (a vector)
-    and ``w`` (None, a number or a vector, see `as_diagonal`) become new
-    read-only float arrays, finite, with ``w`` > 0."""
+    (the diagonal of W), and the submodular components ``atoms``.  ``a`` (a
+    vector) and ``w`` (None, a number or a vector, see `as_diagonal`) become
+    new read-only float arrays, finite, with ``w`` > 0.  The instance holds
+    its components in columnar form, its layout; an instance that
+    `applications` builds on a hypergraph shares the hypergraph's, whose
+    ``atoms`` are built on first read."""
 
     a: np.ndarray
     w: np.ndarray
-    atoms: tuple[SubmodularAtom, ...]
+    _layout: _Layout = field(repr=False)
 
-    def __post_init__(self) -> None:
-        a = _reals(self.a, "'a' must be a list of numbers")
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("a must be a nonempty vector")
-        w = as_diagonal(self.w, a.size)
-        if not np.all(w > 0):
-            raise ValueError("all diagonal weights must be positive")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
-            raise ValueError("a and w must be finite")
-        atoms = tuple(self.atoms)
+    def __init__(self, a, w, atoms: Sequence[SubmodularAtom]) -> None:
+        a, w = _anchor(a, w)
+        atoms = tuple(atoms)
         _check_components(atoms, a.size, "component")
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "w", _frozen(w))
-        object.__setattr__(self, "atoms", atoms)
+        vars(self).update(a=a, w=w, _layout=_component_layout(a.size, *_columns(atoms), atoms))
+
+    @classmethod
+    def _on(cls, a, w, layout: _Layout) -> ProblemInstance:
+        """The instance (a, w) on the components of ``layout``, already checked
+        on the vertices of ``a``."""
+        instance = cls.__new__(cls)
+        a, w = _anchor(a, w)
+        vars(instance).update(a=a, w=w, _layout=layout)
+        return instance
+
+    @property
+    def atoms(self) -> tuple[SubmodularAtom, ...]:
+        return self._layout.atoms
 
     @property
     def n(self) -> int:
@@ -109,7 +117,7 @@ class ProblemInstance:
 
     @property
     def r(self) -> int:
-        return len(self.atoms)
+        return self._layout.kinds.size
 
     @cached_property
     def winv(self) -> np.ndarray:
@@ -123,13 +131,11 @@ class ProblemInstance:
     def _wa_sq(self) -> float:
         return float(np.dot(self.w, self.a * self.a))
 
-    @cached_property
-    def _layout(self) -> _Layout:
-        return _component_layout(self.atoms, self.n)
-
     def _penalty(self, x: np.ndarray) -> float:
-        """Σ_r f_r(x)²: each group of equal-size symmetric cuts in a few array
-        operations, every other component by its Lovász extension."""
+        """Σ_r max(f_r(x), 0)²: each group of equal-size symmetric cuts in a few
+        array operations, every other component by its Lovász extension.  A cut
+        has f_r ≥ 0; a general component's f_r(x) < 0 counts 0, as its dual cone
+        certifies only the positive part."""
         total = 0.0
         for _, members, weights in self._layout.groups:
             vals = x[members].ravel()
@@ -137,9 +143,22 @@ class ProblemInstance:
             spread = np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)
             total += float(np.dot(weights, spread * spread))
         for r in self._layout.rest:
-            v = lovasz_extension(self.atoms[r], x)
+            v = max(lovasz_extension(self.atoms[r], x), 0.0)
             total += v * v
         return total
+
+
+def _anchor(a, w) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``w`` as `ProblemInstance` holds them, or ValueError."""
+    a = _reals(a, "'a' must be a list of numbers")
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("a must be a nonempty vector")
+    w = as_diagonal(w, a.size)
+    if not np.all(w > 0):
+        raise ValueError("all diagonal weights must be positive")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
+        raise ValueError("a and w must be finite")
+    return _frozen(a), _frozen(w)
 
 
 def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -> None:
@@ -155,23 +174,36 @@ def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -
                 f"{noun} {idx} references vertex {atom.members[-1]} outside 0..{n - 1}")
 
 
-def _component_layout(
-    atoms: Sequence[SubmodularAtom], n: int, incidence: np.ndarray | None = None
-) -> _Layout:
-    """The layout of ``atoms`` on n vertices.  ``incidence``, when given, is
-    their ``members_arr`` already concatenated in order (a generator's member
-    matrix, raveled), which the layout then views instead of copying."""
-    members, weights, symmetric = [np.empty(0, np.intp)], [], []
+def _columns(
+    atoms: Sequence[SubmodularAtom],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columnar form of checked ``atoms``, as `_component_layout` takes it."""
+    kinds, members, weights = [], [np.empty(0, np.intp)], []
     for atom in atoms:
+        kinds.append(_ALL_KINDS.index(atom.kind))
         members.append(atom.members_arr)
         weights.append(atom.weight)
-        symmetric.append(atom.kind in ("edge", "hyperedge") and atom.size > 1)
-    incidence = _frozen(np.concatenate(members) if incidence is None else incidence)
-    ends = _frozen(np.cumsum([m.size for m in members]))  # members[0] is empty: ends[0] = 0
-    weights_arr = _frozen(np.array(weights, dtype=float))
+    ends = np.cumsum([m.size for m in members])  # members[0] is empty: ends[0] = 0
+    return np.array(kinds, dtype=np.int8), np.concatenate(members), ends, np.array(weights)
+
+
+def _component_layout(
+    n: int, kinds: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray,
+    atoms: tuple[SubmodularAtom, ...] | None = None,
+) -> _Layout:
+    """The layout of components on n vertices from their columnar form: a kind
+    code per component (its index in `_ALL_KINDS`), their members concatenated
+    in order, the ends of each one's members and the weights, which the layout
+    holds as they are, made read-only.  ``atoms``, when given, are the
+    components themselves; otherwise the layout builds them on first read."""
+    kinds, incidence, ends, weights = map(_frozen, (kinds, incidence, ends, weights))
     psi = _frozen(np.bincount(incidence, minlength=n).astype(float))
-    grouped = _symmetric_cut_groups(np.array(symmetric, dtype=bool), incidence, ends, weights_arr)
-    return _Layout(incidence, ends, weights_arr, psi, *grouped)
+    symmetric = (kinds <= _ALL_KINDS.index("hyperedge")) & (np.diff(ends) > 1)
+    layout = _Layout(kinds, incidence, ends, weights, psi,
+                     *_symmetric_cut_groups(symmetric, incidence, ends, weights))
+    if atoms is not None:
+        vars(layout)["atoms"] = atoms
+    return layout
 
 
 def _symmetric_cut_groups(
@@ -207,7 +239,7 @@ def _vector(value, size: int, name: str) -> np.ndarray:
 
 
 def primal_objective(instance: ProblemInstance, x) -> float:
-    """‖x − a‖²_W + Σ_r f_r(x)²."""
+    """‖x − a‖²_W + Σ_r max(f_r(x), 0)²."""
     x = _vector(x, instance.n, "x")
     d = x - instance.a
     return float(np.dot(instance.w, d * d)) + instance._penalty(x)
@@ -357,8 +389,7 @@ def _block_steps(
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (max(sizes) - 1) / max(big_r - 1, 1), 1.0)
 
     def bind(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
-        return bind_blocks(instance.atoms, layout, beta / instance.w, config.projection,
-                           config.delta, tally, tau)
+        return bind_blocks(layout, beta / instance.w, config.projection, config.delta, tally, tau)
 
     if count == 1:
         members, order, project = bind(beta)
@@ -413,7 +444,7 @@ class _Approx:
         if self.opening == 0:  # β's projector, bound once the opening's sweep rows are released
             self.project, self.opening = None, -1
             self.project = self.bind(self.beta)[2]
-            self.general = np.flatnonzero([not atom.is_cut for atom in self.instance.atoms])
+            self.general = np.flatnonzero(self.instance._layout.kinds >= len(_CUT_KINDS))
         picks = next(self.chunks)
         z_phi, old_phi = (self.z_phi, self.z_phi.take(picks)) if self.general.size else (None, 0)
         self.unchecked += 1

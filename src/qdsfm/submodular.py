@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "greedy_linear_minimizer",
 ]
 
+# a component's kind code is its index in _ALL_KINDS: the cut kinds come first, and
+# the symmetric ones (edge, hyperedge) first among them
 _CUT_KINDS = ("edge", "hyperedge", "directed_hyperedge")
 _ALL_KINDS = _CUT_KINDS + ("table", "oracle")
 
@@ -219,14 +222,13 @@ class SubmodularAtom:
 
 
 def _cut_rows(
-    kind: str, rows: np.ndarray, weights: Sequence[float], n: int
-) -> tuple[list[SubmodularAtom], np.ndarray]:
-    """k atoms of kind "edge" or "hyperedge" from a k × m integer matrix of
-    members on vertices 0..n−1 and k weights, checked by the constructor's
-    rules on the whole matrix at once, and the read-only row-sorted copy of
-    ``rows`` whose row views are the atoms' ``members_arr``.  All atoms share
-    one read-only position array, and their member tuples share one int
-    object per vertex."""
+    kind: str, rows: np.ndarray, weights: Sequence[float] | np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """k components of kind "edge" or "hyperedge" from a k × m integer matrix
+    of members on vertices 0..n−1 and k weights, checked by the constructor's
+    rules on the whole matrix at once, in columnar form: their kind codes, the
+    read-only row-sorted copy of ``rows`` raveled (its rows are the components'
+    members), the ends of its rows and the weights.  ``rows`` is left alone."""
     if rows.dtype.kind not in "iu":
         raise ValueError("members: expected integers, not bools, floats or strings")
     if rows.shape[1] == 0:
@@ -243,37 +245,55 @@ def _cut_rows(
         raise ValueError(f"member indices must lie in 0..{n - 1}")
     if kind == "edge" and rows.shape[1] != 2:
         raise ValueError("an edge needs exactly two members")
-    weights = [_real(w, "weight must be a number") for w in weights]
-    if not all(0 <= w < math.inf for w in weights):
+    weights = _reals(weights, "weight must be a number")
+    if weights.shape != rows.shape[:1]:
+        raise ValueError(f"{rows.shape[0]} rows of members need as many weights")
+    if not np.all((weights >= 0) & (weights < math.inf)):
         raise ValueError("weight must be finite and nonnegative")
-    rows = _frozen(rows.astype(np.intp, copy=False))
-    pos = _frozen(np.arange(rows.shape[1], dtype=np.intp))
-    vertices = np.arange(n).astype(object)  # one Python int per vertex, shared by the tuples
-    members = map(tuple, vertices[rows].tolist())
-    put, atoms = object.__setattr__, []
-    for row, mem, w in zip(rows, members, weights, strict=True):
-        atom = object.__new__(SubmodularAtom)  # checked above, not by __post_init__
-        put(atom, "kind", kind)  # head, tail, table and fn keep their defaults (None)
-        put(atom, "members", mem)
-        put(atom, "weight", w)
-        put(atom, "_members_arr", row)
-        put(atom, "_head_pos", pos)
-        put(atom, "_tail_pos", pos)
-        put(atom, "_sqrt_w", math.sqrt(w))
-        atoms.append(atom)
-    return atoms, rows
+    k, m = rows.shape
+    kinds = np.full(k, _ALL_KINDS.index(kind), dtype=np.int8)
+    ends = np.arange(0, k * m + 1, m, dtype=np.intp)
+    matrix = _frozen(rows.astype(np.intp, copy=False))
+    return _frozen(kinds), matrix.reshape(-1), _frozen(ends), _frozen(weights)
 
 
-class _Layout(NamedTuple):
-    """What every layer reads of a tuple of components, built (read-only) by
-    `solvers._component_layout` once per `ProblemInstance` and per `Hypergraph`."""
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What every layer reads of a tuple of components, derived (read-only) by
+    `solvers._component_layout` from their columnar form once per
+    `ProblemInstance` and per `Hypergraph`: a builder's instance shares its
+    hypergraph's.  ``atoms`` is built on first read when the layout was
+    derived without atoms (edges and hyperedges only)."""
 
-    incidence: np.ndarray  # every component's members_arr, concatenated in order
+    kinds: np.ndarray  # component r's kind code, its index in `_ALL_KINDS`
+    incidence: np.ndarray  # every component's members, concatenated in order
     ends: np.ndarray  # component r's entries are incidence[ends[r]:ends[r + 1]]
     weights: np.ndarray  # component r's weight
     psi: np.ndarray  # per-vertex coverage counts Ψ, as floats
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # `_symmetric_cut_groups`
     rest: tuple[int, ...]  # and the indices of all other components
+
+    @cached_property
+    def atoms(self) -> tuple[SubmodularAtom, ...]:
+        """The components as atoms, each equal to the constructor's: ``members_arr``
+        views the incidence, atoms of one size share one position array, and the
+        member tuples share one int object per vertex."""
+        vertices = np.arange(self.psi.size).astype(object)
+        members, ends = vertices[self.incidence].tolist(), self.ends.tolist()
+        positions = {m: _frozen(np.arange(m, dtype=np.intp)) for m in set(np.diff(ends).tolist())}
+        put, atoms = object.__setattr__, []
+        for kind, lo, hi, w in zip(self.kinds.tolist(), ends, ends[1:], self.weights.tolist()):
+            pos = positions[hi - lo]
+            atom = object.__new__(SubmodularAtom)  # checked columns, not by __post_init__
+            put(atom, "kind", _ALL_KINDS[kind])  # head, tail, table and fn keep their defaults
+            put(atom, "members", tuple(members[lo:hi]))
+            put(atom, "weight", w)
+            put(atom, "_members_arr", self.incidence[lo:hi])
+            put(atom, "_head_pos", pos)
+            put(atom, "_tail_pos", pos)
+            put(atom, "_sqrt_w", math.sqrt(w))
+            atoms.append(atom)
+        return tuple(atoms)
 
 
 def graph_edge_cut(i: int, j: int, weight: float = 1.0) -> SubmodularAtom:

@@ -496,7 +496,7 @@ def rcd_steps_reference(instance, config, tally):
     mems = [incidence[lo:hi] for lo, hi in zip(ends, ends[1:])]
     base_flat = instance._two_wa[incidence]
     base = [base_flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    projectors = bind_projectors(instance.atoms, layout, instance.winv, range(instance.r),
+    projectors = bind_projectors(layout, instance.winv, range(instance.r),
                                  config.projection, config.delta, tally)
     ys = [np.zeros(mem.size) for mem in mems]
     rng = np.random.default_rng(config.seed)
@@ -533,7 +533,7 @@ def ap_steps_reference(instance, config, tally):
     metric = psi / instance.w
     batched, rest = [], list(layout.rest)
     for rows, matrix, weights in layout.groups:
-        if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]], config.projection) == "exact":
+        if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]].is_cut, config.projection) == "exact":
             batched.append((rows, matrix, metric[matrix], weights))
         else:
             rest.extend(rows.tolist())
@@ -541,7 +541,7 @@ def ap_steps_reference(instance, config, tally):
     members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
     ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
-    projectors = bind_projectors(atoms, layout, metric, rest, config.projection, config.delta,
+    projectors = bind_projectors(layout, metric, rest, config.projection, config.delta,
                                  tally) if rest else []
     y = np.zeros(members.size)
 
@@ -576,7 +576,7 @@ def block_steps_reference(instance, config, tally, tau):
     bounds = [big_r * j // count for j in range(count + 1)]
     largest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (largest - 1) / max(big_r - 1, 1), 1.0)
-    members, _, project = bind_blocks(instance.atoms, layout, beta / instance.w,
+    members, _, project = bind_blocks(layout, beta / instance.w,
                                       config.projection, config.delta, tally, tau)
     y = np.zeros(members.size)
     rng = np.random.default_rng(config.seed)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qdsfm import applications, solvers
+from qdsfm import applications, io as qio, solvers, submodular
 from qdsfm.applications import (
     Hypergraph,
     LabeledDataset,
@@ -570,8 +571,13 @@ def test_choice_rows_draw_numpys_per_row_stream(data):
 
 def test_generator_atoms_share_one_member_matrix():
     hg, _, _ = generate_synthetic_hypergraph(600, 9, 12, 4, 2, seed=3)
+    _check_generated_edges(hg, (30, 4))
+
+
+def _check_generated_edges(hg, shape):
+    """The generated hypergraph's edges, built on first read from its member matrix."""
     matrix = hg.edges[0].members_arr.base
-    assert matrix.shape == (30, 4) and not matrix.flags.writeable
+    assert matrix.shape == shape and not matrix.flags.writeable
     assert all(e.members_arr.base is matrix for e in hg.edges)
     assert all((e.kind, e.weight, e.sqrt_w) == ("hyperedge", 1.0, 1.0) for e in hg.edges)
     # the member tuples are the matrix's rows as ints, one int object per vertex
@@ -596,9 +602,10 @@ def test_generator_atoms_share_one_member_matrix():
 
 def test_generated_instance_memory_is_bounded():
     """What a benchmark-size input holds: the hypergraph with its layout, the
-    labels and the truth.  1.39 MB measured with NumPy 2.4 on CPython 3.11
-    (2.64 MB when every tuple held its own ints and the layout its own copy of
-    the member matrix); the bound leaves 15% for other builds."""
+    labels and the truth.  0.406 MB measured with NumPy 2.4 on CPython 3.11,
+    where the member matrix alone is 0.32 MB (1.39 MB when the hypergraph held
+    an atom per edge, 2.64 MB when every member tuple held its own ints and the
+    layout its own copy of the matrix); the bound leaves 15% for other builds."""
     generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)  # lazy first-call state
     tracemalloc.start()
     try:
@@ -607,7 +614,69 @@ def test_generated_instance_memory_is_bounded():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained < 1.6e6
+    assert retained < 4.67e5
+
+
+def _spy_on_atoms(monkeypatch):
+    """Record every atom a constructor checks and every layout that builds its atoms."""
+    built = []
+    real_build, real_check = submodular._Layout.atoms, SubmodularAtom.__post_init__
+
+    def build(layout):
+        built.append(layout)
+        return real_build.func(layout)
+
+    def check(atom):
+        built.append(atom)
+        real_check(atom)
+
+    spy = cached_property(build)
+    spy.__set_name__(submodular._Layout, "atoms")
+    monkeypatch.setattr(submodular._Layout, "atoms", spy)
+    monkeypatch.setattr(SubmodularAtom, "__post_init__", check)
+    return built
+
+
+def test_benchmark_path_builds_no_atoms(monkeypatch, tmp_path):
+    built = _spy_on_atoms(monkeypatch)
+    hg, ds, _ = generate_synthetic_hypergraph(1000, 500, 1000, 20, 3, seed=0)
+    inst, back = build_ssl_instance(hg, ds, 1, 0.02, "degree")
+    for algorithm, gap in (("rcd", 1e-5), ("ap", 3e-4)):
+        for projection in ("exact", "auto"):
+            res = solve(inst, SolveConfig(algorithm=algorithm, projection=projection,
+                                          target_gap=gap, max_iters=100 * inst.r))
+            assert res.converged
+            cheeger_sweep(hg, hg.degrees, back(res.x))
+            qio.write_solution(res, str(tmp_path / "solution.json"))
+            qio.write_trace(res.trace, str(tmp_path / "trace.csv"))
+    assert built == [] and inst.r == hg.r == 2000
+    # read at last, the edges are the member matrix's rows, built once for both
+    _check_generated_edges(hg, (2000, 20))
+    assert built == [hg._layout] and hg.edges is hg.edges is inst.atoms
+
+
+def test_one_component_check_per_hypergraph(monkeypatch):
+    checks = []
+    for module, name in ((solvers, "_check_components"), (applications, "_check_components"),
+                         (applications, "_cut_rows")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            checks.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    generated, ds, _ = generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)
+    assert checks == ["_cut_rows"]
+    rows = [{"c": str(i % 3), "v": str(i % 5)} for i in range(40)]
+    ingested = ingest_tabular_dataset(rows, [("c", "categorical"), ("v", "categorical")])
+    assert checks == ["_cut_rows"]
+    given = Hypergraph(generated.n, generated.edges)
+    assert checks == ["_cut_rows", "_check_components"]
+    for hg in (generated, ingested, given):
+        for k in (0, 1):
+            build_ssl_instance(hg, ds, k, 1.0, "identity")
+    graph = Hypergraph(4, tuple(graph_edge_cut(i, (i + 1) % 4) for i in range(4)))
+    build_pagerank_instance(graph, 0.5, np.full(4, 0.25))
+    assert checks == ["_cut_rows", "_check_components", "_check_components"]
 
 
 def test_generator_arguments_are_integers():

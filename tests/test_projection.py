@@ -549,7 +549,7 @@ def test_chunk_projects_every_kind_under_a_scaled_metric(scale):
     metric, shift = rng.uniform(0.5, 2.0, 11), rng.normal(size=11)
     # τ = 7 of R = 13: the 8 three-member hyperedges are batched (8·7/13 ≥ 4), the rest is scalar
     members, order, project = projection.bind_blocks(
-        atoms, inst._layout, metric, "auto", 1e-12, Counter(), 7)
+        inst._layout, metric, "auto", 1e-12, Counter(), 7)
     assert order.tolist() == list(range(13))
     y, phis = rng.normal(size=members.size), np.full(13, np.nan)
     picks = np.array([12, 1, 8, 5, 9, 3, 10, 11])  # both kinds, out of order

@@ -161,7 +161,8 @@ def test_objectives_check_shapes():
 
 
 def test_penalty_groups_and_fallback_agree():
-    # grouped symmetric components plus directed/general fallbacks
+    # grouped symmetric components plus directed/general fallbacks; the table has
+    # F(S_r) = 1, so its f_r(x) < 0 at some x, where it adds max(f_r(x), 0)² = 0
     tbl = {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0}
     atoms = (
         hyperedge_cut([0, 1, 2], 2.0),
@@ -175,7 +176,7 @@ def test_penalty_groups_and_fallback_agree():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.normal(size=5)
-        manual = sum(lovasz_extension(at, x) ** 2 for at in atoms)
+        manual = sum(max(lovasz_extension(at, x), 0.0) ** 2 for at in atoms)
         assert inst._penalty(x) == pytest.approx(manual, rel=1e-12)
 
 
@@ -373,6 +374,31 @@ def test_general_component_equals_its_cut_twin():
     res_tbl = solve(ProblemInstance(a, w, table_atoms), cfg)
     assert res_cut.converged and res_tbl.converged
     assert np.allclose(res_cut.x, res_tbl.x, atol=1e-5)
+
+
+def _sqrt_table_instance():
+    """60 tables F(S) = √|S| on 3 of 30 vertices: F(S_r) = √3 > 0, so f_r(x) < 0
+    wherever x is negative enough on S_r."""
+    rng = np.random.default_rng(0)
+    tbl = {bits: math.sqrt(bin(bits).count("1")) for bits in range(8)}
+    atoms = tuple(general_oracle(sorted(rng.choice(30, 3, replace=False).tolist()), table=tbl)
+                  for _ in range(60))
+    return ProblemInstance(rng.normal(size=30), None, atoms)
+
+
+@pytest.mark.parametrize("algorithm", ["rcd", "ap"])
+def test_general_components_with_a_positive_total_certify_their_gap(algorithm):
+    # the dual cone of a table certifies only max(f_r(x), 0)²: a primal that added
+    # f_r(x)² left both solves at gap 18.686 = Σ_r min(f_r(x), 0)² after 300 epochs
+    inst = _sqrt_table_instance()
+    res = solve(inst, SolveConfig(algorithm=algorithm, projection="mnp", target_gap=1e-6,
+                                  max_iters=300 * inst.r))
+    assert res.converged and res.gap <= 1e-6
+    values = [oracles.lovasz_by_prefix(oracles.atom_value_fn(at), at.members, res.x)
+              for at in inst.atoms]
+    assert sum(v < 0 for v in values) > 10  # the components that need the positive part
+    want = float(np.dot(inst.w, (res.x - inst.a) ** 2)) + sum(max(v, 0.0) ** 2 for v in values)
+    assert res.primal == pytest.approx(want, rel=1e-12)
 
 
 def test_projection_method_override_agrees():

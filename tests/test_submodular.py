@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qdsfm.solvers import _component_layout
 from qdsfm.submodular import (
     SubmodularAtom,
     _cut_rows,
@@ -332,8 +333,15 @@ def test_cut_rows_match_constructor(m):
     weights = [1.0, 0.0, 2.5, 3, np.float64(0.25), np.int32(7)]
     x = rng.standard_normal(50)
     for kind in ("edge", "hyperedge") if m == 2 else ("hyperedge",):
-        atoms, matrix = _cut_rows(kind, rows, weights, 50)
-        assert len(atoms) == len(rows)
+        columns = _cut_rows(kind, rows, weights, 50)
+        kinds, incidence, ends, held = columns
+        assert kinds.tolist() == [("edge", "hyperedge").index(kind)] * 6
+        assert ends.tolist() == list(range(0, 6 * m + 1, m))
+        assert held.tolist() == [float(w) for w in weights]
+        # the layout builds the atoms on first read, once
+        layout = _component_layout(50, *columns)
+        atoms = layout.atoms
+        assert layout.atoms is atoms and len(atoms) == len(rows)
         for row, weight, atom in zip(rows, weights, atoms):
             ref = SubmodularAtom(kind, row, weight)
             assert isinstance(atom, SubmodularAtom)
@@ -347,10 +355,11 @@ def test_cut_rows_match_constructor(m):
             assert lovasz_extension(atom, x) == lovasz_extension(ref, x)
             assert np.array_equal(greedy_linear_minimizer(atom, x), greedy_linear_minimizer(ref, x))
         # one sorted matrix and one position array stand behind every atom
+        matrix = incidence.base
         assert matrix.shape == rows.shape and np.array_equal(matrix, np.sort(rows, axis=1))
         assert all(atom.members_arr.base is matrix for atom in atoms)
         assert all(atom.head_pos is atom.tail_pos is atoms[0].head_pos for atom in atoms)
-        for arr in (matrix, atoms[-1].members_arr, atoms[-1].head_pos):
+        for arr in (matrix, *columns, atoms[-1].members_arr, atoms[-1].head_pos):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
