@@ -6,9 +6,10 @@ Solvers for problems of the form
 
 where each f_r is the support function (Lovász extension) of a submodular
 component restricted to a small incidence set.  The dual is a best-
-approximation problem over a product of cones, attacked either one random
-block at a time (``rcd``) or all blocks per round (``ap``), with exact,
-active-set, or conditional-gradient projection oracles per component.
+approximation problem over a product of cones, attacked either in chunks of
+τ random blocks per accelerated step (``rcd``) or all blocks per round
+(``ap``), with exact, active-set, or conditional-gradient projection oracles
+per component.
 
 On top of the solver sit hypergraph applications: semi-supervised vertex
 labeling with sweep-cut rounding, PageRank via a quadratic reduction, a

@@ -21,12 +21,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .solvers import (
-    ProblemInstance, SolveConfig, SolveResult, _check_components, _columns, _component_layout,
-    solve
-)
+from .solvers import ProblemInstance, SolveConfig, SolveResult, _columns, _component_layout, solve
 from .submodular import (
-    _ALL_KINDS, SubmodularAtom, _as_ints, _cut_rows, _frozen, _Layout, _real, _reals, as_diagonal
+    _ALL_KINDS, SubmodularAtom, _as_ints, _frozen, _Layout, _real, _reals, as_diagonal
 )
 
 __all__ = [
@@ -64,15 +61,17 @@ class Hypergraph:
         if n < 1:
             raise ValueError("'n' must be a positive integer")
         edges = tuple(edges)
-        _check_components(edges, n, "hyperedge", cut_only=True)
-        vars(self).update(n=n, _layout=_component_layout(n, *_columns(edges), edges))
+        columns = _columns(edges, n, "hyperedge", cut_only=True)
+        vars(self).update(n=n, _layout=_component_layout(n, *columns, edges))
 
     @classmethod
-    def _of(cls, n: int, *columns: np.ndarray) -> Hypergraph:
-        """The hypergraph on n vertices of checked cuts in columnar form (see
-        `_component_layout`)."""
+    def _of(cls, n: int, incidence: np.ndarray, ends: np.ndarray) -> Hypergraph:
+        """The hypergraph on n vertices of trusted unit-weight hyperedges, hyperedge
+        r on the distinct vertices incidence[ends[r]:ends[r + 1]] in ascending order."""
+        r = ends.size - 1
+        kinds = np.full(r, _ALL_KINDS.index("hyperedge"), dtype=np.int8)
         hg = cls.__new__(cls)
-        vars(hg).update(n=n, _layout=_component_layout(n, *columns))
+        vars(hg).update(n=n, _layout=_component_layout(n, kinds, incidence, ends, np.ones(r)))
         return hg
 
     @property
@@ -396,11 +395,14 @@ def generate_synthetic_hypergraph(
         raise ValueError(f"labeled_per_cluster must lie in 0..{half}")
     if min(within, across, seed) < 0:
         raise ValueError("within_per_cluster, across and seed must be nonnegative")
+    if max(n, 2 * within + across) > np.iinfo(np.intp).max:
+        raise ValueError("n and the hyperedge count must fit in a machine integer")
     rng = np.random.default_rng(seed)
     # cluster 0's within rows, cluster 1's, then the across rows
     rows = _choice_rows(rng, np.repeat([half, n], [2 * within, across]), edge_size)
     rows[within : 2 * within] += half
-    columns = _cut_rows("hyperedge", rows, np.ones(rows.shape[0]), n)
+    rows.sort(axis=1)  # each row's members are distinct and in 0..n−1 as drawn
+    matrix = _frozen(rows.astype(np.intp, copy=False))
     truth = np.zeros(n, dtype=int)
     truth[half:] = 1
     labels: dict[int, int] = {}
@@ -408,7 +410,8 @@ def generate_synthetic_hypergraph(
         picks = rng.choice(half, size=labeled, replace=False) + start
         for v in picks:
             labels[int(v)] = klass
-    return Hypergraph._of(n, *columns), LabeledDataset(n, labels, num_classes=2), truth
+    hg = Hypergraph._of(n, matrix.reshape(-1), np.arange(0, matrix.size + 1, edge_size, np.intp))
+    return hg, LabeledDataset(n, labels, num_classes=2), truth
 
 
 def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.ndarray:
@@ -537,9 +540,8 @@ def ingest_tabular_dataset(
             ends.append(len(incidence))
         if dropped:
             logger.info("column %r: dropped %d singleton group(s)", name, dropped)
-    kinds = np.full(len(ends) - 1, _ALL_KINDS.index("hyperedge"), dtype=np.int8)
-    return Hypergraph._of(len(rows), kinds, np.array(incidence, dtype=np.intp),
-                          np.array(ends, dtype=np.intp), np.ones(kinds.size))
+    return Hypergraph._of(len(rows), np.array(incidence, dtype=np.intp),
+                          np.array(ends, dtype=np.intp))
 
 
 def _cell(row: Mapping[str, str], name: str, idx: int) -> str:

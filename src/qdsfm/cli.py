@@ -41,6 +41,7 @@ from .projection import (
     project_cone,
 )
 from .solvers import ALGORITHMS, DEFAULT_SEED, SolveConfig, solve
+from .submodular import _CUT_KINDS
 
 logger = logging.getLogger("qdsfm")
 
@@ -276,6 +277,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not 0.0 < args.budget_seconds < np.inf:
         raise InputError("--budget-seconds must be positive and finite")
     runs = []  # every method's config and oracle are checked before the first one runs
+    cuts = bool(np.all(instance._layout.kinds < len(_CUT_KINDS)))  # is every component a cut?
     for token in filter(None, (t.strip() for t in args.methods.split(","))):
         algorithm, _, projection = token.partition(":")
         try:
@@ -287,8 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 wall_clock_limit=args.budget_seconds,
                 target_gap=None,
             )
-            for atom in instance.atoms:
-                _choose_oracle(atom.is_cut, config.projection)
+            _choose_oracle(cuts, config.projection)
         except ValueError as exc:
             raise InputError(f"method {token!r}: {exc}") from exc
         runs.append((token, config))

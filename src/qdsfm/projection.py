@@ -317,10 +317,11 @@ def _sweep_rows(wt: np.ndarray, weights) -> np.ndarray:
 
 
 def _bind_sweep(
-    atom: SubmodularAtom, wt: np.ndarray, rows: np.ndarray | None = None
+    wt: np.ndarray, weight: float, sides: tuple | None = None, rows: np.ndarray | None = None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
-    """Exact cone projection for a cut component under the metric ``wt``, as
-    a callable target ↦ (y, φ) in local coordinates.
+    """Exact cone projection for a cut component of weight ``weight`` under the
+    metric ``wt``, as a callable target ↦ (y, φ) in local coordinates.  ``sides``
+    holds a directed hyperedge's head and tail positions, and is None otherwise.
 
     Reduces to the proximal problem min_z ‖z − b‖²_M + w·f₁(z)² with
     b = W̃a/2 and M = W̃⁻¹ (f₁ the unit-weight cut extension), solved by a
@@ -329,13 +330,14 @@ def _bind_sweep(
     y = a − 2Mz, φ = 2√w·f₁(z).  The `_sweep_rows` depend only on the
     component and ``wt``, so they are computed here unless given as ``rows``.
     """
-    m, w = atom.size, atom.weight
-    if m == 1 or w == 0.0:
+    m = wt.size
+    if m == 1 or weight == 0.0:
         return lambda a, scale=1.0: (np.zeros(m), 0.0)
-    rows = _sweep_rows(wt, w) if rows is None else rows
-    hp, tp = atom.head_pos, atom.tail_pos
-    sides = (hp, tp, rows[2, hp], rows[2, tp]) if atom.kind == "directed_hyperedge" else None
-    return partial(_sweep, rows, 2.0 * math.sqrt(w), sides)
+    rows = _sweep_rows(wt, weight) if rows is None else rows
+    if sides is not None:
+        hp, tp = sides
+        sides = (hp, tp, rows[2, hp], rows[2, tp])
+    return partial(_sweep, rows, 2.0 * math.sqrt(weight), sides)
 
 
 def _sweep(
@@ -579,23 +581,28 @@ def bind_projectors(
     tally: Counter,
 ) -> list[Callable[..., tuple[np.ndarray, float]]]:
     """Callables (target, scale=1.0) ↦ (y, φ) in local coordinates for the
-    components ``picks`` of ``layout.atoms``, in that order, each oracle chosen here,
+    components ``picks`` of ``layout``, in that order, each oracle chosen here,
     once, under ``scale`` times the diagonal ``metric``.  The sweep rows of all
-    components are computed at once along the ``layout``; each sweep binds its view.
+    components are computed at once along the ``layout``; each sweep binds its view
+    and the layout's weight.  Only a directed hyperedge's sweep (for its head and
+    tail) and the ``mnp`` and ``fw`` callables read ``layout.atoms``.
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
     """
     wt, offsets = metric[layout.incidence], layout.ends.tolist()
     rows = _sweep_rows(wt, np.repeat(layout.weights, np.diff(layout.ends)))
-    atoms, projectors = layout.atoms, []
+    kinds, weights, projectors = layout.kinds.tolist(), layout.weights.tolist(), []
+    directed = _CUT_KINDS.index("directed_hyperedge")
     for r in picks:
-        atom, lo, hi = atoms[r], offsets[r], offsets[r + 1]
-        chosen = _choose_oracle(atom.is_cut, method)
+        lo, hi = offsets[r], offsets[r + 1]
+        chosen = _choose_oracle(kinds[r] < len(_CUT_KINDS), method)
         if chosen == "exact":
-            projectors.append(_bind_sweep(atom, wt[lo:hi], rows[:, lo:hi]))
+            atom = layout.atoms[r] if kinds[r] == directed else None
+            sides = None if atom is None else (atom.head_pos, atom.tail_pos)
+            projectors.append(_bind_sweep(wt[lo:hi], weights[r], sides, rows[:, lo:hi]))
             continue
-        local = _ITERATIVE[chosen]
+        atom, local = layout.atoms[r], _ITERATIVE[chosen]
         cap = _iteration_cap(atom, chosen, None)
 
         def proj(tgt, scale=1.0, _f=local, _a=atom, _w=wt[lo:hi], _n=chosen, _c=cap):
@@ -625,13 +632,11 @@ def bind_blocks(
     vertices and the changes (None for a round: all R at scale 1).  A group of k
     cuts under ``exact`` with k·τ/R ≥ ``_BATCH_MIN_ROWS`` comes first in
     ``members``, and its picked rows are one ``_sweep_cut_batch`` call (in place in
-    a round).  Every other component keeps its ``bind_projectors`` callable, the
-    only reader of ``layout.atoms`` here.
+    a round).  Every other component keeps its ``bind_projectors`` callable.
     """
     big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
-    for rows, matrix, weights in layout.groups:  # a group's kind codes are all cuts
-        if (rows.size * tau >= _BATCH_MIN_ROWS * big_r
-                and _choose_oracle(layout.kinds[rows[0]] < len(_CUT_KINDS), method) == "exact"):
+    for rows, matrix, weights in layout.groups:  # a group's are edges or hyperedges
+        if rows.size * tau >= _BATCH_MIN_ROWS * big_r and _choose_oracle(True, method) == "exact":
             batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights))
         else:
             rest.extend(rows.tolist())
@@ -711,7 +716,8 @@ def _project(
     wt = as_diagonal(wtilde, len(a))[atom.members_arr]
     al = a[atom.members_arr]
     if method == "exact":
-        y, phi = _bind_sweep(atom, wt)(al)
+        sides = (atom.head_pos, atom.tail_pos) if atom.kind == "directed_hyperedge" else None
+        y, phi = _bind_sweep(wt, atom.weight, sides)(al)
         c = wt * (y - al)
         cert = float(np.dot(c, _greedy_local(atom, c))) + phi
         hist, conv, iters = (), True, 1

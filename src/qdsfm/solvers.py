@@ -95,8 +95,8 @@ class ProblemInstance:
     def __init__(self, a, w, atoms: Sequence[SubmodularAtom]) -> None:
         a, w = _anchor(a, w)
         atoms = tuple(atoms)
-        _check_components(atoms, a.size, "component")
-        vars(self).update(a=a, w=w, _layout=_component_layout(a.size, *_columns(atoms), atoms))
+        columns = _columns(atoms, a.size, "component")
+        vars(self).update(a=a, w=w, _layout=_component_layout(a.size, *columns, atoms))
 
     @classmethod
     def _on(cls, a, w, layout: _Layout) -> ProblemInstance:
@@ -161,9 +161,13 @@ def _anchor(a, w) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(a), _frozen(w)
 
 
-def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -> None:
-    """Raise unless every entry i of ``atoms``, "{noun} i" in the message, is
-    a `SubmodularAtom` (a cut component if ``cut_only``) on vertices 0..n−1."""
+def _columns(
+    atoms: tuple, n: int, noun: str, cut_only: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columnar form of ``atoms``, as `_component_layout` takes it, in one
+    pass that raises unless every entry i, "{noun} i" in the message, is a
+    `SubmodularAtom` (a cut component if ``cut_only``) on vertices 0..n−1."""
+    kinds, members, weights = [], [np.empty(0, np.intp)], []
     for idx, atom in enumerate(atoms):
         if cut_only and not (isinstance(atom, SubmodularAtom) and atom.is_cut):
             raise ValueError(f"{noun} {idx} must be a cut component")
@@ -172,14 +176,6 @@ def _check_components(atoms: tuple, n: int, noun: str, cut_only: bool = False) -
         if atom.members[-1] >= n:
             raise ValueError(
                 f"{noun} {idx} references vertex {atom.members[-1]} outside 0..{n - 1}")
-
-
-def _columns(
-    atoms: Sequence[SubmodularAtom],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The columnar form of checked ``atoms``, as `_component_layout` takes it."""
-    kinds, members, weights = [], [np.empty(0, np.intp)], []
-    for atom in atoms:
         kinds.append(_ALL_KINDS.index(atom.kind))
         members.append(atom.members_arr)
         weights.append(atom.weight)

@@ -221,42 +221,6 @@ class SubmodularAtom:
         return self.kind in _CUT_KINDS
 
 
-def _cut_rows(
-    kind: str, rows: np.ndarray, weights: Sequence[float] | np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """k components of kind "edge" or "hyperedge" from a k × m integer matrix
-    of members on vertices 0..n−1 and k weights, checked by the constructor's
-    rules on the whole matrix at once, in columnar form: their kind codes, the
-    read-only row-sorted copy of ``rows`` raveled (its rows are the components'
-    members), the ends of its rows and the weights.  ``rows`` is left alone."""
-    if rows.dtype.kind not in "iu":
-        raise ValueError("members: expected integers, not bools, floats or strings")
-    if rows.shape[1] == 0:
-        raise ValueError("members must be nonempty")
-    rows = np.sort(rows, axis=1)
-    if rows.size and rows[:, 0].min() < 0:
-        raise ValueError("members contains negative indices")
-    if np.any(np.diff(rows, axis=1) == 0):
-        raise ValueError("members contains duplicate indices")
-    top = int(rows[:, -1].max()) if rows.size else -1
-    if top > np.iinfo(np.intp).max:
-        raise ValueError("member indices must fit in a machine integer")
-    if top >= n:
-        raise ValueError(f"member indices must lie in 0..{n - 1}")
-    if kind == "edge" and rows.shape[1] != 2:
-        raise ValueError("an edge needs exactly two members")
-    weights = _reals(weights, "weight must be a number")
-    if weights.shape != rows.shape[:1]:
-        raise ValueError(f"{rows.shape[0]} rows of members need as many weights")
-    if not np.all((weights >= 0) & (weights < math.inf)):
-        raise ValueError("weight must be finite and nonnegative")
-    k, m = rows.shape
-    kinds = np.full(k, _ALL_KINDS.index(kind), dtype=np.int8)
-    ends = np.arange(0, k * m + 1, m, dtype=np.intp)
-    matrix = _frozen(rows.astype(np.intp, copy=False))
-    return _frozen(kinds), matrix.reshape(-1), _frozen(ends), _frozen(weights)
-
-
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """What every layer reads of a tuple of components, derived (read-only) by
@@ -284,7 +248,7 @@ class _Layout:
         put, atoms = object.__setattr__, []
         for kind, lo, hi, w in zip(self.kinds.tolist(), ends, ends[1:], self.weights.tolist()):
             pos = positions[hi - lo]
-            atom = object.__new__(SubmodularAtom)  # checked columns, not by __post_init__
+            atom = object.__new__(SubmodularAtom)  # trusted columns: no __post_init__
             put(atom, "kind", _ALL_KINDS[kind])  # head, tail, table and fn keep their defaults
             put(atom, "members", tuple(members[lo:hi]))
             put(atom, "weight", w)

@@ -655,28 +655,48 @@ def test_benchmark_path_builds_no_atoms(monkeypatch, tmp_path):
     assert built == [hg._layout] and hg.edges is hg.edges is inst.atoms
 
 
+def test_exact_solve_of_an_ingest_builds_no_atoms(monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = [{"a": str(rng.integers(30)), "b": str(rng.integers(12)), "c": f"{rng.normal():.4f}"}
+            for _ in range(1000)]
+    hg = ingest_tabular_dataset(rows, [("a", "categorical"), ("b", "categorical"),
+                                       ("c", "numeric")])
+    # most size groups are too small to batch, so their hyperedges take the scalar sweep
+    assert sum(group[0].size < 4 for group in hg._layout.groups) > 30
+    built = _spy_on_atoms(monkeypatch)
+    inst, _ = build_ssl_instance(hg, {0: 0, 1: 1, 2: 0}, 1, 0.1, "degree")
+    configs = [SolveConfig(algorithm=algorithm, projection="exact", target_gap=gap)
+               for algorithm, gap in (("rcd", 1e-5), ("ap", 1e-4))]
+    results = [solve(inst, config) for config in configs]
+    assert built == [] and "atoms" not in vars(hg._layout)
+    # the sweeps bound from the layout's columns are the atoms' own, bit for bit
+    given = ProblemInstance(inst.a, inst.w, hg.edges)
+    for res, config in zip(results, configs):
+        ref = solve(given, config)
+        assert res.converged and _same_bits(res.sum_y, ref.sum_y) and _same_bits(res.x, ref.x)
+        assert [row[:4] for row in res.trace] == [row[:4] for row in ref.trace]
+
+
 def test_one_component_check_per_hypergraph(monkeypatch):
-    checks = []
-    for module, name in ((solvers, "_check_components"), (applications, "_check_components"),
-                         (applications, "_cut_rows")):
-        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
-            checks.append(_name)
+    passes = []
+    for module in (solvers, applications):
+        def spy(*args, _real=module._columns, **kwargs):
+            passes.append(args[2])
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, "_columns", spy)
     generated, ds, _ = generate_synthetic_hypergraph(40, 9, 12, 4, 2, seed=3)
-    assert checks == ["_cut_rows"]
     rows = [{"c": str(i % 3), "v": str(i % 5)} for i in range(40)]
     ingested = ingest_tabular_dataset(rows, [("c", "categorical"), ("v", "categorical")])
-    assert checks == ["_cut_rows"]
+    assert passes == []
     given = Hypergraph(generated.n, generated.edges)
-    assert checks == ["_cut_rows", "_check_components"]
+    assert passes == ["hyperedge"]
     for hg in (generated, ingested, given):
         for k in (0, 1):
             build_ssl_instance(hg, ds, k, 1.0, "identity")
     graph = Hypergraph(4, tuple(graph_edge_cut(i, (i + 1) % 4) for i in range(4)))
     build_pagerank_instance(graph, 0.5, np.full(4, 0.25))
-    assert checks == ["_cut_rows", "_check_components", "_check_components"]
+    assert passes == ["hyperedge", "hyperedge"]
 
 
 def test_generator_arguments_are_integers():
@@ -730,6 +750,15 @@ def test_generator_validation():
         generate_synthetic_hypergraph(4, 1, 1, 3, 1, 0)  # edge too large
     with pytest.raises(ValueError):
         generate_synthetic_hypergraph(4, 1, 1, 2, 3, 0)  # too many labels
+
+
+def test_generator_rejects_counts_past_the_machine_integer():
+    top = int(np.iinfo(np.intp).max)
+    # each fails before anything is allocated
+    for args in ((2**65, 1, 1, 2, 1, 0), (top + 1, 1, 1, 2, 1, 0), (4, top // 2 + 1, 0, 1, 0, 0),
+                 (4, 0, top + 1, 1, 0, 0)):
+        with pytest.raises(ValueError, match="must fit in a machine integer"):
+            generate_synthetic_hypergraph(*args)
 
 
 # ---------------------------------------------------------------------------

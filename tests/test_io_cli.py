@@ -679,6 +679,14 @@ def test_cli_ssl_mode_conflicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_ssl_synthetic_rejects_n_past_the_machine_integer(capsys):
+    # 2**65 vertices: refused before anything is drawn or allocated
+    rc = main(["ssl", "--synthetic", "--n", str(2**65), "--within", "1", "--across", "1",
+               "--edge-size", "2", "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err == "error: n and the hyperedge count must fit in a machine integer\n"
+
+
 # ---------------------------------------------------------------------------
 # command line: pagerank
 

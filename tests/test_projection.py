@@ -267,7 +267,8 @@ def test_bound_sweep_is_bitwise_reference(m, directed):
             atom = graph_edge_cut(0, 1, weight[i])
         else:
             atom = hyperedge_cut(range(m), weight[i])
-        y, phi = _bind_sweep(atom, wt[i])(a[i])
+        sides = (atom.head_pos, atom.tail_pos) if directed else None
+        y, phi = _bind_sweep(wt[i], atom.weight, sides)(a[i])
         y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
         assert np.array_equal(y, y_ref) and phi == phi_ref
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from qdsfm.applications import generate_synthetic_hypergraph
 from qdsfm.solvers import _component_layout
 from qdsfm.submodular import (
     SubmodularAtom,
-    _cut_rows,
     directed_hyperedge_cut,
     evaluate,
     general_oracle,
@@ -322,76 +322,47 @@ def test_constructor_validation():
 
 
 # ---------------------------------------------------------------------------
-# the array constructor for cut atoms
+# atoms built from trusted columns
+
+
+def _check_same_atom(atom, ref, x):
+    assert isinstance(atom, SubmodularAtom)
+    assert (atom.kind, atom.members, atom.weight, atom.sqrt_w) == (
+        ref.kind, ref.members, ref.weight, ref.sqrt_w)
+    assert {type(v) for v in atom.members} == {int} and type(atom.weight) is float
+    assert (atom.head, atom.tail, atom.table, atom.fn) == (None, None, None, None)
+    for name in ("members_arr", "head_pos", "tail_pos"):
+        got, want = getattr(atom, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert lovasz_extension(atom, x) == lovasz_extension(ref, x)
+    assert np.array_equal(greedy_linear_minimizer(atom, x), greedy_linear_minimizer(ref, x))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20])
-def test_cut_rows_match_constructor(m):
+def test_layout_atoms_match_constructor(m):
     rng = np.random.default_rng(m)
-    rows = np.stack([rng.choice(50, size=m, replace=False) for _ in range(6)])
-    given = rows.copy()
-    weights = [1.0, 0.0, 2.5, 3, np.float64(0.25), np.int32(7)]
+    matrix = np.sort([rng.choice(50, size=m, replace=False) for _ in range(6)], axis=1)
+    matrix.flags.writeable = False
+    weights = [1.0, 0.0, 2.5, 3.0, 0.25, 7.0]
     x = rng.standard_normal(50)
     for kind in ("edge", "hyperedge") if m == 2 else ("hyperedge",):
-        columns = _cut_rows(kind, rows, weights, 50)
-        kinds, incidence, ends, held = columns
-        assert kinds.tolist() == [("edge", "hyperedge").index(kind)] * 6
-        assert ends.tolist() == list(range(0, 6 * m + 1, m))
-        assert held.tolist() == [float(w) for w in weights]
+        kinds = np.full(6, ("edge", "hyperedge").index(kind), dtype=np.int8)
+        columns = (kinds, matrix.reshape(-1), np.arange(0, 6 * m + 1, m), np.array(weights))
         # the layout builds the atoms on first read, once
         layout = _component_layout(50, *columns)
         atoms = layout.atoms
-        assert layout.atoms is atoms and len(atoms) == len(rows)
-        for row, weight, atom in zip(rows, weights, atoms):
-            ref = SubmodularAtom(kind, row, weight)
-            assert isinstance(atom, SubmodularAtom)
-            assert (atom.kind, atom.members, atom.weight, atom.sqrt_w) == (
-                ref.kind, ref.members, ref.weight, ref.sqrt_w)
-            assert {type(v) for v in atom.members} == {int} and type(atom.weight) is float
-            assert (atom.head, atom.tail, atom.table, atom.fn) == (None, None, None, None)
-            for name in ("members_arr", "head_pos", "tail_pos"):
-                got, want = getattr(atom, name), getattr(ref, name)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert lovasz_extension(atom, x) == lovasz_extension(ref, x)
-            assert np.array_equal(greedy_linear_minimizer(atom, x), greedy_linear_minimizer(ref, x))
-        # one sorted matrix and one position array stand behind every atom
-        matrix = incidence.base
-        assert matrix.shape == rows.shape and np.array_equal(matrix, np.sort(rows, axis=1))
+        assert layout.atoms is atoms and len(atoms) == len(matrix)
+        for row, weight, atom in zip(matrix, weights, atoms):
+            _check_same_atom(atom, SubmodularAtom(kind, row, weight), x)
+        # one matrix and one position array stand behind every atom
         assert all(atom.members_arr.base is matrix for atom in atoms)
         assert all(atom.head_pos is atom.tail_pos is atoms[0].head_pos for atom in atoms)
         for arr in (matrix, *columns, atoms[-1].members_arr, atoms[-1].head_pos):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-    assert np.array_equal(rows, given) and rows.flags.writeable  # the input is left alone
-
-
-# (kind, a matrix whose last row or dtype is bad, weights whose last one may be bad)
-_BAD_ROWS = [
-    ("hyperedge", np.array([[True, False], [False, True]]), [1.0, 1.0]),
-    ("hyperedge", np.array([[0.0, 1.0], [2.0, 3.0]]), [1.0, 1.0]),
-    ("hyperedge", np.array([[0, 1], [3, -2]]), [1.0, 1.0]),
-    ("hyperedge", np.array([[0, 1, 2], [4, 0, 4]]), [1.0, 1.0]),
-    ("hyperedge", np.empty((2, 0), dtype=np.intp), [1.0, 1.0]),
-    ("hyperedge", np.array([[0, 1], [0, 2**64 - 1]], dtype=np.uint64), [1.0, 1.0]),
-    ("edge", np.array([[0, 1, 2], [3, 4, 5]]), [1.0, 1.0]),
-    ("edge", np.array([[0], [1]]), [1.0, 1.0]),
-    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, True]),
-    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, math.nan]),
-    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, math.inf]),
-    ("hyperedge", np.array([[0, 1], [2, 3]]), [1.0, -1.0]),
-]
-
-
-@pytest.mark.parametrize("kind, rows, weights", _BAD_ROWS)
-def test_cut_rows_reject_what_the_constructor_rejects(kind, rows, weights):
-    with pytest.raises(ValueError) as by_rows:
-        _cut_rows(kind, rows, weights, 10)
-    with pytest.raises(ValueError) as by_atom:
-        SubmodularAtom(kind, rows[-1], weights[-1])
-    assert str(by_rows.value) == str(by_atom.value)
-
-
-def test_cut_rows_reject_members_past_the_vertex_count():
-    with pytest.raises(ValueError, match=r"member indices must lie in 0\.\.9"):
-        _cut_rows("hyperedge", np.array([[0, 1], [9, 10]]), [1.0, 1.0], 10)
+    # the generator's edges are the constructor's hyperedges on their members
+    hg, _, _ = generate_synthetic_hypergraph(40, 3, 4, m, 1, seed=m)
+    x = rng.standard_normal(40)
+    for atom, row in zip(hg.edges, hg.incidence.reshape(-1, m)):
+        _check_same_atom(atom, SubmodularAtom("hyperedge", row), x)
