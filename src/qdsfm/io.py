@@ -159,8 +159,9 @@ def load_hypergraph(path: str) -> Hypergraph:
     return _build(Hypergraph, n=obj["n"], edges=edges)
 
 
-def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDataset:
-    """Read seed labels: ``{"labels": {"vertex": class, ...}}``."""
+def load_labels(path: str, n: int) -> LabeledDataset:
+    """Read seed labels, ``{"labels": {"vertex": class, ...}}``, on n vertices;
+    the class count is the largest class + 1, at least 2."""
     obj = _load_json(path)
     if not isinstance(obj, Mapping) or not isinstance(obj.get("labels"), Mapping):
         raise InputError(f"{path}: expected an object with a 'labels' mapping")
@@ -170,7 +171,7 @@ def load_labels(path: str, n: int, num_classes: int | None = None) -> LabeledDat
             labels[int(key)] = val
         except (TypeError, ValueError):
             raise InputError(f"{path}: label key {key!r} is not a vertex index")
-    return _build(LabeledDataset, n=n, labels=labels, num_classes=num_classes)
+    return _build(LabeledDataset, n=n, labels=labels)
 
 
 def load_schema(path: str) -> list[tuple[str, str]]:

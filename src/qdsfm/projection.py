@@ -330,9 +330,8 @@ def _bind_sweep(
     y = a − 2Mz, φ = 2√w·f₁(z).  The `_sweep_rows` depend only on the
     component and ``wt``, so they are computed here unless given as ``rows``.
     """
-    m = wt.size
-    if m == 1 or weight == 0.0:
-        return lambda a, scale=1.0: (np.zeros(m), 0.0)
+    if weight == 0.0:
+        return lambda a, scale=1.0: (np.zeros(wt.size), 0.0)
     rows = _sweep_rows(wt, weight) if rows is None else rows
     if sides is not None:
         hp, tp = sides
@@ -629,10 +628,11 @@ def bind_blocks(
     the blocks ``picks`` in ``y`` (laid out like ``members``) by the projections of
     y_r − shift[S_r] under ``scale``·``metric`` (a diagonal), writes their φ into
     ``phis`` unless it is None and returns the positions in ``y`` it changed, their
-    vertices and the changes (None for a round: all R at scale 1).  A group of k
-    cuts under ``exact`` with k·τ/R ≥ ``_BATCH_MIN_ROWS`` comes first in
-    ``members``, and its picked rows are one ``_sweep_cut_batch`` call (in place in
-    a round).  Every other component keeps its ``bind_projectors`` callable.
+    vertices and the changes (None for a round: all R at scale 1).  A size group
+    of k edges or hyperedges (one-member ones too) under ``exact`` with k·τ/R ≥
+    ``_BATCH_MIN_ROWS`` comes first in ``members``, and its picked rows are one
+    ``_sweep_cut_batch`` call (in place in a round).  Every other component
+    keeps its ``bind_projectors`` callable.
     """
     big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
     for rows, matrix, weights in layout.groups:  # a group's are edges or hyperedges

@@ -194,7 +194,7 @@ def _component_layout(
     components themselves; otherwise the layout builds them on first read."""
     kinds, incidence, ends, weights = map(_frozen, (kinds, incidence, ends, weights))
     psi = _frozen(np.bincount(incidence, minlength=n).astype(float))
-    symmetric = (kinds <= _ALL_KINDS.index("hyperedge")) & (np.diff(ends) > 1)
+    symmetric = kinds <= _ALL_KINDS.index("hyperedge")
     layout = _Layout(kinds, incidence, ends, weights, psi,
                      *_symmetric_cut_groups(symmetric, incidence, ends, weights))
     if atoms is not None:
@@ -205,9 +205,9 @@ def _component_layout(
 def _symmetric_cut_groups(
     symmetric: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray
 ) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
-    """The components flagged ``symmetric`` (edges and hyperedges with more
-    than one member) grouped by size as read-only (indices, k × size members
-    matrix, k weights), and the other components' indices.  A matrix is a
+    """The components flagged ``symmetric`` (edges and hyperedges, of any size)
+    grouped by size as read-only (indices, k × size members matrix, k
+    weights), and the other components' indices.  A matrix is a
     view of ``incidence`` when its components are consecutive, else a gather."""
     picked = np.flatnonzero(symmetric)
     sizes = np.diff(ends)[picked]
@@ -487,8 +487,7 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
 
     A step of ``ap`` is one round of R projections.  A step of ``rcd`` is one
     of an epoch's ⌈R/τ⌉ near-equal chunks, τ from `_block_size`'s rule whatever
-    the components and the oracle (its results differ from earlier versions'
-    one-block ``rcd`` within the certified gap).
+    the components and the oracle.
     The chunks of ``rcd``'s first epoch make up ``ap``'s first round: on a budget
     of R both return the same ``sum_y``, ``phis`` and gap, bit for bit unless
     ``ap`` batches a group of cuts that ``rcd``'s chunks leave to the scalar

@@ -1,14 +1,13 @@
 """Submodular set-function components and their polyhedral machinery.
 
 Each component is a nonnegative, normalized submodular function F_r attached
-to an incidence set S_r of ground-set indices.  The module evaluates F_r,
-computes its Lovász extension f_r (the support function of the base
-polytope B_r), and runs Edmonds' greedy algorithm as the linear-minimization
-oracle over B_r.
+to an incidence set S_r of ground-set indices.  The module computes its
+Lovász extension f_r (the support function of the base polytope B_r) and
+runs Edmonds' greedy algorithm as the linear-minimization oracle over B_r.
 
 Cut-type components (graph edges, hyperedges, directed hyperedges) get
-closed forms throughout; general components are handled through an explicit
-value table or a user callback.
+closed forms at every size, one member included; general components are
+read through an explicit value table or a user callback.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "hyperedge_cut",
     "directed_hyperedge_cut",
     "general_oracle",
-    "evaluate",
     "lovasz_extension",
     "greedy_linear_minimizer",
 ]
@@ -134,9 +132,8 @@ class SubmodularAtom:
         subset, finite numbers ≥ 0 as values, F(∅) = 0.
       * ``fn``, exactly for kind "oracle": fn(∅) = 0.  Submodularity is trusted.
 
-    Values of F are always computed on the restriction S ∩ members, so
-    callers never pre-restrict.  Coordinates outside ``members`` are never
-    read and base-polytope points are zero there.
+    F depends on S only through S ∩ members: coordinates outside
+    ``members`` are never read and base-polytope points are zero there.
     """
 
     kind: str
@@ -301,18 +298,11 @@ def general_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Greedy linear minimization over the base polytope
 
 
 def _value_on_positions(atom: SubmodularAtom, pos: frozenset[int]) -> float:
-    """F at a subset given by member *positions* (already restricted)."""
-    if atom.kind in _CUT_KINDS:
-        if atom.kind == "directed_hyperedge":
-            hits_head = any(p in pos for p in atom.head_pos)
-            misses_tail = any(p not in pos for p in atom.tail_pos)
-            return atom.sqrt_w if (hits_head and misses_tail) else 0.0
-        k = len(pos)
-        return atom.sqrt_w if 0 < k < atom.size else 0.0
+    """F of a table or oracle component at a subset given by member *positions*."""
     if atom.kind == "table":
         mask = 0
         for p in pos:
@@ -320,26 +310,6 @@ def _value_on_positions(atom: SubmodularAtom, pos: frozenset[int]) -> float:
         return atom.weight * atom.table[mask]  # type: ignore[index]
     subset = frozenset(atom.members[p] for p in pos)
     return atom.weight * atom.fn(subset)  # type: ignore[misc]
-
-
-def evaluate(atom: SubmodularAtom, S: Iterable[int]) -> float:
-    """Evaluate F_r on S ∩ S_r.
-
-    Args:
-        atom: the component.
-        S: any iterable of global indices (indices outside the incidence set
-           are ignored).
-
-    Returns:
-        F_r(S ∩ S_r), a nonnegative float; 0.0 for the empty restriction.
-    """
-    s = set(S)
-    pos = frozenset(p for p, g in enumerate(atom.members) if g in s)
-    return _value_on_positions(atom, pos)
-
-
-# ---------------------------------------------------------------------------
-# Greedy linear minimization over the base polytope
 
 
 def _greedy_local(atom: SubmodularAtom, c_loc: np.ndarray) -> np.ndarray:
@@ -351,12 +321,9 @@ def _greedy_local(atom: SubmodularAtom, c_loc: np.ndarray) -> np.ndarray:
     m = atom.size
     q = np.zeros(m)
     if atom.is_cut:
-        if m == 1:
-            return q
         hp, tp = atom.head_pos, atom.tail_pos
         ch = c_loc[hp]
         u = int(hp[int(np.argmin(ch))])  # first head in the sorted order
-        ct = c_loc[tp]
         rev = tp[::-1]
         v = int(rev[int(np.argmax(c_loc[rev]))])  # last tail in the sorted order
         cu, cv = float(c_loc[u]), float(c_loc[v])
@@ -406,8 +373,6 @@ def lovasz_extension(atom: SubmodularAtom, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     xl = x[atom.members_arr]
     if atom.is_cut:
-        if atom.size == 1:
-            return 0.0
         hi = float(np.max(xl[atom.head_pos]))
         lo = float(np.min(xl[atom.tail_pos]))
         return atom.sqrt_w * max(0.0, hi - lo)

@@ -659,22 +659,35 @@ def test_exact_solve_of_an_ingest_builds_no_atoms(monkeypatch):
     rng = np.random.default_rng(7)
     rows = [{"a": str(rng.integers(30)), "b": str(rng.integers(12)), "c": f"{rng.normal():.4f}"}
             for _ in range(1000)]
-    hg = ingest_tabular_dataset(rows, [("a", "categorical"), ("b", "categorical"),
-                                       ("c", "numeric")])
+    ingested = ingest_tabular_dataset(rows, [("a", "categorical"), ("b", "categorical"),
+                                             ("c", "numeric")])
     # most size groups are too small to batch, so their hyperedges take the scalar sweep
-    assert sum(group[0].size < 4 for group in hg._layout.groups) > 30
+    assert sum(group[0].size < 4 for group in ingested._layout.groups) > 30
+    # a generated input whose 30 hyperedges have one member each: one size group, and
+    # nothing outside the groups for the penalty to read as atoms
+    generated, ds, _ = generate_synthetic_hypergraph(40, 9, 12, 1, 2, 0)
+    assert [group[1].shape for group in generated._layout.groups] == [(30, 1)]
+    assert generated._layout.rest == ()
     built = _spy_on_atoms(monkeypatch)
-    inst, _ = build_ssl_instance(hg, {0: 0, 1: 1, 2: 0}, 1, 0.1, "degree")
-    configs = [SolveConfig(algorithm=algorithm, projection="exact", target_gap=gap)
-               for algorithm, gap in (("rcd", 1e-5), ("ap", 1e-4))]
-    results = [solve(inst, config) for config in configs]
-    assert built == [] and "atoms" not in vars(hg._layout)
-    # the sweeps bound from the layout's columns are the atoms' own, bit for bit
-    given = ProblemInstance(inst.a, inst.w, hg.edges)
-    for res, config in zip(results, configs):
-        ref = solve(given, config)
-        assert res.converged and _same_bits(res.sum_y, ref.sum_y) and _same_bits(res.x, ref.x)
-        assert [row[:4] for row in res.trace] == [row[:4] for row in ref.trace]
+    # the generated input's gap is 0 from the start, so a budget rather than a target
+    # makes its solves step
+    for hg, (inst, _), budget in (
+            (ingested, build_ssl_instance(ingested, {0: 0, 1: 1, 2: 0}, 1, 0.1, "degree"), None),
+            (generated, build_ssl_instance(generated, ds, 0, 1.0, "identity"), 300)):
+        configs = [SolveConfig(algorithm=algorithm, projection=projection, max_iters=budget,
+                               target_gap=None if budget else gap)
+                   for algorithm, gap in (("rcd", 1e-5), ("ap", 1e-4))
+                   for projection in ("exact", "auto")]
+        results = [solve(inst, config) for config in configs]
+        assert built == [] and "atoms" not in vars(hg._layout)
+        # the sweeps bound from the layout's columns are the atoms' own, bit for bit
+        given = ProblemInstance(inst.a, inst.w, hg.edges)
+        for res, config in zip(results, configs):
+            ref = solve(given, config)
+            assert res.gap <= (config.target_gap or 0.0) and res.iterations > 0
+            assert _same_bits(res.sum_y, ref.sum_y) and _same_bits(res.x, ref.x)
+            assert [row[:4] for row in res.trace] == [row[:4] for row in ref.trace]
+        built.clear()  # hg.edges built the atoms for the reference
 
 
 def test_one_component_check_per_hypergraph(monkeypatch):

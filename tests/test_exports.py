@@ -17,10 +17,10 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-# the 40 names the package must keep exporting, whatever the modules' lists add
+# the 39 names the package must keep exporting, whatever the modules' lists add
 _EARLIER_EXPORTS = {
     "__version__", "SubmodularAtom", "graph_edge_cut", "hyperedge_cut", "directed_hyperedge_cut",
-    "general_oracle", "evaluate", "lovasz_extension", "greedy_linear_minimizer", "ConePoint",
+    "general_oracle", "lovasz_extension", "greedy_linear_minimizer", "ConePoint",
     "ProjectionParams", "ProjectionReport", "ProjectionNumericsError", "project_cone",
     "project_exact", "project_mnp", "project_fw", "DEFAULT_SEED", "ProblemInstance",
     "SolveConfig", "SolveResult", "TraceRow", "solve", "primal_objective", "dual_objective",
@@ -37,4 +37,4 @@ def test_package_exports_the_modules_lists():
     lists = [name for m in (submodular, projection, solvers, applications) for name in m.__all__]
     assert len(lists) == len(set(lists))
     assert set(qdsfm.__all__) == set(lists) | {"__version__", "InputError"}
-    assert len(_EARLIER_EXPORTS) == 40 and set(qdsfm.__all__) >= _EARLIER_EXPORTS
+    assert len(_EARLIER_EXPORTS) == 39 and set(qdsfm.__all__) >= _EARLIER_EXPORTS

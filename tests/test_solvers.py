@@ -201,8 +201,8 @@ def _mixed_instance():
 def test_layout_penalty_matches_oracle():
     inst = _mixed_instance()
     layout = inst._layout
-    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 3, 7], [1, 6, 8]]
-    assert list(layout.rest) == [2, 4, 5]
+    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 3, 7], [1, 6, 8], [5]]
+    assert list(layout.rest) == [2, 4]
     rng = np.random.default_rng(12)
     for _ in range(5):
         x = rng.normal(size=inst.n)
@@ -228,14 +228,15 @@ def test_layout_arrays_are_read_only():
 
 
 def test_group_matrices_view_or_gather_incidence():
-    # non-consecutive groups of sizes 3 and 2: one gather each, equal to stacking the rows
+    # non-consecutive groups of sizes 3 and 2: one gather each, equal to stacking the rows;
+    # the size-1 group's one row is consecutive, so its matrix is a view
     inst = _mixed_instance()
     layout = inst._layout
     for rows, matrix, weights in layout.groups:
         stacked = np.stack([inst.atoms[r].members_arr for r in rows])
         assert matrix.dtype == stacked.dtype and matrix.tobytes() == stacked.tobytes()
         assert weights.tobytes() == np.array([inst.atoms[r].weight for r in rows]).tobytes()
-        assert not np.shares_memory(matrix, layout.incidence)
+        assert np.shares_memory(matrix, layout.incidence) == (rows.size == 1)
     # consecutive atoms of one size: the group matrix is a view of the incidence
     atoms = (graph_edge_cut(0, 4), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3]),
              hyperedge_cut([2, 3, 4]), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3))
@@ -255,7 +256,7 @@ def test_penalty_is_bitwise_the_row_formula():
         graph_edge_cut(0, 4, 2.0), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3], 0.5),
         hyperedge_cut([2, 3, 4], 3.0), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3)))
     rng = np.random.default_rng(13)
-    for inst, views in ((_mixed_instance(), {False}), (view, {False, True}),
+    for inst, views in ((_mixed_instance(), {False, True}), (view, {False, True}),
                         (_ssl_instance(0.02), {True})):
         layout = inst._layout
         assert {np.shares_memory(m, layout.incidence) for _, m, _ in layout.groups} == views
@@ -765,8 +766,8 @@ def test_accelerated_step_certifies_its_gaps(which):
         inst = {"two_sizes": _two_size_instance, "mixed": _ssl_mixed_instance}.get(
             which, lambda: _ssl_instance(5.0))()
     layout = inst._layout
-    assert len(layout.groups) == {"two_sizes": 2, "mixed": 3}.get(which, 1)
-    assert len(layout.rest) == (7 if which == "mixed" else 0)
+    assert len(layout.groups) == {"two_sizes": 2, "mixed": 4}.get(which, 1)
+    assert len(layout.rest) == (6 if which == "mixed" else 0)
     # mnp takes about 100 µs a projection: its solve stops at 1e-4, after three restarts
     cfg = SolveConfig(target_gap=1e-4 if which == "mnp" else 1e-8, max_iters=1000 * inst.r,
                       projection="mnp" if which == "mnp" else "auto")

@@ -1,4 +1,4 @@
-"""Set-function components: evaluation, Lovász extension, greedy oracle."""
+"""Set-function components: Lovász extension, greedy oracle."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from qdsfm.solvers import _component_layout
 from qdsfm.submodular import (
     SubmodularAtom,
     directed_hyperedge_cut,
-    evaluate,
     general_oracle,
     graph_edge_cut,
     greedy_linear_minimizer,
@@ -44,36 +43,6 @@ def _vectors(n, lo=-3.0, hi=3.0):
     ).map(np.array)
 
 
-# ---------------------------------------------------------------------------
-# evaluate
-
-
-def test_evaluate_hyperedge_examples():
-    atom = hyperedge_cut([1, 2, 3], weight=4.0)
-    assert evaluate(atom, {1}) == 2.0
-    assert evaluate(atom, set()) == 0.0
-    assert evaluate(atom, {1, 2, 3}) == 0.0
-    assert evaluate(atom, {2, 3, 7}) == 2.0  # outside indices ignored
-
-
-def test_evaluate_directed_all_subsets():
-    atom = directed_hyperedge_cut([1], [2], weight=1.0)
-    expect = {(): 0.0, (1,): 1.0, (2,): 0.0, (1, 2): 0.0}
-    for s, v in expect.items():
-        assert evaluate(atom, s) == v
-
-
-@settings(max_examples=60, deadline=None)
-@given(cut_atoms())
-def test_evaluate_matches_reference_on_all_subsets(atom):
-    import itertools
-
-    fn = oracles.atom_value_fn(atom)
-    for r in range(atom.size + 1):
-        for combo in itertools.combinations(atom.members, r):
-            assert evaluate(atom, combo) == pytest.approx(fn(set(combo)), abs=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(cut_atoms(max_size=5))
 def test_cut_functions_are_normalized_nonnegative_submodular(atom):
@@ -101,6 +70,11 @@ def test_lovasz_closed_form_examples():
     d = directed_hyperedge_cut([0], [1], weight=4.0)
     assert lovasz_extension(d, np.array([2.0, -1.0])) == 2.0 * 3.0
     assert lovasz_extension(d, np.array([-1.0, 2.0])) == 0.0  # clamped
+    # one member: max − min is 0 through the same closed forms
+    x = np.array([0.0, -2.0, 7.0])
+    for atom in (hyperedge_cut([1], 4.0), directed_hyperedge_cut([2], [2], weight=4.0)):
+        assert lovasz_extension(atom, x) == 0.0
+        assert greedy_linear_minimizer(atom, x).tobytes() == np.zeros(3).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,7 +214,6 @@ def test_table_atom_against_prefix_and_bruteforce():
 def test_callback_atom_square_root_of_cardinality():
     members = (1, 2, 4, 5)
     atom = general_oracle(members, fn=lambda S: math.sqrt(len(S)), weight=3.0)
-    assert evaluate(atom, {1, 4}) == pytest.approx(3.0 * math.sqrt(2))
     x = np.array([0.0, 2.0, -1.0, 0.0, 0.5, 0.5])
     want = oracles.lovasz_by_prefix(
         lambda S: 3.0 * math.sqrt(len(S)), members, x
