@@ -448,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging(args.quiet)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, ProjectionNumericsError) as exc:
+    except (InputError, ValueError, OSError, MemoryError, ProjectionNumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

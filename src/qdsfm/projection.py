@@ -28,9 +28,10 @@ binder, ``bind_blocks``, reads the instance's component layout and gives the
 τ-block step and the ``ap`` round one callable for any chunk of any components,
 which sweeps the chunk's rows of each batched group as one array kernel and
 projects every other component through its ``bind_projectors`` callable.  Both
-exact sweeps read rows computed once per solve, so a call repeats no work that
-depends only on a component and its metric; each matches, bit for bit, the
-tests' reference that recomputes everything on every call.
+exact sweeps read rows computed once per solve, and a batched group's merge tables
+are bound with its rows, so a call repeats no work that depends only on a
+component, its size and its metric; each matches, bit for bit, the tests'
+reference that recomputes everything on every call.
 """
 
 from __future__ import annotations
@@ -424,12 +425,13 @@ def _sweep(
 
 
 def _sweep_cut_batch(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, with_phi: bool = True
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, tables: list, with_phi: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact cone projection for k undirected cut atoms of one size m at once.
 
     ``a`` is k × m (targets in local coordinates), ``rows`` the atoms' 3 × k × m
-    `_sweep_rows` and ``weight`` their k weights; returns y (k × m) and φ (k),
+    `_sweep_rows`, ``weight`` their k weights and ``tables`` the `_merge_tables` of
+    size m for at least min(k, ``_BATCH_ROWS``) rows; returns y (k × m) and φ (k),
     or None unless ``with_phi``.  Row i solves the proximal problem of
     ``_bind_sweep``.  Rows are processed in blocks of ``_BATCH_ROWS`` so the
     working memory stays bounded.
@@ -438,39 +440,31 @@ def _sweep_cut_batch(
     phi = np.empty(a.shape[0]) if with_phi else None
     for lo in range(0, a.shape[0], _BATCH_ROWS):
         block = slice(lo, lo + _BATCH_ROWS)
-        _sweep_cut_block(a[block], rows[:, block], weight[block], y[block],
+        _sweep_cut_block(a[block], rows[:, block], weight[block], tables, y[block],
                          None if phi is None else phi[block])
     return y, phi
 
 
-_TABLES: dict[int, list] = {}  # `_merge_tables`' cache by member count, least recent first
-_TABLE_MEMBERS = 1024  # its bound in members: 13·_BATCH_ROWS values of 8 bytes each, 10 MB
-
-
-def _merge_tables(m: int) -> list:
-    """`_sweep_cut_block`'s read-only tables for rows of m members (index k ≥ 1: views of
-    their first k rows, made at first use), each as large as the array it meets so no call
-    broadcasts along short rows: per row i the offsets i·m, the sides' places in a row's order
-    (the head's reversed) and signs, the offsets i·2m, each entry's place, the other side's
-    first less the entry's side index + 1, that first's place, and the column i·2m."""
-    tables = _TABLES.pop(m, None)
-    while tables is None and _TABLES and sum(_TABLES) + m > _TABLE_MEMBERS:
-        _TABLES.pop(next(iter(_TABLES)), None)
-    if tables is None:
-        rows, side, block = _BATCH_ROWS, np.arange(m), np.arange(_BATCH_ROWS)[:, None, None]
-        sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
-        tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
-                  (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
-                  (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
-                  (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
-        tables = [tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*t))) for t in tables)]
-        tables += [None] * rows
-    _TABLES[m] = tables
-    return tables
+def _merge_tables(m: int, rows: int) -> list:
+    """`_sweep_cut_block`'s read-only tables for blocks of up to ``rows`` rows of m members
+    (index k ≥ 1: views of their first k rows, made at first use), each as large as the array
+    it meets so no call broadcasts along short rows: per row i the offsets i·m, the sides'
+    places in a row's order (the head's reversed) and signs, the offsets i·2m, each entry's
+    place, the other side's first less the entry's side index + 1, that first's place, and
+    the column i·2m.  They hold (13m + 1)·rows values of 8 bytes."""
+    side, block = np.arange(m), np.arange(rows)[:, None, None]
+    sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
+    tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
+              (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
+              (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
+              (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
+    tables = [tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*t))) for t in tables)]
+    return tables + [None] * rows
 
 
 def _sweep_cut_block(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, y: np.ndarray, phi: np.ndarray | None
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, tables: list, y: np.ndarray,
+    phi: np.ndarray | None
 ) -> None:
     """One block of ``_sweep_cut_batch``, written into ``y`` and ``phi`` (if given).
 
@@ -485,7 +479,6 @@ def _sweep_cut_block(
     position where NumPy allows and arrays are indexed rather than unpacked.
     """
     k, m = a.shape
-    tables = _merge_tables(m)
     tables[k] = tables[k] or tuple(table[:k] for table in tables[0])
     by_m, sides, signs, by_2m, places, lagged, start, offset = tables[k]
     b = rows[0] * a
@@ -631,13 +624,15 @@ def bind_blocks(
     vertices and the changes (None for a round: all R at scale 1).  A size group
     of k edges or hyperedges (one-member ones too) under ``exact`` with k·τ/R ≥
     ``_BATCH_MIN_ROWS`` comes first in ``members``, and its picked rows are one
-    ``_sweep_cut_batch`` call (in place in a round).  Every other component
-    keeps its ``bind_projectors`` callable.
+    ``_sweep_cut_batch`` call (in place in a round) on the group's sweep rows and
+    merge tables, both made here.  Every other component keeps its
+    ``bind_projectors`` callable.
     """
     big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
     for rows, matrix, weights in layout.groups:  # a group's are edges or hyperedges
         if rows.size * tau >= _BATCH_MIN_ROWS * big_r and _choose_oracle(True, method) == "exact":
-            batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights))
+            batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights,
+                            _merge_tables(matrix.shape[1], min(rows.size, _BATCH_ROWS))))
         else:
             rest.extend(rows.tolist())
     rest.sort()
@@ -651,7 +646,7 @@ def bind_blocks(
     projectors = bind_projectors(layout, metric, rest, method, delta, tally) if rest else []
     # each component's group (−1 for the rest) and row in it, and each group's places in members
     slot, row = np.full(big_r, -1), np.empty(big_r, np.intp)
-    for g, (rows, _, _, _) in enumerate(batched):
+    for g, (rows, *_) in enumerate(batched):
         slot[rows], row[rows] = g, np.arange(rows.size)
     row[rest] = np.arange(len(rest))
     places = [np.arange(b.start, b.stop).reshape(g[1].shape) for g, b in zip(batched, blocks)]
@@ -660,18 +655,20 @@ def bind_blocks(
                 scale: float = 1.0) -> tuple[np.ndarray, ...] | None:
         whole, changed = picks.size == big_r and scale == 1.0, []
         slots = slot.take(picks) if len(batched) + bool(rest) > 1 else None
-        for g, (rows, matrix, sweep_rows, weights) in enumerate(batched):
+        for g, (rows, matrix, sweep_rows, weights, tables) in enumerate(batched):
             if whole:  # the round: the group's own arrays, and its blocks of y in place
                 sub, y_g = rows, y[blocks[g]].reshape(matrix.shape)
                 y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
-                y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, phis is not None)
+                y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, tables,
+                                                 phis is not None)
             else:
                 sub = picks if slots is None else picks[slots == g]
                 sel = sub if rows.size == big_r else row.take(sub)  # a group of all R: sel = sub
                 pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
-                new, phi = _sweep_cut_batch(old - shift.take(mem), rows_g, w_g, phis is not None)
+                new, phi = _sweep_cut_batch(old - shift.take(mem), rows_g, w_g, tables,
+                                            phis is not None)
                 changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
                 y[pos] = new
             if phis is not None:

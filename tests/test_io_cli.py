@@ -687,6 +687,22 @@ def test_cli_ssl_synthetic_rejects_n_past_the_machine_integer(capsys):
     assert rc == 1 and err == "error: n and the hyperedge count must fit in a machine integer\n"
 
 
+def test_cli_ssl_oversized_allocation_exits_one(tmp_path, capsys):
+    # requests past 2**47 bytes, more than a process can map, so NumPy refuses them at once:
+    # 10**14 + 1 quantile levels for a 4-row column (728 TiB), and 2·10**15 hyperedge sizes
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("c\n1\n2\n3\n4\n")
+    schema = _write_json(tmp_path / "schema.json", {"columns": [{"name": "c", "kind": "numeric"}]})
+    labels = _write_json(tmp_path / "labels.json", {"labels": {"0": 0, "3": 1}})
+    for argv in (["--dataset", str(csv_path), "--schema", schema, "--labels", labels,
+                  "--bins", str(10**14), "--equal-frequency"],
+                 ["--synthetic", "--within", str(10**15), "--across", "0"]):
+        rc = main(["ssl", *argv, "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: Unable to allocate ")
+        assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # command line: pagerank
 

@@ -18,6 +18,7 @@ from qdsfm.projection import (
     _affine_minimizer_local,
     _BATCH_ROWS,
     _bind_sweep,
+    _merge_tables,
     _sweep_cut_batch,
     _sweep_rows,
     project_cone,
@@ -152,11 +153,19 @@ def _batch_rows(rng, m, k=300):
     return a, wt, weight
 
 
+def _sweep_batch(a, wt, weight, with_phi=True):
+    """`_sweep_cut_batch` on the rows of ``a`` under the metrics ``wt``, with tables sized as
+    a bound group of these rows has them."""
+    k, m = a.shape
+    tables = _merge_tables(m, min(k, _BATCH_ROWS))
+    return _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, tables, with_phi)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
 def test_sweep_batch_matches_scalar_sweep(m):
     rng = np.random.default_rng(m)
     a, wt, weight = _batch_rows(rng, m)
-    y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
+    y, phi = _sweep_batch(a, wt, weight)
     for i in range(len(a)):
         atom = graph_edge_cut(0, 1, weight[i]) if m == 2 else hyperedge_cut(range(m), weight[i])
         y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
@@ -175,12 +184,12 @@ def test_sweep_batch_is_bitwise_reference(m, k):
         a, wt, weight = _batch_rows(rng, m, k)
     else:
         a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
-    y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
+    y, phi = _sweep_batch(a, wt, weight)
     y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
     assert np.array_equal(y, y_ref) and np.array_equal(phi, phi_ref)
     assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
     # without φ (τ-block chunks take the least φ of their own blocks) y keeps its bits
-    y_only, no_phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, False)
+    y_only, no_phi = _sweep_batch(a, wt, weight, False)
     assert no_phi is None and y_only.tobytes() == y_ref.tobytes()
 
 
@@ -188,13 +197,13 @@ def test_sweep_batch_memory_is_bounded():
     # one call on 2,000 rows of 20 members holds its outputs (336 KB) and the
     # temporaries of one block at a time; large blocks page-fault (_BATCH_ROWS)
     a, wt, weight = _batch_rows(np.random.default_rng(7), 20, 2000)
-    rows = _sweep_rows(wt, weight[:, None])
-    _sweep_cut_batch(a, rows, weight)
+    rows, tables = _sweep_rows(wt, weight[:, None]), _merge_tables(20, _BATCH_ROWS)
+    _sweep_cut_batch(a, rows, weight, tables)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _sweep_cut_batch(a, rows, weight)
+        _sweep_cut_batch(a, rows, weight, tables)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -218,39 +227,47 @@ def test_sweep_rows_are_bitwise_the_expression():
 
 
 def test_sweep_tables_stay_bounded():
-    # the batched sweep's per-size tables, 13·_BATCH_ROWS values of 8 bytes per member, after
-    # calls at 67 distinct sizes: the cache keeps the latest sizes of _TABLE_MEMBERS members
+    # a size's tables for _BATCH_ROWS rows, as a group of at least that many binds them, hold
+    # (13m + 1)·_BATCH_ROWS values of 8 bytes; they serve blocks of 1, 7 and _BATCH_ROWS rows
+    # at 67 sizes bit for bit, through views that hold no memory of their own
     rng = np.random.default_rng(3)
-    sizes = list(range(2, 201, 3))
-    projection._TABLES.clear()
-    tracemalloc.start()
-    try:
-        for m in sizes:
-            for k in (1, 7, _BATCH_ROWS):
-                a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
-                y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight)
-                y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
-                assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
-        del a, wt, weight, y, phi, y_ref, phi_ref
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    kept = list(projection._TABLES)
-    assert len(sizes) >= 64 and kept == sizes[-len(kept):]
-    assert sum(kept) <= projection._TABLE_MEMBERS < sum(kept) + sizes[-len(kept) - 1]
-    assert held <= projection._TABLE_MEMBERS * 13 * _BATCH_ROWS * 8 + (1 << 20)
-    # a solve that cycles through the groups of 16 small sizes builds each size's tables once
-    first = {m: projection._merge_tables(m) for m in range(2, 18)}
-    for _ in range(3):
-        for m in range(2, 18):
-            assert projection._merge_tables(m) is first[m]
-    # the least recently used size goes first: a size in use stays while larger ones pass
-    projection._TABLES.clear()
-    hot = projection._merge_tables(20)
-    for m in (400, 500, 600, 700):
-        projection._merge_tables(m)
-        assert projection._merge_tables(20) is hot
-        assert sum(projection._TABLES) <= projection._TABLE_MEMBERS
+    for m in range(2, 201, 3):
+        tables = _merge_tables(m, _BATCH_ROWS)
+        assert len(tables) == _BATCH_ROWS + 1
+        assert sum(t.nbytes for t in tables[0]) == (13 * m + 1) * _BATCH_ROWS * 8
+        for k in (1, 7, _BATCH_ROWS):
+            a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
+            y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, tables)
+            y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
+            assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
+            assert all(np.shares_memory(view, full) for view, full in zip(tables[k], tables[0]))
+
+
+def test_sweep_tables_are_bound_once_per_group(monkeypatch):
+    # 20 hyperedges each of 300, 400 and 500 members (2,400 members in all): a solve of 20
+    # rounds binds each group's tables once, for min(k, _BATCH_ROWS) rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _merge_tables(*args)
+
+    monkeypatch.setattr(projection, "_merge_tables", spy)
+    rng = np.random.default_rng(0)
+    n, sizes = 3000, (300, 400, 500)
+    atoms = [hyperedge_cut(np.sort(rng.choice(n, m, replace=False)).tolist())
+             for m in sizes for _ in range(20)]
+    inst = ProblemInstance(a=rng.normal(size=n), w=1.0, atoms=atoms)
+    res = solve(inst, SolveConfig(algorithm="ap", projection="exact", max_iters=20 * inst.r))
+    assert res.iterations == 20 * inst.r
+    assert sorted(calls) == [(m, 20) for m in sizes]  # k = 20 < _BATCH_ROWS rows each
+    # a group of more than _BATCH_ROWS rows gets tables for _BATCH_ROWS, one of fewer for its k
+    calls.clear()
+    edges = [graph_edge_cut(*rng.choice(40, 2, replace=False).tolist()) for _ in range(150)]
+    small = [hyperedge_cut(np.sort(rng.choice(40, 5, replace=False)).tolist()) for _ in range(9)]
+    inst = ProblemInstance(a=rng.normal(size=40), w=1.0, atoms=edges + small)
+    solve(inst, SolveConfig(algorithm="ap", max_iters=3 * inst.r))
+    assert sorted(calls) == [(2, _BATCH_ROWS), (5, 9)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -292,9 +309,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     )
     batch_shapes = []
 
-    def spy(a, rows, weight, with_phi=True):
+    def spy(a, rows, weight, tables, with_phi=True):
         batch_shapes.append(a.shape)
-        return _sweep_cut_batch(a, rows, weight, with_phi)
+        return _sweep_cut_batch(a, rows, weight, tables, with_phi)
 
     monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
     rng = np.random.default_rng(4)
