@@ -432,39 +432,60 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
     tail = (pops > 10000) & (size > pops // 50)
     # NumPy draws a bound below 2**32 as 32 bits at any dtype, so int32 gives the
     # same numbers in half the memory: a freed int64 draw matrix raised glibc's
-    # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB
-    dtype = np.int32 if pops.max(initial=0) < 2**31 else np.int64
+    # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB.  The
+    # shuffle's flat indices, below pops.size · size, take the same dtype
+    small = max(pops.max(initial=0), pops.size * size) < 2**31
+    dtype, unsigned = (np.int32, np.uint32) if small else (np.int64, np.uint64)
     cuts = [0, *(np.flatnonzero(tail[1:] != tail[:-1]) + 1).tolist(), pops.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if lo < hi and tail[lo]:
             for r in range(lo, hi):
                 out[r] = rng.choice(pops[r], size=size, replace=False)
             continue
-        steps = np.arange(size)
-        base = pops[lo:hi, None] - size
-        floyd = base + steps  # column c's j
-        highs = np.empty((hi - lo, 2 * size - 1), dtype)
-        highs[:, :size] = floyd
+        k, steps = hi - lo, np.arange(size, dtype=dtype)
+        base = (pops[lo:hi, None] - size).astype(dtype)
+        highs = np.empty((k, 2 * size - 1), dtype)
+        floyd = np.add(base, steps, out=highs[:, :size])  # column c's j
         highs[:, size:] = steps[:0:-1]
         draws = rng.integers(0, highs, endpoint=True, dtype=dtype)
         picks, swaps = draws[:, :size], draws[:, size:]
         # Floyd's set holds every earlier v of the row and the j of every earlier
-        # repeat, so v repeats iff it equals an earlier v or an earlier repeat's j
-        order = np.argsort(picks, axis=1, kind="stable")
-        ranked = np.take_along_axis(picks, order, axis=1)
-        repeat = np.zeros(picks.shape, dtype=bool)
-        np.put_along_axis(repeat, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-        column = picks - base  # the column whose j a pick equals
-        for c in range(1, size):
-            hit = np.flatnonzero((column[:, c] >= 0) & (column[:, c] < c))
-            repeat[hit, c] |= repeat[hit, column[hit, c]]
-        picks[repeat] = floyd[repeat]
-        rows = np.arange(hi - lo)
-        for i, j in zip(range(size - 1, 0, -1), swaps.T):
-            held = picks[rows, j]
-            picks[rows, j] = picks[:, i]
-            picks[:, i] = held
-        out[lo:hi] = picks
+        # repeat, so v repeats iff it equals an earlier v or an earlier repeat's j.
+        # Sorted keys v·2^shift + c put equal vs side by side in column order
+        shift = (size - 1).bit_length()
+        top = int(pops[lo:hi].max(initial=0)) << shift  # above every key
+        same = np.zeros((k, size), dtype=bool)  # v equals the v before it in the order
+        if top < 2**63:
+            order = np.left_shift(picks, shift, dtype=np.int32 if top < 2**31 else np.int64)
+            order |= steps
+            order.sort(axis=1)
+            np.less(order[:, 1:] ^ order[:, :-1], 1 << shift, out=same[:, 1:])
+            order &= (1 << shift) - 1
+        else:  # the keys would pass int64: a stable argsort keeps equal vs in column order
+            order = picks.argsort(axis=1, kind="stable")
+            ranked = np.take_along_axis(picks, order, axis=1)
+            np.equal(ranked[:, 1:], ranked[:, :-1], out=same[:, 1:])
+        at = np.flatnonzero(same)
+        repeat = np.zeros(k * size, dtype=bool)
+        repeat[at - at % size + order.ravel()[at]] = True
+        # a v equal to the j of an earlier column repeats if that column did.  Each
+        # such column comes before its hit, so OR-ing the few hits' sources into them
+        # until nothing changes gives what a pass over the columns in order gives
+        column = picks - base  # the column whose j a pick equals, if 0 ≤ column < c
+        at = np.flatnonzero(column.view(unsigned) < steps.view(unsigned))
+        source = at - at % size + column.ravel()[at]
+        while (more := at[repeat[source] > repeat[at]]).size:
+            repeat[more] = True
+        np.copyto(picks, floyd, where=repeat.reshape(k, size))
+        # the swaps, one column at a time on the transposed rows, at flat indices
+        cols = np.ascontiguousarray(picks.T)
+        flat = cols.ravel()
+        swaps = np.add(np.multiply(swaps.T, k, order="C"), np.arange(k, dtype=dtype))
+        for i, j in zip(range(size - 1, 0, -1), swaps):
+            held = flat[j]
+            flat[j] = cols[i]
+            cols[i] = held
+        out[lo:hi] = cols.T
     return out
 
 

@@ -79,13 +79,12 @@ def _build(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 def write_json(payload: Any, path: str | None) -> None:
     """Write ``payload`` as one line of JSON to ``path``, or to stdout if None."""
+    text = json.dumps(payload) + "\n"  # `json.dump` to a file would run the Python encoder
     if path is None:
-        json.dump(payload, sys.stdout)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-        f.write("\n")
+        f.write(text)
 
 
 def _as_list(value: Any, what: str) -> Sequence:
@@ -213,7 +212,7 @@ def load_vector(path: str, what: str = "vector") -> np.ndarray:
 
 def write_solution(result: SolveResult, path: str | None) -> None:
     payload = {
-        "x": [float(v) for v in result.x],
+        "x": result.x.tolist(),
         "gap": float(result.gap),
         "iters": int(result.iterations),
         "converged": bool(result.converged),

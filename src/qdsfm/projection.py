@@ -453,13 +453,13 @@ def _merge_tables(m: int, rows: int) -> list:
     place, the other side's first less the entry's side index + 1, that first's place, and
     the column i·2m.  They hold (13m + 1)·rows values of 8 bytes."""
     side, block = np.arange(m), np.arange(rows)[:, None, None]
-    sided, start, offset = (rows, 2, m), np.array([[m], [0]]), 2 * m * block
-    tables = [(m * block[:, 0], (rows, m)), (m * block + np.array((side[::-1], side)), sided),
-              (np.array([[1.0], [-1.0]]), sided), (offset[:, 0], (rows, 2 * m)),
-              (np.arange(rows * 2 * m).reshape(rows, -1), (rows, 2 * m)),
-              (start - side - 1, sided), (start + offset, sided), (offset[:, 0, 0], (rows,))]
-    tables = [tuple(_frozen(np.ascontiguousarray(np.broadcast_to(*t))) for t in tables)]
-    return tables + [None] * rows
+    start = np.array([[m], [0]]).repeat(m, 1)  # the other side's first place in a row
+    offset = 2 * m * block
+    tables = ((m * block[:, 0]).repeat(m, 1), m * block + np.array((side[::-1], side)),
+              np.array([[1.0], [-1.0]]).repeat(m, 1)[None].repeat(rows, 0),
+              offset[:, 0].repeat(2 * m, 1), np.arange(rows * 2 * m).reshape(rows, 2 * m),
+              (start - side - 1)[None].repeat(rows, 0), offset + start, offset[:, 0, 0])
+    return [tuple(map(_frozen, tables))] + [None] * rows
 
 
 def _sweep_cut_block(

@@ -569,6 +569,24 @@ def test_choice_rows_draw_numpys_per_row_stream(data):
     assert mine.integers(1 << 62) == numpys.integers(1 << 62)
 
 
+@pytest.mark.parametrize("pops, size", [
+    # populations of at most size + 2: most picks repeat, and at sizes 5 and 20 picks equal
+    # the j of an earlier repeat in chains over several columns (3 to 7 passes that set flags)
+    *((np.repeat([size, size + 1, size + 2], [700, 700, 600]), size) for size in (2, 5, 20)),
+    # keys v·32 + c at size 20, each width on its own: past int32 at 2**30, the largest in
+    # int64 at 2**58 - 1, and past int64 from 2**58, where a stable argsort orders equal picks
+    *(([p] * 50, 20) for p in (2**30, 2**58 - 1, 2**58, 2**62)),
+    ([2**58 - 1, 2**62, 40, 2**30, 25], 20),
+    ([10000] * 20, 1000),  # the widest rows of NumPy's Floyd branch
+])
+def test_choice_rows_draw_numpys_stream_on_fixed_shapes(pops, size):
+    for seed in range(3):
+        mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = applications._choice_rows(mine, np.array(pops, dtype=np.int64), size)
+        assert rows.tolist() == [numpys.choice(p, size, replace=False).tolist() for p in pops]
+        assert mine.integers(1 << 62) == numpys.integers(1 << 62)
+
+
 def test_generator_atoms_share_one_member_matrix():
     hg, _, _ = generate_synthetic_hypergraph(600, 9, 12, 4, 2, seed=3)
     _check_generated_edges(hg, (30, 4))

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,7 @@ from qdsfm import io as qio
 from qdsfm import cli, projection
 from qdsfm.applications import Hypergraph
 from qdsfm.cli import main
-from qdsfm.solvers import ProblemInstance, TraceRow, solve
+from qdsfm.solvers import ProblemInstance, SolveConfig, TraceRow, solve
 from qdsfm.submodular import (
     directed_hyperedge_cut,
     general_oracle,
@@ -342,6 +343,27 @@ def test_solution_and_trace_round_trip(tmp_path):
     assert len(clone) == len(result.trace)
     for left, right in zip(clone, result.trace):
         assert left == TraceRow(*right)
+
+
+def test_json_writer_keeps_json_dump_bytes(tmp_path, capsys):
+    # one line, byte for byte what `json.dump` to the file then a newline wrote, for a
+    # solution with a non-finite gap, both to a file and to stdout
+    instance = ProblemInstance(
+        a=np.array([1.0, -0.1, 1e-300]), w=np.ones(3), atoms=(hyperedge_cut((0, 1, 2)),)
+    )
+    result = replace(solve(instance, SolveConfig(max_iters=1)), gap=float("inf"))
+    payload = {"x": [float(v) for v in result.x], "gap": result.gap,
+               "iters": int(result.iterations), "converged": bool(result.converged)}
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as f:
+        json.dump(payload, f)
+        f.write("\n")
+    expected = (tmp_path / "ref.json").read_bytes()
+    assert b'"gap": Infinity' in expected and expected.count(b"\n") == 1
+    qio.write_solution(result, str(tmp_path / "sol.json"))
+    assert (tmp_path / "sol.json").read_bytes() == expected
+    capsys.readouterr()
+    qio.write_solution(result, None)
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_comparison_writer(tmp_path):
