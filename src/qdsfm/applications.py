@@ -477,15 +477,15 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
         while (more := at[repeat[source] > repeat[at]]).size:
             repeat[more] = True
         np.copyto(picks, floyd, where=repeat.reshape(k, size))
-        # the swaps, one column at a time on the transposed rows, at flat indices
-        cols = np.ascontiguousarray(picks.T)
-        flat = cols.ravel()
-        swaps = np.add(np.multiply(swaps.T, k, order="C"), np.arange(k, dtype=dtype))
+        # the swaps, one column at a time, at flat indices into the rows
+        rows = out[lo:hi]
+        rows[:] = picks
+        flat = rows.ravel()
+        swaps = np.add(swaps.T, np.arange(0, k * size, size, dtype=dtype), order="C")
         for i, j in zip(range(size - 1, 0, -1), swaps):
             held = flat[j]
-            flat[j] = cols[i]
-            cols[i] = held
-        out[lo:hi] = cols.T
+            flat[j] = rows[:, i]
+            rows[:, i] = held
     return out
 
 
