@@ -397,6 +397,8 @@ def generate_synthetic_hypergraph(
         raise ValueError("within_per_cluster, across and seed must be nonnegative")
     if max(n, 2 * within + across) > np.iinfo(np.intp).max:
         raise ValueError("n and the hyperedge count must fit in a machine integer")
+    if n << (edge_size - 1).bit_length() >= 2**63:  # the bound of `_choice_rows`' keys
+        raise ValueError("n · 2^⌈log₂ edge_size⌉ must fit in a machine integer")
     rng = np.random.default_rng(seed)
     # cluster 0's within rows, cluster 1's, then the across rows
     rows = _choice_rows(rng, np.repeat([half, n], [2 * within, across]), edge_size)
@@ -426,15 +428,17 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
     endpoint=True)`` draws element by element (a bound of 0 draws nothing
     in both), so a run of such rows takes one call.  Rows of NumPy's other
     branch, a tail shuffle of ``range(p)``, keep their own call, in order.
+    Every p·2^⌈log₂ size⌉ must lie below 2^63, the bound of the sort keys.
     """
     pops = np.asarray(pops, dtype=np.int64)
     out = np.empty((pops.size, size), dtype=np.int64)
     tail = (pops > 10000) & (size > pops // 50)
+    shift = (size - 1).bit_length()  # a row's sort keys are v·2^shift + c
     # NumPy draws a bound below 2**32 as 32 bits at any dtype, so int32 gives the
     # same numbers in half the memory: a freed int64 draw matrix raised glibc's
-    # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB.  The
-    # shuffle's flat indices, below pops.size · size, take the same dtype
-    small = max(pops.max(initial=0), pops.size * size) < 2**31
+    # mmap threshold and the `ap` benchmark's peak RSS by about 0.5 MB.  The keys
+    # and the shuffle's flat indices, below pops.size · size, take the same dtype
+    small = max(int(pops.max(initial=0)) << shift, pops.size * size) < 2**31
     dtype, unsigned = (np.int32, np.uint32) if small else (np.int64, np.uint64)
     cuts = [0, *(np.flatnonzero(tail[1:] != tail[:-1]) + 1).tolist(), pops.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -451,20 +455,13 @@ def _choice_rows(rng: np.random.Generator, pops: np.ndarray, size: int) -> np.nd
         picks, swaps = draws[:, :size], draws[:, size:]
         # Floyd's set holds every earlier v of the row and the j of every earlier
         # repeat, so v repeats iff it equals an earlier v or an earlier repeat's j.
-        # Sorted keys v·2^shift + c put equal vs side by side in column order
-        shift = (size - 1).bit_length()
-        top = int(pops[lo:hi].max(initial=0)) << shift  # above every key
+        # Sorted, the keys put equal vs side by side in column order
+        order = np.left_shift(picks, shift)
+        order |= steps
+        order.sort(axis=1)
         same = np.zeros((k, size), dtype=bool)  # v equals the v before it in the order
-        if top < 2**63:
-            order = np.left_shift(picks, shift, dtype=np.int32 if top < 2**31 else np.int64)
-            order |= steps
-            order.sort(axis=1)
-            np.less(order[:, 1:] ^ order[:, :-1], 1 << shift, out=same[:, 1:])
-            order &= (1 << shift) - 1
-        else:  # the keys would pass int64: a stable argsort keeps equal vs in column order
-            order = picks.argsort(axis=1, kind="stable")
-            ranked = np.take_along_axis(picks, order, axis=1)
-            np.equal(ranked[:, 1:], ranked[:, :-1], out=same[:, 1:])
+        np.less(order[:, 1:] ^ order[:, :-1], 1 << shift, out=same[:, 1:])
+        order &= (1 << shift) - 1
         at = np.flatnonzero(same)
         repeat = np.zeros(k * size, dtype=bool)
         repeat[at - at % size + order.ravel()[at]] = True

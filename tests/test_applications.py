@@ -573,10 +573,10 @@ def test_choice_rows_draw_numpys_per_row_stream(data):
     # populations of at most size + 2: most picks repeat, and at sizes 5 and 20 picks equal
     # the j of an earlier repeat in chains over several columns (3 to 7 passes that set flags)
     *((np.repeat([size, size + 1, size + 2], [700, 700, 600]), size) for size in (2, 5, 20)),
-    # keys v·32 + c at size 20, each width on its own: past int32 at 2**30, the largest in
-    # int64 at 2**58 - 1, and past int64 from 2**58, where a stable argsort orders equal picks
-    *(([p] * 50, 20) for p in (2**30, 2**58 - 1, 2**58, 2**62)),
-    ([2**58 - 1, 2**62, 40, 2**30, 25], 20),
+    # keys v·32 + c at size 20, each width on its own: past int32 at 2**30 and the largest
+    # in int64 at 2**58 - 1
+    *(([p] * 50, 20) for p in (2**30, 2**58 - 1)),
+    ([2**58 - 1, 40, 2**30, 25], 20),
     ([10000] * 20, 1000),  # the widest rows of NumPy's Floyd branch
 ])
 def test_choice_rows_draw_numpys_stream_on_fixed_shapes(pops, size):
@@ -790,6 +790,9 @@ def test_generator_rejects_counts_past_the_machine_integer():
                  (4, 0, top + 1, 1, 0, 0)):
         with pytest.raises(ValueError, match="must fit in a machine integer"):
             generate_synthetic_hypergraph(*args)
+    # the draws' sort keys n·32 + c at edge size 20 would pass int64
+    with pytest.raises(ValueError, match="edge_size⌉ must fit in a machine integer"):
+        generate_synthetic_hypergraph(2**58, 0, 0, 20, 0, 0)
 
 
 # ---------------------------------------------------------------------------
