@@ -29,7 +29,7 @@ binder, ``bind_blocks``, reads the instance's component layout and gives the
 which sweeps the chunk's rows of each batched group as one array kernel and
 projects every other component through its ``bind_projectors`` callable.  Both
 exact sweeps read rows computed once per solve, and a batched group's merge tables
-are bound with its rows, so a call repeats no work that depends only on a
+and workspace are bound with its rows, so a call repeats no work that depends only on a
 component, its size and its metric; each matches, bit for bit, the tests'
 reference that recomputes everything on every call.
 """
@@ -66,9 +66,13 @@ DEFAULT_DELTA = 1e-10  # oracle certificate tolerance δ, for the library and th
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
-# Rows per block of the batched sweep: at 20 members, 128-row blocks (0.55 MB of
-# temporaries) passed glibc's heap-trim threshold and page-faulted every block.
-_BATCH_ROWS = 96
+# Entries (rows × members) per block of the batched sweep.  A size group of k rows of m members
+# binds its tables and workspace, (26m + 20) values of 8 bytes a row, for min(k, τ,
+# _BATCH_ENTRIES // m) rows.  A call has a fixed cost (about 40 µs at 20 members), which larger
+# blocks pay less often.  At 20 members a round's 153-row blocks bind 0.67 MB and, with a call's
+# argsorts, hold 0.79 MB: less than the 0.90 MB that 96-row blocks held with their tables, the
+# temporaries of a call that allocates them and a round's returned k × m result.
+_BATCH_ENTRIES = 3072
 # Fewest rows of an equal-size group per chunk, on average, worth one batched sweep: one
 # call costs about as much as three or four scalar sweeps, whatever the size (2 to 200 members).
 _BATCH_MIN_ROWS = 4
@@ -425,33 +429,34 @@ def _sweep(
 
 
 def _sweep_cut_batch(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, tables: list, with_phi: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact cone projection for k undirected cut atoms of one size m at once.
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, buffers: list, with_phi: bool = True
+) -> np.ndarray | None:
+    """Exact cone projection for k undirected cut atoms of one size m at once, in place.
 
     ``a`` is k × m (targets in local coordinates), ``rows`` the atoms' 3 × k × m
-    `_sweep_rows`, ``weight`` their k weights and ``tables`` the `_merge_tables` of
-    size m for at least min(k, ``_BATCH_ROWS``) rows; returns y (k × m) and φ (k),
-    or None unless ``with_phi``.  Row i solves the proximal problem of
-    ``_bind_sweep``.  Rows are processed in blocks of ``_BATCH_ROWS`` so the
-    working memory stays bounded.
+    `_sweep_rows`, ``weight`` their k weights and ``buffers`` the `_sweep_buffers` of
+    size m; replaces each row of ``a`` by its y and returns φ (k), or None unless
+    ``with_phi``.  Row i solves the proximal problem of ``_bind_sweep``.  Rows are
+    processed in blocks of as many rows as ``buffers`` are bound for, so the working
+    memory is bound once; a row's bits do not depend on its block.
     """
-    y = np.empty(a.shape)
     phi = np.empty(a.shape[0]) if with_phi else None
-    for lo in range(0, a.shape[0], _BATCH_ROWS):
-        block = slice(lo, lo + _BATCH_ROWS)
-        _sweep_cut_block(a[block], rows[:, block], weight[block], tables, y[block],
+    step = len(buffers) - 1
+    for lo in range(0, a.shape[0], step):
+        block = slice(lo, lo + step)
+        _sweep_cut_block(a[block], rows[:, block], weight[block], buffers,
                          None if phi is None else phi[block])
-    return y, phi
+    return phi
 
 
-def _merge_tables(m: int, rows: int) -> list:
-    """`_sweep_cut_block`'s read-only tables for blocks of up to ``rows`` rows of m members
-    (index k ≥ 1: views of their first k rows, made at first use), each as large as the array
-    it meets so no call broadcasts along short rows: per row i the offsets i·m, the sides'
-    places in a row's order (the head's reversed) and signs, the offsets i·2m, each entry's
-    place, the other side's first less the entry's side index + 1, that first's place, and
-    the column i·2m.  They hold (13m + 1)·rows values of 8 bytes."""
+def _sweep_buffers(m: int, rows: int) -> list:
+    """`_sweep_cut_block`'s read-only tables and its workspace for blocks of up to ``rows``
+    rows of m members (index k ≥ 1: views for k rows, made at first use).  Each table is as
+    large as the array it meets so no call broadcasts along short rows: per row i the offsets
+    i·m, the sides' places in a row's order (the head's reversed) and signs, the offsets i·2m,
+    each entry's place, the other side's first less the entry's side index + 1, that first's
+    place, and the column i·2m.  The workspace holds every block-sized temporary but the two
+    argsorts' outputs.  They hold (26m + 20)·rows values of 8 bytes and (2m + 1)·rows flags."""
     side, block = np.arange(m), np.arange(rows)[:, None, None]
     start = np.array([[m], [0]]).repeat(m, 1)  # the other side's first place in a row
     offset = 2 * m * block
@@ -459,14 +464,32 @@ def _merge_tables(m: int, rows: int) -> list:
               np.array([[1.0], [-1.0]]).repeat(m, 1)[None].repeat(rows, 0),
               offset[:, 0].repeat(2 * m, 1), np.arange(rows * 2 * m).reshape(rows, 2 * m),
               (start - side - 1)[None].repeat(rows, 0), offset + start, offset[:, 0, 0])
-    return [tuple(map(_frozen, tables))] + [None] * rows
+    workspace = (np.empty((11 * m + 16) * rows), np.empty((2 * m + 3) * rows, np.intp),
+                 np.empty((2 * m + 1) * rows, bool))
+    # the sides' table stays writable: take copies a read-only index array on every call
+    return [((_frozen(tables[0]), tables[1], *map(_frozen, tables[2:])), workspace)] + [None] * rows
+
+
+def _block_views(buffers: list, k: int, m: int) -> tuple:
+    """The tables' first k rows and the workspace carved into `_sweep_cut_block`'s arrays
+    for k rows of m members, each contiguous."""
+    tables, workspace = buffers[0]
+    shapes = (((k, m), (3, k, 2, m), (2, k, 2, m), (3, 2, k), (2, k), (2, k), (k,), (2, k),
+               (k, 2), (k,)), ((k, 2, m), (2, k), (k,)), ((k, 2 * m), (k,)))
+    views = []
+    for flat, group in zip(workspace, shapes):
+        lo = 0
+        for shape in group:
+            size = math.prod(shape)
+            views.append(flat[lo:lo + size].reshape(shape))
+            lo += size
+    return tuple(table[:k] for table in tables) + tuple(views)
 
 
 def _sweep_cut_block(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, tables: list, y: np.ndarray,
-    phi: np.ndarray | None
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, buffers: list, phi: np.ndarray | None
 ) -> None:
-    """One block of ``_sweep_cut_batch``, written into ``y`` and ``phi`` (if given).
+    """One block of ``_sweep_cut_batch``: y written over ``a``, and φ into ``phi`` (if given).
 
     A flow t moves metric mass from the head side, where values above the
     cap γ are lowered to it, to the tail side, where values below the floor
@@ -475,23 +498,25 @@ def _sweep_cut_block(
     are linear, with slopes −1/w_H and 1/w_T (w the clipped mass).  The
     balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
     breakpoints of both sides; the last positive one fixes the clipped sets,
-    and on that piece the balance is zero at t*.  For small blocks, outputs go by
-    position where NumPy allows and arrays are indexed rather than unpacked.
+    and on that piece the balance is zero at t*.  Every temporary but the two
+    argsorts is a view of the bound workspace, written in place.
     """
     k, m = a.shape
-    tables[k] = tables[k] or tuple(table[:k] for table in tables[0])
-    by_m, sides, signs, by_2m, places, lagged, start, offset = tables[k]
-    b = rows[0] * a
-    order = (b.argsort(axis=1, kind="stable") + by_m).ravel()[sides]
+    buffers[k] = buffers[k] or _block_views(buffers, k, m)
+    (by_m, sides, signs, by_2m, places, lagged, start, offset, b, buffer, gathered, edges, ratio,
+     inverse, flow, bounds, ends, spread, index, pair, last, closed, dead) = buffers[k]
+    np.multiply(rows[0], a, b)
+    order = b.argsort(axis=1, kind="stable")
+    np.add(order, by_m, order)
+    order.take(sides, out=index, mode="clip")
     # both sides as descending rows: head values, then negated tail values.
     # Past a breakpoint (value v, flow f, clipped mass w) a side's level is
     # v − (t − f)/w: γ on the head side and −δ on the tail side, so γ − δ is
     # the sum of the two levels
-    buffer = np.empty((3, k, 2, m))
     signed, mass, flows = buffer[0], buffer[1], buffer[2]
-    b.take(order, out=signed, mode="clip")
+    b.take(index, out=signed, mode="clip")
     signed *= signs
-    rows[2].take(order, out=mass, mode="clip")
+    rows[2].take(index, out=mass, mode="clip")
     np.add.accumulate(mass, 2, None, mass)
     # a side's entry j + 1 adds (v_j − v_{j+1})·w_j ≥ +0 to its flow, which starts at +0
     flat = buffer.reshape(3, -1)
@@ -502,43 +527,51 @@ def _sweep_cut_block(
     # each side's flows rise with its index, so in the stable merged order the
     # entry at p with side index q has p − q of the other side before it:
     # ``other`` is the last of those per entry (or the other side's first)
-    own = flows.reshape(k, 2 * m).argsort(axis=1, kind="stable") + by_2m
-    other = np.empty((k, 2, m), np.intp)
+    own = flows.reshape(k, 2 * m).argsort(axis=1, kind="stable")
+    np.add(own, by_2m, own)
+    other = index  # the sides' order is read; its buffer takes the other entries
     other.ravel()[own] = places
     np.maximum(np.add(other, lagged, other), start, out=other)
-    gathered = flat.take(other, axis=1)
-    s_other, w_other, t_other = gathered[0], gathered[1], gathered[2]
-    # the balance signed + s_other − (flows − t_other)/w_other − flows, in place
-    np.divide(np.subtract(flows, t_other, t_other), w_other, t_other)
+    # the balance signed + s_other − (flows − t_other)/w_other − flows, in two planes
+    t_other, s_other = gathered[0], gathered[1]
+    flat[2].take(other, out=t_other, mode="clip")
+    flat[1].take(other, out=s_other, mode="clip")
+    np.divide(np.subtract(flows, t_other, t_other), s_other, t_other)
+    flat[0].take(other, out=s_other, mode="clip")
     balance = np.subtract(np.subtract(np.add(signed, s_other, s_other), t_other, s_other),
                           flows, s_other)
     # the last positive entry precedes the first other one after the head's first (its balance,
     # max b − min b, is positive in a live row); the final entry's is never positive
-    pair = np.empty((2, k), np.intp)
-    last = (balance.take(own)[:, 1:] <= 0.0).argmax(axis=1)
-    entry = own.take(np.add(last, offset, last), out=pair[0])
-    other.take(entry, out=pair[1])
+    merged = t_other.reshape(k, 2 * m)
+    balance.take(own, out=merged, mode="clip")
+    np.less_equal(merged, 0.0, closed)  # whole rows: a strided operand would be buffered
+    closed[:, 1:].argmax(axis=1, out=last)
+    entry = own.take(np.add(last, offset, last), out=pair[0], mode="clip")
+    other.take(entry, out=pair[1], mode="clip")
     # s, w and t of the last positive entry (row 0) and of its other entry (row 1);
     # the flow (s₀ + s₁ + t₀/w₀ + t₁/w₁) / (1 + 1/w₀ + 1/w₁), summed left to right
-    gathered = flat.take(pair, axis=1)
-    s, w, t = gathered[0], gathered[1], gathered[2]
-    ratio, inverse = t / w, 1.0 / w
-    flow = s[0] + s[1] + ratio[0] + ratio[1]
-    flow /= np.add(1.0, inverse[0], inverse[0]) + inverse[1]
+    flat.take(pair, axis=1, out=edges, mode="clip")
+    s, w, t = edges[0], edges[1], edges[2]
+    np.divide(t, w, ratio)
+    np.divide(1.0, w, inverse)
+    np.add(np.add(np.add(s[0], s[1], flow), ratio[0], flow), ratio[1], flow)
+    flow /= np.add(np.add(1.0, inverse[0], inverse[0]), inverse[1], inverse[0])
     level = np.subtract(s, np.divide(np.subtract(flow, t, t), w, t), s)
-    bounds = np.where(entry < pair[1], level, level[::-1])  # a row's head side comes first
-    cap, floor = bounds[0, :, None], np.negative(bounds[1, :, None])
+    np.copyto(bounds, level[::-1])  # a row's head side comes first
+    np.copyto(bounds, level, where=np.less(entry, pair[1], dead))
+    cap, floor = bounds[0, :, None], np.negative(bounds[1], bounds[1])[:, None]
     np.maximum(np.minimum(b, cap, out=b), floor, out=b)
-    np.subtract(a, np.multiply(b, rows[1], b), y)
+    np.subtract(a, np.multiply(b, rows[1], b), a)
     # a row is live where its weight and max b − min b are positive
-    dead = ~(np.minimum(np.add(signed[:, 0, 0], signed[:, 1, 0]), weight) > 0.0)
-    y[dead] = 0.0
+    np.minimum(np.add(signed[:, 0, 0], signed[:, 1, 0], spread), weight, out=spread)
+    np.logical_not(np.greater(spread, 0.0, dead), dead)
+    np.copyto(a, 0.0, where=dead[:, None])
     if phi is not None:  # z is monotone in b, so its spread comes from the extreme values
-        ends = signed[:, :, 0] * signs[:, :, 0]
+        np.multiply(signed[:, :, 0], signs[:, :, 0], ends)
         np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
         np.maximum(0.0, np.subtract(ends[:, 0], ends[:, 1], phi), out=phi)
-        phi *= 2.0 * np.sqrt(weight)
-        phi[dead] = 0.0
+        phi *= np.multiply(np.sqrt(weight, spread), 2.0, spread)
+        np.copyto(phi, 0.0, where=dead)
 
 
 # ---------------------------------------------------------------------------
@@ -625,21 +658,24 @@ def bind_blocks(
     of k edges or hyperedges (one-member ones too) under ``exact`` with k·τ/R ≥
     ``_BATCH_MIN_ROWS`` comes first in ``members``, and its picked rows are one
     ``_sweep_cut_batch`` call (in place in a round) on the group's sweep rows and
-    merge tables, both made here.  Every other component keeps its
+    `_sweep_buffers`, both made here, for min(k, τ, ``_BATCH_ENTRIES`` // m) rows of m
+    members.  An empty ``picks`` projects nothing.  Every other component keeps its
     ``bind_projectors`` callable.
     """
     big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
     for rows, matrix, weights in layout.groups:  # a group's are edges or hyperedges
         if rows.size * tau >= _BATCH_MIN_ROWS * big_r and _choose_oracle(True, method) == "exact":
+            m = matrix.shape[1]
             batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights,
-                            _merge_tables(matrix.shape[1], min(rows.size, _BATCH_ROWS))))
+                            _sweep_buffers(m, min(rows.size, tau, max(1, _BATCH_ENTRIES // m)))))
         else:
             rest.extend(rows.tolist())
     rest.sort()
     order = np.concatenate([g[0] for g in batched] + [np.array(rest, np.intp)])
     offsets = layout.ends.tolist()
-    members = np.concatenate([g[1].ravel() for g in batched]
-                             + [layout.incidence[offsets[r]:offsets[r + 1]] for r in rest])
+    parts = ([g[1].ravel() for g in batched]
+             + [layout.incidence[offsets[r]:offsets[r + 1]] for r in rest])
+    members = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one part: a view
     ends = np.cumsum([0] + [g[1].size for g in batched]
                      + [offsets[r + 1] - offsets[r] for r in rest]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
@@ -650,25 +686,27 @@ def bind_blocks(
         slot[rows], row[rows] = g, np.arange(rows.size)
     row[rest] = np.arange(len(rest))
     places = [np.arange(b.start, b.stop).reshape(g[1].shape) for g, b in zip(batched, blocks)]
+    nothing = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))  # an empty chunk's
 
     def project(y: np.ndarray, phis: np.ndarray | None, shift: np.ndarray, picks: np.ndarray,
                 scale: float = 1.0) -> tuple[np.ndarray, ...] | None:
         whole, changed = picks.size == big_r and scale == 1.0, []
         slots = slot.take(picks) if len(batched) + bool(rest) > 1 else None
-        for g, (rows, matrix, sweep_rows, weights, tables) in enumerate(batched):
+        for g, (rows, matrix, sweep_rows, weights, buffers) in enumerate(batched):
             if whole:  # the round: the group's own arrays, and its blocks of y in place
                 sub, y_g = rows, y[blocks[g]].reshape(matrix.shape)
                 y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
-                y_g[...], phi = _sweep_cut_batch(y_g, sweep_rows, weights, tables,
-                                                 phis is not None)
+                phi = _sweep_cut_batch(y_g, sweep_rows, weights, buffers, phis is not None)
             else:
                 sub = picks if slots is None else picks[slots == g]
+                if not sub.size:
+                    continue
                 sel = sub if rows.size == big_r else row.take(sub)  # a group of all R: sel = sub
                 pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
-                new, phi = _sweep_cut_batch(old - shift.take(mem), rows_g, w_g, tables,
-                                            phis is not None)
+                new = old - shift.take(mem)
+                phi = _sweep_cut_batch(new, rows_g, w_g, buffers, phis is not None)
                 changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
                 y[pos] = new
             if phis is not None:
@@ -681,7 +719,8 @@ def bind_blocks(
             if phis is not None:
                 phis[r] = phi
         if not whole:  # the round's caller re-accumulates Σy from y
-            return changed[0] if len(changed) == 1 else tuple(map(np.concatenate, zip(*changed)))
+            return changed[0] if len(changed) == 1 else (
+                tuple(map(np.concatenate, zip(*changed))) or nothing)
 
     return members, order, project
 

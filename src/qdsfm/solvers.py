@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -375,7 +375,10 @@ def _block_steps(
     for `_Approx`, which projects the first epoch's chunks under Ψ·W⁻¹ through a
     second binder of the same layout.  One chunk (τ = R, β = Ψ) is a round of
     alternating projections: every (y_r, φ_r) replaced by the projection of
-    y_r − ((Σy − 2Wa)/β)[S_r].
+    y_r − ((Σy − 2Wa)/β)[S_r].  From y = 0 (the first round, and `_Approx`'s first
+    epoch) only the blocks that can move are projected: those that meet supp(2Wa),
+    and those ``exact`` does not project.  Every other block's target is ±0, which the
+    exact sweeps project to y_r = +0 and φ_r = +0, the values it starts with.
     """
     n, big_r, layout, two_wa = instance.n, instance.r, instance._layout, instance._two_wa
     count = -(-big_r // tau)
@@ -387,19 +390,25 @@ def _block_steps(
     def bind(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable]:
         return bind_blocks(layout, beta / instance.w, config.projection, config.delta, tally, tau)
 
+    # the components a step from y = 0 projects: those exact does not project, and the others
+    # that meet supp(2Wa)
+    movable = (layout.kinds >= len(_CUT_KINDS)) | (config.projection not in ("auto", "exact"))
+    hits = np.flatnonzero(two_wa.take(layout.incidence))  # places in the incidence
+    movable[np.searchsorted(layout.ends, hits, "right") - 1] = True
     if count == 1:
         members, order, project = bind(beta)
         y = np.zeros(members.size)  # every block's y_r, laid out like members
+        rounds = chain((np.flatnonzero(movable),), repeat(order))
 
         def step(sum_y: np.ndarray, phis: np.ndarray) -> None:
-            project(y, phis, (sum_y - two_wa) / beta, order)
+            project(y, phis, (sum_y - two_wa) / beta, next(rounds))
             sum_y[:] = np.bincount(members, weights=y, minlength=n)
 
         return sizes, step, partial(evaluate_dual_state, instance)
     perms = map(np.random.default_rng(config.seed).permutation, repeat(big_r))
     chunks = (p[lo:hi] for p in perms for lo, hi in zip(bounds, bounds[1:]))
     # the opening's metric is ap's: β at τ = R, which is Ψ clamped to 1, bit for bit
-    approx = _Approx(instance, bind, np.maximum(layout.psi, 1.0), beta, chunks, sizes)
+    approx = _Approx(instance, bind, np.maximum(layout.psi, 1.0), beta, chunks, sizes, movable)
     return sizes, approx.step, approx.checkpoint
 
 
@@ -409,8 +418,8 @@ class _Approx:
     z_r − ((θ²Σu + Σz − 2Wa)/(cβ))[S_r] under cβ·W⁻¹, moves u by −(1 − c)/θ²
     times the change of z and sets θ to (√(θ⁴ + 4θ²) − θ²)/2: at θ₀ (u = 0)
     the plain τ-block step.  The opening epoch is ``ap``'s first round split into
-    its chunks: each projects its blocks from the start point z = 0, a fixed shift
-    −2Wa/Ψ, under Ψ·W⁻¹, and moves Σz by its changes; θ stays at θ₀ and u at 0,
+    its chunks: each projects its ``movable`` blocks from the start point z = 0, a fixed
+    shift −2Wa/Ψ, under Ψ·W⁻¹, and moves Σz by their changes; θ stays at θ₀ and u at 0,
     and each block reports its projection's φ, as in ``ap``.  The first chunk after
     it binds β's projector.  A checkpoint reports the blocks θ²u + z, convex
     combinations of cone points, with the least φ of each cut block and θ²u_φ + z_φ
@@ -418,11 +427,13 @@ class _Approx:
     on their gap; the step takes one itself after an epoch without."""
 
     def __init__(self, instance: ProblemInstance, bind: Callable, psi: np.ndarray,
-                 beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...]) -> None:
+                 beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...],
+                 movable: np.ndarray) -> None:
         self.members, order, self.project = bind(psi)  # the opening's binder, then β's
         self.instance, self.bind, self.beta = instance, bind, beta
         self.chunks, self.count, self.theta0 = chunks, len(sizes), max(sizes) / instance.r
-        self.opening, self.shift = self.count, -instance._two_wa / psi  # its chunks left, its shift
+        # the opening's chunks left, its shift and the blocks it projects
+        self.opening, self.shift, self.movable = self.count, -instance._two_wa / psi, movable
         self.z, self.u = np.zeros((2, self.members.size))  # laid out like members
         self.sum_z, self.sum_u = np.zeros((2, instance.n))
         layout, self.order = instance._layout, order  # the blocks' components, in members' order
@@ -445,7 +456,7 @@ class _Approx:
         z_phi, old_phi = (self.z_phi, self.z_phi.take(picks)) if self.general.size else (None, 0)
         self.unchecked += 1
         if self.opening > 0:  # a chunk of ap's first round: θ stays at θ₀ and u at 0
-            _, mem, change = self.project(self.z, z_phi, self.shift, picks)
+            _, mem, change = self.project(self.z, z_phi, self.shift, picks[self.movable[picks]])
             self.sum_z += np.bincount(mem, change, minlength=self.instance.n)
             self.opening -= 1
             return

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from qdsfm.projection import (
     ConePoint,
     ProjectionParams,
     _affine_minimizer_local,
-    _BATCH_ROWS,
+    _BATCH_ENTRIES,
     _bind_sweep,
-    _merge_tables,
+    _sweep_buffers,
     _sweep_cut_batch,
     _sweep_rows,
     project_cone,
@@ -26,7 +27,8 @@ from qdsfm.projection import (
     project_fw,
     project_mnp,
 )
-from qdsfm.solvers import ProblemInstance, SolveConfig, solve
+from qdsfm import solvers
+from qdsfm.solvers import ProblemInstance, SolveConfig, dual_objective, primal_objective, solve
 from qdsfm.submodular import (
     directed_hyperedge_cut,
     general_oracle,
@@ -153,12 +155,14 @@ def _batch_rows(rng, m, k=300):
     return a, wt, weight
 
 
-def _sweep_batch(a, wt, weight, with_phi=True):
-    """`_sweep_cut_batch` on the rows of ``a`` under the metrics ``wt``, with tables sized as
-    a bound group of these rows has them."""
+def _sweep_batch(a, wt, weight, with_phi=True, block=None):
+    """`_sweep_cut_batch` on a copy of the rows of ``a`` under the metrics ``wt``, with buffers
+    for ``block`` rows, or sized as a bound group of these rows has them in a round; returns
+    y and φ."""
     k, m = a.shape
-    tables = _merge_tables(m, min(k, _BATCH_ROWS))
-    return _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, tables, with_phi)
+    buffers = _sweep_buffers(m, block or min(k, max(1, _BATCH_ENTRIES // m)))
+    y = a.copy()
+    return y, _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, buffers, with_phi)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -177,7 +181,7 @@ def test_sweep_batch_matches_scalar_sweep(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
-@pytest.mark.parametrize("k", [1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 300])
+@pytest.mark.parametrize("k", [1, 95, 96, 97, 300])  # the reference sweeps blocks of 96
 def test_sweep_batch_is_bitwise_reference(m, k):
     rng = np.random.default_rng(1000 * m + k)
     if k >= 20:
@@ -193,20 +197,36 @@ def test_sweep_batch_is_bitwise_reference(m, k):
     assert no_phi is None and y_only.tobytes() == y_ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 20, 200])
+def test_sweep_batch_bits_do_not_depend_on_the_block(m):
+    # buffers bound for 1, 7, 96 and more than k rows sweep the same rows in blocks of that
+    # many, and each row keeps the reference's bits (which sweeps blocks of 96)
+    rng = np.random.default_rng(40 + m)
+    a, wt, weight = _batch_rows(rng, m, 150)
+    y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
+    for block in (1, 7, 96, 151):
+        y, phi = _sweep_batch(a, wt, weight, block=block)
+        assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
+
+
 def test_sweep_batch_memory_is_bounded():
-    # one call on 2,000 rows of 20 members holds its outputs (336 KB) and the
-    # temporaries of one block at a time; large blocks page-fault (_BATCH_ROWS)
+    # a round's call on 2,000 rows of 20 members sweeps them in place, in blocks of
+    # _BATCH_ENTRIES // 20 rows in the bound workspace: it allocates φ, each block's two
+    # argsorts (3m indices a row) and NumPy's own scratch (a broadcast operand's buffer and the
+    # sorts', under two blocks of values)
     a, wt, weight = _batch_rows(np.random.default_rng(7), 20, 2000)
-    rows, tables = _sweep_rows(wt, weight[:, None]), _merge_tables(20, _BATCH_ROWS)
-    _sweep_cut_batch(a, rows, weight, tables)
+    block = _BATCH_ENTRIES // 20
+    rows, buffers = _sweep_rows(wt, weight[:, None]), _sweep_buffers(20, block)
+    _sweep_cut_batch(a.copy(), rows, weight, buffers)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _sweep_cut_batch(a, rows, weight, tables)
+        _sweep_cut_batch(a, rows, weight, buffers)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    assert peak <= 3 * 20 * block * 8 + 2000 * 8 + 2 * 20 * block * 8
     assert peak <= 1 << 20
 
 
@@ -227,32 +247,36 @@ def test_sweep_rows_are_bitwise_the_expression():
 
 
 def test_sweep_tables_stay_bounded():
-    # a size's tables for _BATCH_ROWS rows, as a group of at least that many binds them, hold
-    # (13m + 1)·_BATCH_ROWS values of 8 bytes; they serve blocks of 1, 7 and _BATCH_ROWS rows
-    # at 67 sizes bit for bit, through views that hold no memory of their own
+    # a size's buffers for _BATCH_ENTRIES // m rows, as a round of a group of at least that many
+    # binds them, hold (26m + 20) values of 8 bytes and 2m + 1 flags a row; they serve blocks of
+    # 1, 7 and all their rows at 67 sizes bit for bit, through views that hold no memory
     rng = np.random.default_rng(3)
     for m in range(2, 201, 3):
-        tables = _merge_tables(m, _BATCH_ROWS)
-        assert len(tables) == _BATCH_ROWS + 1
-        assert sum(t.nbytes for t in tables[0]) == (13 * m + 1) * _BATCH_ROWS * 8
-        for k in (1, 7, _BATCH_ROWS):
+        rows = _BATCH_ENTRIES // m
+        buffers = _sweep_buffers(m, rows)
+        assert len(buffers) == rows + 1
+        tables, workspace = buffers[0]
+        assert sum(t.nbytes for t in tables + workspace) == ((26 * m + 20) * 8 + 2 * m + 1) * rows
+        for k in (1, 7, rows):
             a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
-            y, phi = _sweep_cut_batch(a, _sweep_rows(wt, weight[:, None]), weight, tables)
             y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
+            y = a.copy()
+            phi = _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, buffers)
             assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
-            assert all(np.shares_memory(view, full) for view, full in zip(tables[k], tables[0]))
+            assert all(any(np.shares_memory(view, full) for full in tables + workspace)
+                       for view in buffers[k])
 
 
 def test_sweep_tables_are_bound_once_per_group(monkeypatch):
     # 20 hyperedges each of 300, 400 and 500 members (2,400 members in all): a solve of 20
-    # rounds binds each group's tables once, for min(k, _BATCH_ROWS) rows
+    # rounds binds each group's buffers once, for min(k, τ, _BATCH_ENTRIES // m) rows
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return _merge_tables(*args)
+        return _sweep_buffers(*args)
 
-    monkeypatch.setattr(projection, "_merge_tables", spy)
+    monkeypatch.setattr(projection, "_sweep_buffers", spy)
     rng = np.random.default_rng(0)
     n, sizes = 3000, (300, 400, 500)
     atoms = [hyperedge_cut(np.sort(rng.choice(n, m, replace=False)).tolist())
@@ -260,14 +284,21 @@ def test_sweep_tables_are_bound_once_per_group(monkeypatch):
     inst = ProblemInstance(a=rng.normal(size=n), w=1.0, atoms=atoms)
     res = solve(inst, SolveConfig(algorithm="ap", projection="exact", max_iters=20 * inst.r))
     assert res.iterations == 20 * inst.r
-    assert sorted(calls) == [(m, 20) for m in sizes]  # k = 20 < _BATCH_ROWS rows each
-    # a group of more than _BATCH_ROWS rows gets tables for _BATCH_ROWS, one of fewer for its k
+    assert _BATCH_ENTRIES == 3072
+    assert sorted(calls) == [(300, 10), (400, 7), (500, 6)]  # the budget's rows, under k = 20
+    # a group of fewer rows than the budget's gets its k; rcd's opening and chunk binders get
+    # τ where it is smaller
     calls.clear()
     edges = [graph_edge_cut(*rng.choice(40, 2, replace=False).tolist()) for _ in range(150)]
     small = [hyperedge_cut(np.sort(rng.choice(40, 5, replace=False)).tolist()) for _ in range(9)]
     inst = ProblemInstance(a=rng.normal(size=40), w=1.0, atoms=edges + small)
     solve(inst, SolveConfig(algorithm="ap", max_iters=3 * inst.r))
-    assert sorted(calls) == [(2, _BATCH_ROWS), (5, 9)]
+    assert sorted(calls) == [(2, 150), (5, 9)]
+    calls.clear()
+    tau = solvers._block_size(inst, SolveConfig())
+    assert tau == 19
+    solve(inst, SolveConfig(max_iters=3 * inst.r))
+    assert sorted(calls) == [(2, 19), (2, 19)]  # the 5-member group, 9·τ < 4R, is not batched
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -290,6 +321,21 @@ def test_bound_sweep_is_bitwise_reference(m, directed):
         assert np.array_equal(y, y_ref) and phi == phi_ref
 
 
+def _round_by_hand(inst):
+    """One round of alternating projections from y = 0: split 2Wa by coverage and project
+    each block on its own; returns Σy, φ and x."""
+    n, psi = inst.n, inst._layout.psi
+    covered = psi > 0
+    target = np.zeros(n)
+    target[covered] = 2.0 * inst.w[covered] * inst.a[covered] / psi[covered]
+    sum_y, phis = np.zeros(n), []
+    for atom in inst.atoms:
+        point, _ = project_cone(atom, psi / inst.w, target)
+        sum_y += point.dense(n)
+        phis.append(point.phi)
+    return sum_y, np.array(phis), inst.a - 0.5 * sum_y / inst.w
+
+
 def test_ap_round_matches_per_atom_projections(monkeypatch):
     covers = [{0, 1}, {1, 2}, {2, 3, 4}]
     tbl = {bits: float(len(set().union(*(covers[p] for p in range(3) if bits >> p & 1))))
@@ -309,9 +355,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     )
     batch_shapes = []
 
-    def spy(a, rows, weight, tables, with_phi=True):
+    def spy(a, rows, weight, buffers, with_phi=True):
         batch_shapes.append(a.shape)
-        return _sweep_cut_batch(a, rows, weight, tables, with_phi)
+        return _sweep_cut_batch(a, rows, weight, buffers, with_phi)
 
     monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
     rng = np.random.default_rng(4)
@@ -323,22 +369,71 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     # fewer than _BATCH_MIN_ROWS and stay on the scalar sweep
     assert projection._BATCH_MIN_ROWS == 4
     assert batch_shapes == [(5, 2)]
-    # the round by hand: split 2Wa by coverage, project each block on its own
-    psi = np.zeros(n)
-    for atom in atoms:
-        psi[atom.members_arr] += 1.0
-    covered = psi > 0
-    target = np.zeros(n)
-    target[covered] = 2.0 * inst.w[covered] * inst.a[covered] / psi[covered]
-    sum_y = np.zeros(n)
-    phis = []
-    for atom in atoms:
-        point, _ = project_cone(atom, psi / inst.w, target)
-        sum_y += point.dense(n)
-        phis.append(point.phi)
+    sum_y, phis, x = _round_by_hand(inst)
     assert np.max(np.abs(res.sum_y - sum_y)) <= 1e-12
-    assert np.max(np.abs(res.phis - np.array(phis))) <= 1e-12
-    assert np.max(np.abs(res.x - (inst.a - 0.5 * sum_y / inst.w))) <= 1e-12
+    assert np.max(np.abs(res.phis - phis)) <= 1e-12
+    assert np.max(np.abs(res.x - x)) <= 1e-12
+
+
+def test_first_round_projects_the_blocks_that_can_move(monkeypatch):
+    # a = 0 off vertices 0 and 1: from y = 0 a cut block away from them has target ±0 and
+    # stays at y_r = +0, φ_r = +0, so ap's first round and rcd's opening project only the
+    # blocks that meet supp(2Wa), and the table atom, which exact does not project
+    rng = np.random.default_rng(12)
+    n = 40
+    group = [hyperedge_cut(np.sort(rng.choice(n, 4, replace=False)).tolist(), 1.0 + r / 16)
+             for r in range(16)]  # the weights name the rows the batched sweep gets
+    atoms = group + [
+        hyperedge_cut([0, 5, 9], 2.0), hyperedge_cut([20, 21, 22]),  # a group of 2: scalar
+        directed_hyperedge_cut([1], [7, 8]), directed_hyperedge_cut([30], [31, 32]),
+        general_oracle([33, 34], table={0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}),
+        graph_edge_cut(0, 35, 0.0), graph_edge_cut(36, 37),
+    ]
+    a = np.zeros(n)
+    a[:2] = (1.5, -0.7)
+    inst = ProblemInstance(a, rng.uniform(0.5, 2.0, n), atoms)
+    meets = {r for r, atom in enumerate(atoms) if {0, 1} & set(atom.members)}
+    assert meets & set(range(16)) and set(range(16)) - meets
+    assert {16, 18, 21} <= meets and not {17, 19, 20, 22} & meets
+    batched, scalar = [], []
+
+    def batch_spy(a, rows, weight, buffers, with_phi=True):
+        batched.extend(round((w - 1.0) * 16) for w in weight.tolist())
+        return _sweep_cut_batch(a, rows, weight, buffers, with_phi)
+
+    def bind_spy(layout, metric, picks, *args, bind=projection.bind_projectors):
+        picks = list(picks)
+        projectors = bind(layout, metric, picks, *args)
+
+        def spied(r, proj, target, scale=1.0):
+            scalar.append(r)
+            return proj(target, scale)
+
+        return [partial(spied, r, proj) for r, proj in zip(picks, projectors)]
+
+    monkeypatch.setattr(projection, "_sweep_cut_batch", batch_spy)
+    monkeypatch.setattr(projection, "bind_projectors", bind_spy)
+    sum_y, phis, x = _round_by_hand(inst)
+    for algorithm in ("ap", "rcd"):
+        batched.clear(), scalar.clear()
+        res = solve(inst, SolveConfig(algorithm=algorithm, max_iters=inst.r))
+        assert res.iterations == inst.r and batched  # the 16 hyperedges are one batched group
+        assert sorted(batched + scalar) == sorted(meets | {20})
+        skipped = sorted(set(range(inst.r)) - meets - {20})
+        assert np.all(res.phis[skipped] == 0.0) and not np.signbit(res.phis[skipped]).any()
+        assert np.max(np.abs(res.sum_y - sum_y)) <= 1e-12
+        assert np.max(np.abs(res.phis - phis)) <= 1e-12
+        assert np.max(np.abs(res.x - x)) <= 1e-12
+        _, dual = dual_objective(inst, sum_y, phis)
+        assert abs(res.gap - (primal_objective(inst, x) - dual)) <= 1e-12
+    # the next round projects every block; under mnp every block moves from the first round
+    batched.clear(), scalar.clear()
+    solve(inst, SolveConfig(algorithm="ap", max_iters=2 * inst.r))
+    assert len(batched + scalar) == len(meets) + 1 + inst.r
+    for algorithm in ("ap", "rcd"):
+        batched.clear(), scalar.clear()
+        solve(inst, SolveConfig(algorithm=algorithm, projection="mnp", max_iters=inst.r))
+        assert batched == [] and sorted(scalar) == list(range(inst.r))
 
 
 # ---------------------------------------------------------------------------
