@@ -25,12 +25,13 @@ take dense inputs and share one body: it gathers the incidence-set slices,
 applies the iteration cap, runs the chosen oracle and reports.  This module
 owns the choice of oracle per component and the iteration caps.  The solvers'
 binder, ``bind_blocks``, reads the instance's component layout and gives the
-τ-block step and the ``ap`` round one callable for any chunk of any components,
-which sweeps the chunk's rows of each batched group as one array kernel and
-projects every other component through its ``bind_projectors`` callable.  Both
-exact sweeps read rows computed once per solve, and a batched group's merge tables
-and workspace are bound with its rows, so a call repeats no work that depends only on a
-component, its size and its metric; each matches, bit for bit, the tests'
+τ-block step and the ``ap`` round one callable for any chunk of any components.
+It sweeps the chunk's rows of each width class of edges and hyperedges as one
+array kernel call (short rows padded with entries that cannot move the result)
+and projects every other component through its ``bind_projectors`` callable.
+Both exact sweeps read rows computed once per solve, and a class's merge tables
+and workspace are bound with its rows, so a call repeats no work that depends only
+on a component, its size and its metric; each matches, bit for bit, the tests'
 reference that recomputes everything on every call.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable
@@ -66,16 +68,13 @@ DEFAULT_DELTA = 1e-10  # oracle certificate tolerance δ, for the library and th
 
 _DEDUP_TOL = 1e-12
 _SNAP_TOL = 1e-12
-# Entries (rows × members) per block of the batched sweep.  A size group of k rows of m members
+# Entries (rows × width) per block of the batched sweep.  A width class of k rows of width m
 # binds its tables and workspace, (26m + 20) values of 8 bytes a row, for min(k, τ,
 # _BATCH_ENTRIES // m) rows.  A call has a fixed cost (about 40 µs at 20 members), which larger
 # blocks pay less often.  At 20 members a round's 153-row blocks bind 0.67 MB and, with a call's
 # argsorts, hold 0.79 MB: less than the 0.90 MB that 96-row blocks held with their tables, the
 # temporaries of a call that allocates them and a round's returned k × m result.
 _BATCH_ENTRIES = 3072
-# Fewest rows of an equal-size group per chunk, on average, worth one batched sweep: one
-# call costs about as much as three or four scalar sweeps, whatever the size (2 to 200 members).
-_BATCH_MIN_ROWS = 4
 
 logger = logging.getLogger(__name__)
 
@@ -322,40 +321,32 @@ def _sweep_rows(wt: np.ndarray, weights) -> np.ndarray:
 
 
 def _bind_sweep(
-    wt: np.ndarray, weight: float, sides: tuple | None = None, rows: np.ndarray | None = None
+    wt: np.ndarray, weight: float, sides: tuple
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
     """Exact cone projection for a cut component of weight ``weight`` under the
     metric ``wt``, as a callable target ↦ (y, φ) in local coordinates.  ``sides``
-    holds a directed hyperedge's head and tail positions, and is None otherwise.
+    holds its head and tail positions (each every position for an undirected one).
 
     Reduces to the proximal problem min_z ‖z − b‖²_M + w·f₁(z)² with
     b = W̃a/2 and M = W̃⁻¹ (f₁ the unit-weight cut extension), solved by a
     two-pointer sweep that caps head values at γ and floors tail values at δ
     while walking the balanced path dδ = −(w_H/w_T)dγ; recovery is
-    y = a − 2Mz, φ = 2√w·f₁(z).  The `_sweep_rows` depend only on the
-    component and ``wt``, so they are computed here unless given as ``rows``.
+    y = a − 2Mz, φ = 2√w·f₁(z).  The `_sweep_rows` are computed here, once.
     """
     if weight == 0.0:
         return lambda a, scale=1.0: (np.zeros(wt.size), 0.0)
-    rows = _sweep_rows(wt, weight) if rows is None else rows
-    if sides is not None:
-        hp, tp = sides
-        sides = (hp, tp, rows[2, hp], rows[2, tp])
-    return partial(_sweep, rows, 2.0 * math.sqrt(weight), sides)
+    rows, (hp, tp) = _sweep_rows(wt, weight), sides
+    return partial(_sweep, rows, 2.0 * math.sqrt(weight), (hp, tp, rows[2, hp], rows[2, tp]))
 
 
 def _sweep(
-    rows: np.ndarray, root_w: float, sides: tuple | None, a: np.ndarray, scale: float = 1.0
+    rows: np.ndarray, root_w: float, sides: tuple, a: np.ndarray, scale: float = 1.0
 ) -> tuple[np.ndarray, float]:
     """The sweep bound by ``_bind_sweep``, under ``scale``·W̃: ``root_w`` is 2√w, and
-    ``sides`` None for an undirected atom, else its head and tail positions and masses."""
+    ``sides`` the head and tail positions and masses."""
     b = rows[0] * a
-    if sides is None:
-        bh = bt = b
-        mwh = mwt = rows[2]
-    else:
-        hp, tp, mwh, mwt = sides
-        bh, bt = b[hp], b[tp]
+    hp, tp, mwh, mwt = sides
+    bh, bt = b[hp], b[tp]
     if scale != 1.0:  # under scale·W̃: the masses at weight scale·w, and φ scaled (below)
         mwh, mwt = mwh / scale, mwt / scale
     oh = np.argsort(-bh, kind="stable")
@@ -415,37 +406,38 @@ def _sweep(
     gs = gamma - grad * wT / denom
     ds = delta + grad * wH / denom
 
-    if sides is None:
-        z = np.minimum(b, gs)
-        np.maximum(z, ds, out=z)
-        # z is monotone in b, so its ends are the clipped ends of b
-        f1 = max(0.0, max(min(hvals[0], gs), ds) - max(min(tvals[0], gs), ds))
-    else:
-        z = b.copy()
-        z[hp] = np.minimum(z[hp], gs)
-        z[tp] = np.maximum(z[tp], ds)
-        f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
+    z = b  # b's sides were copied out above
+    z[hp] = np.minimum(z[hp], gs)
+    z[tp] = np.maximum(z[tp], ds)
+    f1 = max(0.0, float(np.max(z[hp])) - float(np.min(z[tp])))
     return a - rows[1] * z, scale * root_w * f1
 
 
 def _sweep_cut_batch(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, buffers: list, with_phi: bool = True
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, pads: np.ndarray | None, buffers: list,
+    with_phi: bool = True,
 ) -> np.ndarray | None:
-    """Exact cone projection for k undirected cut atoms of one size m at once, in place.
+    """Exact cone projection for k undirected cut atoms of one width class at once, in place.
 
     ``a`` is k × m (targets in local coordinates), ``rows`` the atoms' 3 × k × m
-    `_sweep_rows`, ``weight`` their k weights and ``buffers`` the `_sweep_buffers` of
-    size m; replaces each row of ``a`` by its y and returns φ (k), or None unless
-    ``with_phi``.  Row i solves the proximal problem of ``_bind_sweep``.  Rows are
-    processed in blocks of as many rows as ``buffers`` are bound for, so the working
-    memory is bound once; a row's bits do not depend on its block.
+    `_sweep_rows`, zero at the pads, ``weight`` their k weights, ``pads`` the flags of the
+    entries past each row's size (None if there are none) and ``buffers`` the
+    `_sweep_buffers` of width m; replaces each row of ``a`` by its y (0 at its pads) and
+    returns φ (k), or None unless ``with_phi``.  Row i solves the proximal problem of
+    ``_bind_sweep``.  Rows are processed in blocks of as many rows as ``buffers`` are bound
+    for, so the working memory is bound once; a row's bits depend neither on its block
+    nor on its pads.
     """
     phi = np.empty(a.shape[0]) if with_phi else None
     step = len(buffers) - 1
-    for lo in range(0, a.shape[0], step):
-        block = slice(lo, lo + step)
-        _sweep_cut_block(a[block], rows[:, block], weight[block], buffers,
-                         None if phi is None else phi[block])
+    # a row whose real values are all equal is dead: its pads may lead its head side and divide
+    # by their zero mass before the row is zeroed
+    with np.errstate(divide="ignore", invalid="ignore") if pads is not None else nullcontext():
+        for lo in range(0, a.shape[0], step):
+            block = slice(lo, lo + step)
+            _sweep_cut_block(a[block], rows[:, block], weight[block],
+                             None if pads is None else pads[block], buffers,
+                             None if phi is None else phi[block])
     return phi
 
 
@@ -487,7 +479,8 @@ def _block_views(buffers: list, k: int, m: int) -> tuple:
 
 
 def _sweep_cut_block(
-    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, buffers: list, phi: np.ndarray | None
+    a: np.ndarray, rows: np.ndarray, weight: np.ndarray, pads: np.ndarray | None, buffers: list,
+    phi: np.ndarray | None,
 ) -> None:
     """One block of ``_sweep_cut_batch``: y written over ``a``, and φ into ``phi`` (if given).
 
@@ -499,13 +492,17 @@ def _sweep_cut_block(
     balance γ(t) − δ(t) − t falls in t.  It is evaluated at the merged
     breakpoints of both sides; the last positive one fixes the clipped sets,
     and on that piece the balance is zero at t*.  Every temporary but the two
-    argsorts is a view of the bound workspace, written in place.
+    argsorts is a view of the bound workspace, written in place.  A pad has no
+    mass and its row's least real b, after which the stable sort puts it: on
+    either side it adds no mass at a value that already is a breakpoint.
     """
     k, m = a.shape
     buffers[k] = buffers[k] or _block_views(buffers, k, m)
     (by_m, sides, signs, by_2m, places, lagged, start, offset, b, buffer, gathered, edges, ratio,
      inverse, flow, bounds, ends, spread, index, pair, last, closed, dead) = buffers[k]
     np.multiply(rows[0], a, b)
+    if pads is not None:
+        np.copyto(b, np.where(pads, np.inf, b).min(axis=1, keepdims=True), where=pads)
     order = b.argsort(axis=1, kind="stable")
     np.add(order, by_m, order)
     order.take(sides, out=index, mode="clip")
@@ -565,7 +562,7 @@ def _sweep_cut_block(
     # a row is live where its weight and max b − min b are positive
     np.minimum(np.add(signed[:, 0, 0], signed[:, 1, 0], spread), weight, out=spread)
     np.logical_not(np.greater(spread, 0.0, dead), dead)
-    np.copyto(a, 0.0, where=dead[:, None])
+    np.copyto(a, 0.0, where=dead[:, None] if pads is None else pads | dead[:, None])
     if phi is not None:  # z is monotone in b, so its spread comes from the extreme values
         np.multiply(signed[:, :, 0], signs[:, :, 0], ends)
         np.maximum(np.minimum(ends, cap, out=ends), floor, out=ends)
@@ -607,28 +604,21 @@ def bind_projectors(
 ) -> list[Callable[..., tuple[np.ndarray, float]]]:
     """Callables (target, scale=1.0) ↦ (y, φ) in local coordinates for the
     components ``picks`` of ``layout``, in that order, each oracle chosen here,
-    once, under ``scale`` times the diagonal ``metric``.  The sweep rows of all
-    components are computed at once along the ``layout``; each sweep binds its view
-    and the layout's weight.  Only a directed hyperedge's sweep (for its head and
-    tail) and the ``mnp`` and ``fw`` callables read ``layout.atoms``.
+    once, under ``scale`` times the diagonal ``metric``, each from its atom (in
+    a solve the only exact sweeps bound here are directed hyperedges').
 
     Every ``mnp`` or ``fw`` call counts into ``tally[oracle, converged]``
     (see ``warn_unconverged``); the exact sweep is not counted.
     """
     wt, offsets = metric[layout.incidence], layout.ends.tolist()
-    rows = _sweep_rows(wt, np.repeat(layout.weights, np.diff(layout.ends)))
     kinds, weights, projectors = layout.kinds.tolist(), layout.weights.tolist(), []
-    directed = _CUT_KINDS.index("directed_hyperedge")
     for r in picks:
         lo, hi = offsets[r], offsets[r + 1]
-        chosen = _choose_oracle(kinds[r] < len(_CUT_KINDS), method)
+        chosen, atom = _choose_oracle(kinds[r] < len(_CUT_KINDS), method), layout.atoms[r]
         if chosen == "exact":
-            atom = layout.atoms[r] if kinds[r] == directed else None
-            sides = None if atom is None else (atom.head_pos, atom.tail_pos)
-            projectors.append(_bind_sweep(wt[lo:hi], weights[r], sides, rows[:, lo:hi]))
+            projectors.append(_bind_sweep(wt[lo:hi], weights[r], (atom.head_pos, atom.tail_pos)))
             continue
-        atom, local = layout.atoms[r], _ITERATIVE[chosen]
-        cap = _iteration_cap(atom, chosen, None)
+        local, cap = _ITERATIVE[chosen], _iteration_cap(atom, chosen, None)
 
         def proj(tgt, scale=1.0, _f=local, _a=atom, _w=wt[lo:hi], _n=chosen, _c=cap):
             y, phi, _, _, converged, _ = _f(_a, scale * _w, tgt, delta, _c, False)
@@ -646,73 +636,81 @@ def bind_blocks(
     delta: float,
     tally: Counter,
     tau: int,
-) -> tuple[np.ndarray, np.ndarray, Callable[..., tuple[np.ndarray, ...] | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., tuple[np.ndarray, ...] | None]]:
     """One callable that projects any chunk of the components from one snapshot.
 
-    Returns ``members``, every component's vertices concatenated, ``order``, its
-    components, and ``project(y, phis, shift, picks, scale=1.0)``, which replaces
+    Returns ``members``, every component's block of vertices concatenated,
+    ``order``, its components, ``starts``, each block's first place in
+    ``members``, and ``project(y, phis, shift, picks, scale=1.0)``, which replaces
     the blocks ``picks`` in ``y`` (laid out like ``members``) by the projections of
     y_r − shift[S_r] under ``scale``·``metric`` (a diagonal), writes their φ into
     ``phis`` unless it is None and returns the positions in ``y`` it changed, their
-    vertices and the changes (None for a round: all R at scale 1).  A size group
-    of k edges or hyperedges (one-member ones too) under ``exact`` with k·τ/R ≥
-    ``_BATCH_MIN_ROWS`` comes first in ``members``, and its picked rows are one
-    ``_sweep_cut_batch`` call (in place in a round) on the group's sweep rows and
-    `_sweep_buffers`, both made here, for min(k, τ, ``_BATCH_ENTRIES`` // m) rows of m
-    members.  An empty ``picks`` projects nothing.  Every other component keeps its
-    ``bind_projectors`` callable.
+    vertices and the changes (None for a round: all R at scale 1).  Under ``exact``
+    the layout's width classes of edges and hyperedges come first in ``members``,
+    each as its padded member matrix, and a class's picked rows are one
+    ``_sweep_cut_batch`` call (in place in a round) on the class's sweep rows, zero
+    at its pads, and `_sweep_buffers`, both made here, for min(k, τ,
+    ``_BATCH_ENTRIES`` // m) rows of width m.  An empty ``picks`` projects nothing.
+    Every other component (a directed hyperedge, a table or an oracle, and every
+    one under ``mnp`` or ``fw``) keeps its ``bind_projectors`` callable.
     """
-    big_r, batched, rest = layout.kinds.size, [], list(layout.rest)
-    for rows, matrix, weights in layout.groups:  # a group's are edges or hyperedges
-        if rows.size * tau >= _BATCH_MIN_ROWS * big_r and _choose_oracle(True, method) == "exact":
-            m = matrix.shape[1]
-            batched.append((rows, matrix, _sweep_rows(metric[matrix], weights[:, None]), weights,
-                            _sweep_buffers(m, min(rows.size, tau, max(1, _BATCH_ENTRIES // m)))))
-        else:
-            rest.extend(rows.tolist())
-    rest.sort()
+    big_r, batched, sizes = layout.kinds.size, [], np.diff(layout.ends)
+    exact = _choose_oracle(True, method) == "exact"
+    for rows, matrix, weights in layout.groups if exact else ():  # edges and hyperedges
+        (k, m), short = matrix.shape, sizes.take(rows)
+        pads = None if short.min() == m else _frozen(np.arange(m) >= short[:, None])
+        sweep_rows = _sweep_rows(metric[matrix], weights[:, None])
+        if pads is not None:
+            sweep_rows[:, pads] = 0.0
+        batched.append((rows, matrix, sweep_rows, weights, pads,
+                        _sweep_buffers(m, min(k, tau, max(1, _BATCH_ENTRIES // m)))))
+    rest = list(layout.rest) if exact else list(range(big_r))
     order = np.concatenate([g[0] for g in batched] + [np.array(rest, np.intp)])
     offsets = layout.ends.tolist()
     parts = ([g[1].ravel() for g in batched]
              + [layout.incidence[offsets[r]:offsets[r + 1]] for r in rest])
     members = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one part: a view
-    ends = np.cumsum([0] + [g[1].size for g in batched]
-                     + [offsets[r + 1] - offsets[r] for r in rest]).tolist()
-    blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]  # the groups', then the rest's
+    widths = [np.full(g[0].size, g[1].shape[1]) for g in batched] + [sizes.take(rest)]
+    ends = np.cumsum(np.concatenate([[0]] + widths))
+    # each class's first place in members, and each of the rest's block
+    counts = np.cumsum([0] + [g[0].size for g in batched])
+    firsts, tail = ends.take(counts).tolist(), ends[counts[-1]:].tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip(tail, tail[1:])]
     projectors = bind_projectors(layout, metric, rest, method, delta, tally) if rest else []
-    # each component's group (−1 for the rest) and row in it, and each group's places in members
+    # each component's class (−1 for the rest) and row in it
     slot, row = np.full(big_r, -1), np.empty(big_r, np.intp)
     for g, (rows, *_) in enumerate(batched):
         slot[rows], row[rows] = g, np.arange(rows.size)
     row[rest] = np.arange(len(rest))
-    places = [np.arange(b.start, b.stop).reshape(g[1].shape) for g, b in zip(batched, blocks)]
     nothing = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))  # an empty chunk's
 
     def project(y: np.ndarray, phis: np.ndarray | None, shift: np.ndarray, picks: np.ndarray,
                 scale: float = 1.0) -> tuple[np.ndarray, ...] | None:
         whole, changed = picks.size == big_r and scale == 1.0, []
         slots = slot.take(picks) if len(batched) + bool(rest) > 1 else None
-        for g, (rows, matrix, sweep_rows, weights, buffers) in enumerate(batched):
-            if whole:  # the round: the group's own arrays, and its blocks of y in place
-                sub, y_g = rows, y[blocks[g]].reshape(matrix.shape)
+        for g, (rows, matrix, sweep_rows, weights, pads, buffers) in enumerate(batched):
+            lo, (k, m) = firsts[g], matrix.shape
+            if whole:  # the round: the class's own arrays, and its block of y in place
+                sub, y_g = rows, y[lo:lo + k * m].reshape(k, m)
                 y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
-                phi = _sweep_cut_batch(y_g, sweep_rows, weights, buffers, phis is not None)
+                phi = _sweep_cut_batch(y_g, sweep_rows, weights, pads, buffers, phis is not None)
             else:
                 sub = picks if slots is None else picks[slots == g]
                 if not sub.size:
                     continue
-                sel = sub if rows.size == big_r else row.take(sub)  # a group of all R: sel = sub
-                pos, mem, w_g = places[g].take(sel, 0), matrix.take(sel, 0), weights.take(sel)
+                sel = sub if k == big_r else row.take(sub)  # a class of all R: sel = sub
+                pos = (m * sel + lo)[:, None] + np.arange(m)
+                mem, w_g = matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
-                new = old - shift.take(mem)
-                phi = _sweep_cut_batch(new, rows_g, w_g, buffers, phis is not None)
+                new, pads_g = old - shift.take(mem), None if pads is None else pads.take(sel, 0)
+                phi = _sweep_cut_batch(new, rows_g, w_g, pads_g, buffers, phis is not None)
                 changed.append((pos.ravel(), mem.ravel(), (new - old).ravel()))
                 y[pos] = new
             if phis is not None:
                 phis[sub] = scale * phi
         for r in (picks if slots is None else picks[slots < 0]).tolist() if rest else ():
-            b = blocks[len(batched) + row[r]]
+            b = blocks[row[r]]
             new, phi = projectors[row[r]](y[b] - shift.take(members[b]), scale)
             changed.append((np.arange(b.start, b.stop), members[b], new - y[b]))
             y[b] = new
@@ -722,7 +720,7 @@ def bind_blocks(
             return changed[0] if len(changed) == 1 else (
                 tuple(map(np.concatenate, zip(*changed))) or nothing)
 
-    return members, order, project
+    return members, order, ends[:-1], project
 
 
 def warn_unconverged(tally: Counter) -> None:
@@ -752,8 +750,7 @@ def _project(
     wt = as_diagonal(wtilde, len(a))[atom.members_arr]
     al = a[atom.members_arr]
     if method == "exact":
-        sides = (atom.head_pos, atom.tail_pos) if atom.kind == "directed_hyperedge" else None
-        y, phi = _bind_sweep(wt, atom.weight, sides)(al)
+        y, phi = _bind_sweep(wt, atom.weight, (atom.head_pos, atom.tail_pos))(al)
         c = wt * (y - al)
         cert = float(np.dot(c, _greedy_local(atom, c))) + phi
         hist, conv, iters = (), True, 1

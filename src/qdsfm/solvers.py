@@ -132,7 +132,7 @@ class ProblemInstance:
         return float(np.dot(self.w, self.a * self.a))
 
     def _penalty(self, x: np.ndarray) -> float:
-        """Σ_r max(f_r(x), 0)²: each group of equal-size symmetric cuts in a few
+        """Σ_r max(f_r(x), 0)²: each width class of symmetric cuts in a few
         array operations, every other component by its Lovász extension.  A cut
         has f_r ≥ 0; a general component's f_r(x) < 0 counts 0, as its dual cone
         certifies only the positive part."""
@@ -205,20 +205,23 @@ def _component_layout(
 def _symmetric_cut_groups(
     symmetric: np.ndarray, incidence: np.ndarray, ends: np.ndarray, weights: np.ndarray
 ) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], tuple[int, ...]]:
-    """The components flagged ``symmetric`` (edges and hyperedges, of any size)
-    grouped by size as read-only (indices, k × size members matrix, k
-    weights), and the other components' indices.  A matrix is a
-    view of ``incidence`` when its components are consecutive, else a gather."""
+    """The components flagged ``symmetric`` (edges and hyperedges) grouped by width
+    class, max(3, ⌈log₂ m⌉) for size m, as read-only (indices, k × width members
+    matrix, k weights), and the other components' indices.  A matrix is as wide as
+    its longest row, a shorter row repeats its last member, and a class of one size
+    is a view of ``incidence`` when its components are consecutive."""
     picked = np.flatnonzero(symmetric)
     sizes = np.diff(ends)[picked]
+    classes = np.maximum(np.frexp(sizes - 1)[1], 3)
     groups = []
-    for size in dict.fromkeys(sizes.tolist()):  # in order of first appearance
-        rows = picked[sizes == size]
-        k, lo = rows.size, ends[rows[0]]
-        if rows[-1] - rows[0] == k - 1:
+    for c in dict.fromkeys(classes.tolist()):  # in order of first appearance
+        rows, row_sizes = picked[classes == c], sizes[classes == c]
+        k, lo, size = rows.size, ends[rows[0]], row_sizes.max()
+        if rows[-1] - rows[0] == k - 1 and row_sizes.min() == size:
             matrix = incidence[lo:lo + k * size].reshape(k, size)
         else:
-            matrix = incidence[ends[rows, None] + np.arange(size)]
+            columns = np.minimum(np.arange(size), row_sizes[:, None] - 1)
+            matrix = incidence[ends[rows, None] + columns]
         groups.append((_frozen(rows), _frozen(matrix), _frozen(weights[rows])))
     return tuple(groups), tuple(np.flatnonzero(~symmetric).tolist())
 
@@ -396,7 +399,7 @@ def _block_steps(
     hits = np.flatnonzero(two_wa.take(layout.incidence))  # places in the incidence
     movable[np.searchsorted(layout.ends, hits, "right") - 1] = True
     if count == 1:
-        members, order, project = bind(beta)
+        members, order, _, project = bind(beta)
         y = np.zeros(members.size)  # every block's y_r, laid out like members
         rounds = chain((np.flatnonzero(movable),), repeat(order))
 
@@ -429,16 +432,16 @@ class _Approx:
     def __init__(self, instance: ProblemInstance, bind: Callable, psi: np.ndarray,
                  beta: np.ndarray, chunks: Iterator[np.ndarray], sizes: tuple[int, ...],
                  movable: np.ndarray) -> None:
-        self.members, order, self.project = bind(psi)  # the opening's binder, then β's
+        # the opening's binder; β's, bound after it, lays the blocks out alike
+        self.members, self.order, self.starts, self.project = bind(psi)
         self.instance, self.bind, self.beta = instance, bind, beta
         self.chunks, self.count, self.theta0 = chunks, len(sizes), max(sizes) / instance.r
         # the opening's chunks left, its shift and the blocks it projects
         self.opening, self.shift, self.movable = self.count, -instance._two_wa / psi, movable
         self.z, self.u = np.zeros((2, self.members.size))  # laid out like members
         self.sum_z, self.sum_u = np.zeros((2, instance.n))
-        layout, self.order = instance._layout, order  # the blocks' components, in members' order
-        self.starts = np.concatenate(([0], np.cumsum(np.diff(layout.ends).take(order))[:-1]))
-        self.root_w = np.sqrt(np.where(layout.weights > 0.0, layout.weights, 1.0)).take(order)
+        weights = instance._layout.weights  # the blocks' components are in members' order
+        self.root_w = np.sqrt(np.where(weights > 0.0, weights, 1.0)).take(self.order)
         # the blocks whose φ is read from (z_φ, u_φ): in the opening every block's, as in
         # ap, and after it the general ones'
         self.general = np.arange(instance.r)
@@ -450,7 +453,7 @@ class _Approx:
             self.checkpoint(sum_y, phis)
         if self.opening == 0:  # β's projector, bound once the opening's sweep rows are released
             self.project, self.opening = None, -1
-            self.project = self.bind(self.beta)[2]
+            self.project = self.bind(self.beta)[3]
             self.general = np.flatnonzero(self.instance._layout.kinds >= len(_CUT_KINDS))
         picks = next(self.chunks)
         z_phi, old_phi = (self.z_phi, self.z_phi.take(picks)) if self.general.size else (None, 0)
@@ -500,9 +503,7 @@ def solve(instance: ProblemInstance, config: SolveConfig = SolveConfig()) -> Sol
     of an epoch's ⌈R/τ⌉ near-equal chunks, τ from `_block_size`'s rule whatever
     the components and the oracle.
     The chunks of ``rcd``'s first epoch make up ``ap``'s first round: on a budget
-    of R both return the same ``sum_y``, ``phis`` and gap, bit for bit unless
-    ``ap`` batches a group of cuts that ``rcd``'s chunks leave to the scalar
-    sweep (then within roundoff).  The
+    of R both return the same ``sum_y``, ``phis`` and gap, bit for bit.  The
     budget and the checkpoint stride count projections and are rounded down
     to whole steps, each at least one; a budget of 0, or R = 0, takes no
     step.  The loop owns the dual state, the trace and the stopping rules:

@@ -522,25 +522,29 @@ def rcd_steps_reference(instance, config, tally):
 
 def ap_steps_reference(instance, config, tally):
     """One round of alternating projections: every block re-projected from
-    one snapshot under the metric Ψ·W⁻¹, each large exact group as one
-    `sweep_cut_batch_reference` call, the others through ``bind_projectors``,
-    and Σy re-accumulated in that order: the judge that ``solvers.solve``
-    must match bit for bit under ``ap``.  Returns (step, None)."""
-    from qdsfm.projection import _BATCH_MIN_ROWS, _choose_oracle, bind_projectors
+    one snapshot under the metric Ψ·W⁻¹, the edges and hyperedges under
+    ``exact`` as one `sweep_cut_batch_reference` call per size, unpadded, the
+    others through ``bind_projectors``, and Σy re-accumulated with the blocks
+    in the binder's order (the layout's classes, then the rest): the judge that
+    ``solvers.solve`` must match bit for bit under ``ap``.  Returns (step, None)."""
+    from qdsfm.projection import _choose_oracle, bind_projectors
 
-    n, two_wa, layout, atoms = instance.n, instance._two_wa, instance._layout, instance.atoms
+    n, two_wa, layout = instance.n, instance._two_wa, instance._layout
     psi, covered = layout.psi, layout.psi > 0
     metric = psi / instance.w
-    batched, rest = [], list(layout.rest)
-    for rows, matrix, weights in layout.groups:
-        if len(rows) >= _BATCH_MIN_ROWS and _choose_oracle(atoms[rows[0]].is_cut, config.projection) == "exact":
-            batched.append((rows, matrix, metric[matrix], weights))
-        else:
-            rest.extend(rows.tolist())
-    rest.sort()
-    members = np.concatenate([g[1].ravel() for g in batched] + [atoms[r].members_arr for r in rest])
-    ends = np.cumsum([0] + [g[1].size for g in batched] + [atoms[r].size for r in rest]).tolist()
-    blocks = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    exact = _choose_oracle(True, config.projection) == "exact"
+    symmetric = [r for rows, _, _ in layout.groups for r in rows.tolist()] if exact else []
+    rest = sorted(set(range(instance.r)) - set(symmetric))
+    offsets = layout.ends.tolist()
+    mems = {r: layout.incidence[offsets[r]:offsets[r + 1]] for r in range(instance.r)}
+    members = np.concatenate([mems[r] for r in symmetric + rest])
+    starts = dict(zip(symmetric + rest, np.cumsum([0] + [mems[r].size for r in symmetric + rest])))
+    batched = []
+    for size in sorted({mems[r].size for r in symmetric}):
+        rows = np.array([r for r in symmetric if mems[r].size == size])
+        places = np.array([starts[r] for r in rows])[:, None] + np.arange(size)
+        batched.append((rows, places, metric[members[places]], layout.weights[rows]))
+    blocks = [slice(starts[r], starts[r] + mems[r].size) for r in rest]
     projectors = bind_projectors(layout, metric, rest, config.projection, config.delta,
                                  tally) if rest else []
     y = np.zeros(members.size)
@@ -549,11 +553,9 @@ def ap_steps_reference(instance, config, tally):
         s = np.zeros(n)
         np.divide(sum_y - two_wa, psi, out=s, where=covered)
         np.subtract(y, s[members], out=y)
-        for (rows, _, wt_g, weights), block in zip(batched, blocks):
-            y_g, phis[rows] = sweep_cut_batch_reference(y[block].reshape(wt_g.shape), wt_g,
-                                                        weights)
-            y[block] = y_g.ravel()
-        for r, block, project in zip(rest, blocks[len(batched):], projectors):
+        for rows, places, wt_g, weights in batched:
+            y[places], phis[rows] = sweep_cut_batch_reference(y[places], wt_g, weights)
+        for r, block, project in zip(rest, blocks, projectors):
             y[block], phis[r] = project(y[block])
         sum_y[:] = np.bincount(members, weights=y, minlength=n)
 
@@ -576,8 +578,8 @@ def block_steps_reference(instance, config, tally, tau):
     bounds = [big_r * j // count for j in range(count + 1)]
     largest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     beta = np.maximum(1.0 + (layout.psi - 1.0) * (largest - 1) / max(big_r - 1, 1), 1.0)
-    members, _, project = bind_blocks(layout, beta / instance.w,
-                                      config.projection, config.delta, tally, tau)
+    members, _, _, project = bind_blocks(layout, beta / instance.w,
+                                         config.projection, config.delta, tally, tau)
     y = np.zeros(members.size)
     rng = np.random.default_rng(config.seed)
 

@@ -679,8 +679,12 @@ def test_exact_solve_of_an_ingest_builds_no_atoms(monkeypatch):
             for _ in range(1000)]
     ingested = ingest_tabular_dataset(rows, [("a", "categorical"), ("b", "categorical"),
                                              ("c", "numeric")])
-    # most size groups are too small to batch, so their hyperedges take the scalar sweep
-    assert sum(group[0].size < 4 for group in ingested._layout.groups) > 30
+    # its dozens of sizes fall into a few width classes, most rows in padded ones: one batched
+    # call per class
+    layout, sizes = ingested._layout, np.diff(ingested._layout.ends)
+    padded = [rows.size for rows, m, _ in layout.groups if sizes.take(rows).min() < m.shape[1]]
+    assert len(set(sizes.tolist())) > 30 and len(layout.groups) < 10
+    assert len(padded) >= 4 and sum(padded) >= 0.9 * sizes.size
     # a generated input whose 30 hyperedges have one member each: one size group, and
     # nothing outside the groups for the penalty to read as atoms
     generated, ds, _ = generate_synthetic_hypergraph(40, 9, 12, 1, 2, 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import partial
 
@@ -162,7 +163,7 @@ def _sweep_batch(a, wt, weight, with_phi=True, block=None):
     k, m = a.shape
     buffers = _sweep_buffers(m, block or min(k, max(1, _BATCH_ENTRIES // m)))
     y = a.copy()
-    return y, _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, buffers, with_phi)
+    return y, _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, None, buffers, with_phi)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -209,6 +210,47 @@ def test_sweep_batch_bits_do_not_depend_on_the_block(m):
         assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_padded_rows_keep_the_bits_of_their_size(scale):
+    # rows of 1 to 12 members in one call of width 12, each padded with its last column: every
+    # row has the bits of an unpadded call on its own size (and at scale 1 of the reference),
+    # with y = +0 at the pads.  Ties, zero weights, one-member rows and rows whose real values
+    # are all equal (dead rows, whose pads lead the head side) are among them, and the call
+    # raises no RuntimeWarning
+    rng = np.random.default_rng(28)
+    k, width = 240, 12
+    a, wt, weight = _batch_rows(rng, width, k)
+    sizes = rng.integers(1, width + 1, k)
+    sizes[:width] = np.arange(1, width + 1)
+    sizes[-5:] = (1, 2, 7, 11, 12)  # a constant row under a unit metric is dead
+    pads = np.arange(width) >= sizes[:, None]
+    rows = _sweep_rows(wt, weight[:, None])
+    rows[:, pads] = 0.0
+    rows[2] /= scale
+    y = a.copy()
+    buffers = _sweep_buffers(width, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = _sweep_cut_batch(y, rows, weight, pads, buffers)
+    assert np.all(y[pads] == 0.0) and not np.signbit(y[pads]).any()
+    for m in range(1, width + 1):
+        sel = np.flatnonzero(sizes == m)
+        alone = _sweep_rows(wt[sel, :m], weight[sel, None])
+        alone[2] /= scale
+        y_m = a[sel, :m].copy()
+        phi_m = _sweep_cut_batch(y_m, alone, weight[sel], None, _sweep_buffers(m, sel.size))
+        assert y[sel, :m].tobytes() == y_m.tobytes() and phi[sel].tobytes() == phi_m.tobytes()
+        if scale == 1.0:
+            y_ref, phi_ref = oracles.sweep_cut_batch_reference(a[sel, :m], wt[sel, :m],
+                                                               weight[sel])
+            assert y_m.tobytes() == y_ref.tobytes() and phi_m.tobytes() == phi_ref.tobytes()
+    # every kind of row is there: ties, zero weights, dead rows of several sizes, live ones
+    dead = (weight == 0.0) | np.array([np.ptp(0.5 * wt[i, :m] * a[i, :m]) == 0.0
+                                       for i, m in enumerate(sizes)])
+    assert (weight == 0.0).any() and (sizes == 1).sum() > 1 and not dead.all()
+    assert dead[-5:].all() and np.all(phi[dead] == 0.0) and np.all(y[dead] == 0.0)
+
+
 def test_sweep_batch_memory_is_bounded():
     # a round's call on 2,000 rows of 20 members sweeps them in place, in blocks of
     # _BATCH_ENTRIES // 20 rows in the bound workspace: it allocates φ, each block's two
@@ -217,12 +259,12 @@ def test_sweep_batch_memory_is_bounded():
     a, wt, weight = _batch_rows(np.random.default_rng(7), 20, 2000)
     block = _BATCH_ENTRIES // 20
     rows, buffers = _sweep_rows(wt, weight[:, None]), _sweep_buffers(20, block)
-    _sweep_cut_batch(a.copy(), rows, weight, buffers)
+    _sweep_cut_batch(a.copy(), rows, weight, None, buffers)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _sweep_cut_batch(a, rows, weight, buffers)
+        _sweep_cut_batch(a, rows, weight, None, buffers)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -261,15 +303,16 @@ def test_sweep_tables_stay_bounded():
             a, wt, weight = rng.normal(size=(k, m)), rng.uniform(0.3, 3.0, (k, m)), np.ones(k)
             y_ref, phi_ref = oracles.sweep_cut_batch_reference(a, wt, weight)
             y = a.copy()
-            phi = _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, buffers)
+            phi = _sweep_cut_batch(y, _sweep_rows(wt, weight[:, None]), weight, None, buffers)
             assert y.tobytes() == y_ref.tobytes() and phi.tobytes() == phi_ref.tobytes()
             assert all(any(np.shares_memory(view, full) for full in tables + workspace)
                        for view in buffers[k])
 
 
 def test_sweep_tables_are_bound_once_per_group(monkeypatch):
-    # 20 hyperedges each of 300, 400 and 500 members (2,400 members in all): a solve of 20
-    # rounds binds each group's buffers once, for min(k, τ, _BATCH_ENTRIES // m) rows
+    # 20 hyperedges each of 300, 400 and 500 members (2,400 members in all): one width class,
+    # (256, 512], as wide as its largest row, so a solve of 20 rounds binds its buffers once,
+    # for min(k, τ, _BATCH_ENTRIES // m) rows of width 500
     calls = []
 
     def spy(*args):
@@ -285,20 +328,21 @@ def test_sweep_tables_are_bound_once_per_group(monkeypatch):
     res = solve(inst, SolveConfig(algorithm="ap", projection="exact", max_iters=20 * inst.r))
     assert res.iterations == 20 * inst.r
     assert _BATCH_ENTRIES == 3072
-    assert sorted(calls) == [(300, 10), (400, 7), (500, 6)]  # the budget's rows, under k = 20
-    # a group of fewer rows than the budget's gets its k; rcd's opening and chunk binders get
-    # τ where it is smaller
+    assert calls == [(500, 6)]  # the budget's rows, under k = 60
+    # a class of fewer rows than the budget's gets its k; rcd's opening and chunk binders get
+    # τ where it is smaller.  The edges and the 5-member hyperedges share the class of sizes
+    # 1-8, as wide as 5
     calls.clear()
     edges = [graph_edge_cut(*rng.choice(40, 2, replace=False).tolist()) for _ in range(150)]
     small = [hyperedge_cut(np.sort(rng.choice(40, 5, replace=False)).tolist()) for _ in range(9)]
     inst = ProblemInstance(a=rng.normal(size=40), w=1.0, atoms=edges + small)
     solve(inst, SolveConfig(algorithm="ap", max_iters=3 * inst.r))
-    assert sorted(calls) == [(2, 150), (5, 9)]
+    assert calls == [(5, 159)]
     calls.clear()
     tau = solvers._block_size(inst, SolveConfig())
     assert tau == 19
     solve(inst, SolveConfig(max_iters=3 * inst.r))
-    assert sorted(calls) == [(2, 19), (2, 19)]  # the 5-member group, 9·τ < 4R, is not batched
+    assert calls == [(5, 19), (5, 19)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
@@ -315,8 +359,7 @@ def test_bound_sweep_is_bitwise_reference(m, directed):
             atom = graph_edge_cut(0, 1, weight[i])
         else:
             atom = hyperedge_cut(range(m), weight[i])
-        sides = (atom.head_pos, atom.tail_pos) if directed else None
-        y, phi = _bind_sweep(wt[i], atom.weight, sides)(a[i])
+        y, phi = _bind_sweep(wt[i], atom.weight, (atom.head_pos, atom.tail_pos))(a[i])
         y_ref, phi_ref = oracles.sweep_cut_reference(atom, wt[i], a[i])
         assert np.array_equal(y, y_ref) and phi == phi_ref
 
@@ -355,9 +398,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     )
     batch_shapes = []
 
-    def spy(a, rows, weight, buffers, with_phi=True):
+    def spy(a, rows, weight, pads, buffers, with_phi=True):
         batch_shapes.append(a.shape)
-        return _sweep_cut_batch(a, rows, weight, buffers, with_phi)
+        return _sweep_cut_batch(a, rows, weight, pads, buffers, with_phi)
 
     monkeypatch.setattr(projection, "_sweep_cut_batch", spy)
     rng = np.random.default_rng(4)
@@ -365,10 +408,9 @@ def test_ap_round_matches_per_atom_projections(monkeypatch):
     inst = ProblemInstance(a=rng.normal(size=n), w=rng.uniform(0.5, 2.0, size=n), atoms=atoms)
     res = solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
     assert res.iterations == inst.r
-    # the five edges are one batched group; the two 3-member hyperedges are
-    # fewer than _BATCH_MIN_ROWS and stay on the scalar sweep
-    assert projection._BATCH_MIN_ROWS == 4
-    assert batch_shapes == [(5, 2)]
+    # the five edges and the four hyperedges of 1 to 4 members are one padded class of
+    # width 4: one batched call, whatever the sizes
+    assert batch_shapes == [(9, 4)]
     sum_y, phis, x = _round_by_hand(inst)
     assert np.max(np.abs(res.sum_y - sum_y)) <= 1e-12
     assert np.max(np.abs(res.phis - phis)) <= 1e-12
@@ -382,13 +424,17 @@ def test_first_round_projects_the_blocks_that_can_move(monkeypatch):
     rng = np.random.default_rng(12)
     n = 40
     group = [hyperedge_cut(np.sort(rng.choice(n, 4, replace=False)).tolist(), 1.0 + r / 16)
-             for r in range(16)]  # the weights name the rows the batched sweep gets
+             for r in range(16)]
     atoms = group + [
-        hyperedge_cut([0, 5, 9], 2.0), hyperedge_cut([20, 21, 22]),  # a group of 2: scalar
+        hyperedge_cut([0, 5, 9], 2.0), hyperedge_cut([20, 21, 22], 3.0),
         directed_hyperedge_cut([1], [7, 8]), directed_hyperedge_cut([30], [31, 32]),
         general_oracle([33, 34], table={0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}),
-        graph_edge_cut(0, 35, 0.0), graph_edge_cut(36, 37),
+        graph_edge_cut(0, 35, 0.0), graph_edge_cut(36, 37, 4.0),
     ]
+    # the weights name the rows the batched sweep gets: every edge and hyperedge, in one
+    # padded class
+    names = {atom.weight: r for r, atom in enumerate(atoms) if atom.kind in ("edge", "hyperedge")}
+    assert len(names) == 20
     a = np.zeros(n)
     a[:2] = (1.5, -0.7)
     inst = ProblemInstance(a, rng.uniform(0.5, 2.0, n), atoms)
@@ -397,9 +443,9 @@ def test_first_round_projects_the_blocks_that_can_move(monkeypatch):
     assert {16, 18, 21} <= meets and not {17, 19, 20, 22} & meets
     batched, scalar = [], []
 
-    def batch_spy(a, rows, weight, buffers, with_phi=True):
-        batched.extend(round((w - 1.0) * 16) for w in weight.tolist())
-        return _sweep_cut_batch(a, rows, weight, buffers, with_phi)
+    def batch_spy(a, rows, weight, pads, buffers, with_phi=True):
+        batched.extend(names[w] for w in weight.tolist())
+        return _sweep_cut_batch(a, rows, weight, pads, buffers, with_phi)
 
     def bind_spy(layout, metric, picks, *args, bind=projection.bind_projectors):
         picks = list(picks)
@@ -417,7 +463,7 @@ def test_first_round_projects_the_blocks_that_can_move(monkeypatch):
     for algorithm in ("ap", "rcd"):
         batched.clear(), scalar.clear()
         res = solve(inst, SolveConfig(algorithm=algorithm, max_iters=inst.r))
-        assert res.iterations == inst.r and batched  # the 16 hyperedges are one batched group
+        assert res.iterations == inst.r and sorted(scalar) == [18, 20]
         assert sorted(batched + scalar) == sorted(meets | {20})
         skipped = sorted(set(range(inst.r)) - meets - {20})
         assert np.all(res.phis[skipped] == 0.0) and not np.signbit(res.phis[skipped]).any()
@@ -660,25 +706,31 @@ def test_chunk_projects_every_kind_under_a_scaled_metric(scale):
     rng = np.random.default_rng(8)
     inst = ProblemInstance(a=rng.normal(size=11), w=None, atoms=atoms)
     metric, shift = rng.uniform(0.5, 2.0, 11), rng.normal(size=11)
-    # τ = 7 of R = 13: the 8 three-member hyperedges are batched (8·7/13 ≥ 4), the rest is scalar
-    members, order, project = projection.bind_blocks(
+    # τ = 7 of R = 13: the 8 three-member hyperedges, both edges and the one-member hyperedge
+    # are one padded class of width 3; the directed hyperedge and the table atom are the rest
+    members, order, starts, project = projection.bind_blocks(
         inst._layout, metric, "auto", 1e-12, Counter(), 7)
-    assert order.tolist() == list(range(13))
+    assert order.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 8, 9]
+    ends = np.append(starts, members.size)
+    assert np.diff(ends).tolist() == [3] * 11 + [4, 3]
     y, phis = rng.normal(size=members.size), np.full(13, np.nan)
     picks = np.array([12, 1, 8, 5, 9, 3, 10, 11])  # both kinds, out of order
     before = y.copy()
     pos, mem, change = project(y, phis, shift, picks, scale)
-    ends = np.cumsum([0] + [atoms[r].size for r in order])
-    for r in range(13):
-        block = slice(ends[r], ends[r + 1])
+    for r, lo, hi in zip(order.tolist(), ends[:-1], ends[1:]):
+        block, size = slice(lo, hi), atoms[r].size
         if r not in picks:
             assert np.array_equal(y[block], before[block]) and np.isnan(phis[r])
             continue
         target = np.zeros(11)
-        target[atoms[r].members_arr] = before[block] - shift[atoms[r].members_arr]
+        target[atoms[r].members_arr] = before[block][:size] - shift[atoms[r].members_arr]
         point, _ = project_cone(atoms[r], scale * metric, target,
                                 ProjectionParams(delta=1e-12))
-        assert np.max(np.abs(y[block] - point.y)) <= 1e-9
+        assert np.max(np.abs(y[block][:size] - point.y)) <= 1e-9
         assert abs(phis[r] - point.phi) <= 1e-9
+        # a pad repeats the last member and its y is +0
+        assert np.all(members[block][size:] == atoms[r].members[-1])
+        assert np.all(y[block][size:] == 0.0) and not np.signbit(y[block][size:]).any()
     assert np.array_equal(mem, members[pos]) and np.array_equal(change, y[pos] - before[pos])
-    assert sorted(pos.tolist()) == sorted(p for r in picks for p in range(ends[r], ends[r + 1]))
+    picked = [p for i, r in enumerate(order) if r in picks for p in range(ends[i], ends[i + 1])]
+    assert sorted(pos.tolist()) == sorted(picked)

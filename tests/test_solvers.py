@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from qdsfm import solvers
-from qdsfm.applications import build_ssl_instance, generate_synthetic_hypergraph
+from qdsfm.applications import (
+    build_ssl_instance, generate_synthetic_hypergraph, ingest_tabular_dataset
+)
 from qdsfm.projection import ConePoint, ProjectionParams
 from qdsfm.solvers import (
     ProblemInstance,
@@ -201,7 +203,7 @@ def _mixed_instance():
 def test_layout_penalty_matches_oracle():
     inst = _mixed_instance()
     layout = inst._layout
-    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 3, 7], [1, 6, 8], [5]]
+    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 1, 3, 5, 6, 7, 8]]
     assert list(layout.rest) == [2, 4]
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -227,44 +229,63 @@ def test_layout_arrays_are_read_only():
             arr[0] = 1
 
 
+def _two_class_instance():
+    """Two edges and two hyperedges of 10 and 12 members in the class (8, 16], padded to 12,
+    three consecutive 3-member hyperedges in the class of sizes 1-8, of one size, and a
+    directed hyperedge."""
+    return ProblemInstance(a=np.zeros(14), w=None, atoms=(
+        graph_edge_cut(0, 4, 2.0), hyperedge_cut(range(10), 0.5), hyperedge_cut([0, 1, 2]),
+        hyperedge_cut([1, 2, 3], 0.5), hyperedge_cut([2, 3, 4], 3.0),
+        directed_hyperedge_cut([0], [1, 2]), hyperedge_cut(range(2, 14), 1.5),
+        graph_edge_cut(1, 3)))
+
+
 def test_group_matrices_view_or_gather_incidence():
-    # non-consecutive groups of sizes 3 and 2: one gather each, equal to stacking the rows;
-    # the size-1 group's one row is consecutive, so its matrix is a view
+    # a class of several sizes is a gather, each row its members padded with its last member
+    # out to the class's width; a class of one size is a gather when its rows are not
+    # consecutive (its one row here is) and a view of the incidence when they are
+    def padded(atom, width):
+        return atom.members + (atom.members[-1],) * (width - atom.size)
+
     inst = _mixed_instance()
     layout = inst._layout
     for rows, matrix, weights in layout.groups:
-        stacked = np.stack([inst.atoms[r].members_arr for r in rows])
-        assert matrix.dtype == stacked.dtype and matrix.tobytes() == stacked.tobytes()
+        stacked = np.array([padded(inst.atoms[r], matrix.shape[1]) for r in rows])
+        assert matrix.dtype == layout.incidence.dtype and matrix.tolist() == stacked.tolist()
         assert weights.tobytes() == np.array([inst.atoms[r].weight for r in rows]).tobytes()
-        assert np.shares_memory(matrix, layout.incidence) == (rows.size == 1)
-    # consecutive atoms of one size: the group matrix is a view of the incidence
-    atoms = (graph_edge_cut(0, 4), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3]),
-             hyperedge_cut([2, 3, 4]), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3))
-    layout = ProblemInstance(a=np.zeros(5), w=None, atoms=atoms)._layout
-    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 5], [1, 2, 3]]
-    assert list(layout.rest) == [4]
-    (_, pair, _), (_, triple, _) = layout.groups
-    assert not np.shares_memory(pair, layout.incidence)
+        assert not np.shares_memory(matrix, layout.incidence)
+    assert [m.shape for _, m, _ in layout.groups] == [(7, 3)]
+    layout = _two_class_instance()._layout
+    assert [rows.tolist() for rows, _, _ in layout.groups] == [[0, 2, 3, 4, 7], [1, 6]]
+    assert list(layout.rest) == [5]
+    (_, low, _), (_, high, _) = layout.groups
+    assert low.tolist() == [[0, 4, 4], [0, 1, 2], [1, 2, 3], [2, 3, 4], [1, 3, 3]]
+    assert high.tolist() == [list(range(10)) + [9, 9], list(range(2, 14))]
+    assert not np.shares_memory(low, layout.incidence)
+    layout = ProblemInstance(a=np.zeros(14), w=None,
+                             atoms=_two_class_instance().atoms[1:-1])._layout
+    _, (_, triple, _) = layout.groups  # the class (8, 16] appears first
     assert np.shares_memory(triple, layout.incidence) and not triple.flags.writeable
     assert triple.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
 
 
 def test_penalty_is_bitwise_the_row_formula():
-    # each group's spreads by segment reductions over its gathered members, against the
-    # row-wise formula they replace, in the gather case and the view case of the matrix
-    view = ProblemInstance(a=np.zeros(5), w=None, atoms=(
-        graph_edge_cut(0, 4, 2.0), hyperedge_cut([0, 1, 2]), hyperedge_cut([1, 2, 3], 0.5),
-        hyperedge_cut([2, 3, 4], 3.0), directed_hyperedge_cut([0], [1, 2]), graph_edge_cut(1, 3)))
+    # each class's spreads by segment reductions over its gathered members, against the
+    # row-wise formula they replace, in the gather case and the view case of the matrix; a
+    # pad repeats a member, so the row's max and min are its atom's
+    view = ProblemInstance(a=np.zeros(14), w=None, atoms=_two_class_instance().atoms[1:-1])
     rng = np.random.default_rng(13)
-    for inst, views in ((_mixed_instance(), {False, True}), (view, {False, True}),
-                        (_ssl_instance(0.02), {True})):
+    for inst, views in ((_mixed_instance(), {False}), (_two_class_instance(), {False}),
+                        (view, {False, True}), (_ssl_instance(0.02), {True})):
         layout = inst._layout
         assert {np.shares_memory(m, layout.incidence) for _, m, _ in layout.groups} == views
         for x in (rng.normal(size=inst.n), np.round(rng.normal(size=inst.n)), -np.zeros(inst.n)):
             want = 0.0
-            for _, members, weights in layout.groups:
+            for rows, members, weights in layout.groups:
                 vals = x[members]
                 spread = vals.max(axis=1) - vals.min(axis=1)
+                assert spread.tobytes() == np.array([np.ptp(x[inst.atoms[r].members_arr])
+                                                     for r in rows]).tobytes()
                 want += float(np.dot(weights, spread * spread))
             for r in layout.rest:
                 want += lovasz_extension(inst.atoms[r], x) ** 2
@@ -648,8 +669,8 @@ def _two_size_instance():
 
 def _ssl_mixed_instance():
     # the CI-size SSL input plus three table atoms, three directed hyperedges, two
-    # 3-member hyperedges (a group the batching rule leaves to the scalar sweep), a
-    # single-vertex atom and an edge of weight 0: R = 410, τ = 41
+    # 3-member hyperedges, a single-vertex atom and an edge of weight 0 (rows of the
+    # 5-member hyperedges' width class, padded): R = 410, τ = 41
     inst, rng = _ssl_instance(5.0), np.random.default_rng(9)
     covers = [{0, 1}, {1, 2}, {2, 3}]
     tbl = {bits: float(len(set().union(*(covers[p] for p in range(3) if bits >> p & 1))))
@@ -728,6 +749,36 @@ def test_accelerated_step_starts_and_restarts_as_the_plain_step():
     assert fresh_chunks == 4 and solvers._RESTART_FACTOR == 30
 
 
+def _ingest_instance():
+    # a 1,000-row table with 30 and 12 categories and a binned numeric column: R = 52
+    # hyperedges of dozens of sizes, in a few padded width classes.  Labels on every seventh
+    # row put the anchor in nearly every block, so the first round projects them all
+    rng = np.random.default_rng(7)
+    rows = [{"a": str(rng.integers(30)), "b": str(rng.integers(12)), "c": f"{rng.normal():.4f}"}
+            for _ in range(1000)]
+    hg = ingest_tabular_dataset(rows, [("a", "categorical"), ("b", "categorical"),
+                                       ("c", "numeric")])
+    return build_ssl_instance(hg, {v: v % 2 for v in range(0, 1000, 7)}, 1, 0.1, "degree")[0]
+
+
+def test_rcd_opening_is_the_ap_round_on_mixed_sizes():
+    # every edge and hyperedge takes the batched sweep whatever its size, τ or algorithm, so on
+    # a budget of R rcd returns ap's Σy, φ and gap bit for bit on an input of dozens of sizes,
+    # whose width classes rcd's chunks of τ < R split into few rows each
+    inst = _ingest_instance()
+    tau = solvers._block_size(inst, SolveConfig())
+    sizes = np.diff(inst._layout.ends)
+    assert len(set(sizes.tolist())) > 30 and tau < inst.r
+    padded = [rows.size for rows, m, _ in inst._layout.groups
+              if sizes.take(rows).min() < m.shape[1]]
+    assert len(padded) >= 4 and sum(padded) >= 0.9 * inst.r
+    ap = solve(inst, SolveConfig(algorithm="ap", max_iters=inst.r))
+    for stride in (None, tau):
+        res = solve(inst, SolveConfig(max_iters=inst.r, checkpoint_stride=stride))
+        assert res.sum_y.tobytes() == ap.sum_y.tobytes() and res.gap == ap.gap
+        assert res.phis.tobytes() == ap.phis.tobytes()
+
+
 @pytest.mark.parametrize("which", ["ssl", "two_sizes"])
 def test_rcd_opens_with_the_ap_round(which):
     # the first epoch of the accelerated step is ap's first round, one chunk at a time:
@@ -751,8 +802,9 @@ def test_rcd_opens_with_the_ap_round(which):
         _, dual = dual_objective(inst, sum_y, phis)
         assert abs(state.gap - (primal_objective(inst, state.x) - dual)) <= 1e-12
         for r, lo, hi in zip(approx.order, ends[:-1], ends[1:]):
-            point = ConePoint(tuple(approx.members[lo:hi]), approx.z[lo:hi], phis[r])
-            assert oracles.in_cone(inst.atoms[r], point)
+            size = inst.atoms[r].size  # past it, a padded block's pads hold 0
+            point = ConePoint(tuple(approx.members[lo:lo + size]), approx.z[lo:lo + size], phis[r])
+            assert oracles.in_cone(inst.atoms[r], point) and not approx.z[lo + size:hi].any()
         gaps.append(state.gap)
     assert gaps == [row.gap for row in res.trace[1:]] and len(gaps) > 1
 
@@ -766,7 +818,10 @@ def test_accelerated_step_certifies_its_gaps(which):
         inst = {"two_sizes": _two_size_instance, "mixed": _ssl_mixed_instance}.get(
             which, lambda: _ssl_instance(5.0))()
     layout = inst._layout
-    assert len(layout.groups) == {"two_sizes": 2, "mixed": 4}.get(which, 1)
+    # one width class, padded where the sizes differ
+    (rows, matrix, _), = layout.groups
+    padded = bool((np.diff(layout.ends).take(rows) < matrix.shape[1]).any())
+    assert padded == (which in ("two_sizes", "mixed"))
     assert len(layout.rest) == (6 if which == "mixed" else 0)
     # mnp takes about 100 µs a projection: its solve stops at 1e-4, after three restarts
     cfg = SolveConfig(target_gap=1e-4 if which == "mnp" else 1e-8, max_iters=1000 * inst.r,
@@ -799,9 +854,12 @@ def test_accelerated_step_certifies_its_gaps(which):
     assert np.all(res.phis >= 0.0) and sorted(approx.order.tolist()) == list(range(inst.r))
     ends = np.append(approx.starts, approx.members.size)
     for r, lo, hi in zip(approx.order, ends[:-1], ends[1:]):
-        mem = approx.members[lo:hi]
+        size = inst.atoms[r].size  # a padded block's pads repeat its last member and hold 0
+        mem = approx.members[lo:lo + size]
         assert np.array_equal(mem, inst.atoms[r].members_arr)
-        assert oracles.in_cone(inst.atoms[r], ConePoint(tuple(mem), blocks[lo:hi], res.phis[r]))
+        assert np.all(approx.members[lo + size:hi] == mem[-1]) and not blocks[lo + size:hi].any()
+        point = ConePoint(tuple(mem), blocks[lo:lo + size], res.phis[r])
+        assert oracles.in_cone(inst.atoms[r], point)
     # reruns are bit-identical
     again = solve(inst, cfg)
     assert again.x.tobytes() == res.x.tobytes() and again.phis.tobytes() == res.phis.tobytes()
