@@ -430,8 +430,7 @@ def _sweep_cut_batch(
     """
     phi = np.empty(a.shape[0]) if with_phi else None
     step = len(buffers) - 1
-    # a row whose real values are all equal is dead: its pads may lead its head side and divide
-    # by their zero mass before the row is zeroed
+    # a dead row's pads may lead its head side and divide by their zero mass: the row is zeroed
     with np.errstate(divide="ignore", invalid="ignore") if pads is not None else nullcontext():
         for lo in range(0, a.shape[0], step):
             block = slice(lo, lo + step)
@@ -672,9 +671,11 @@ def bind_blocks(
     members = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one part: a view
     widths = [np.full(g[0].size, g[1].shape[1]) for g in batched] + [sizes.take(rest)]
     ends = np.cumsum(np.concatenate([[0]] + widths))
-    # each class's first place in members, and each of the rest's block
-    counts = np.cumsum([0] + [g[0].size for g in batched])
-    firsts, tail = ends.take(counts).tolist(), ends[counts[-1]:].tolist()
+    # each class's rows' first places in members and its columns (a chunk's places are their
+    # sums), and each of the rest's block
+    counts = np.cumsum([0] + [g[0].size for g in batched]).tolist()
+    heads = [(ends[lo:lo + g[0].size], np.arange(g[1].shape[1])) for lo, g in zip(counts, batched)]
+    tail = ends[counts[-1]:].tolist()
     blocks = [slice(lo, hi) for lo, hi in zip(tail, tail[1:])]
     projectors = bind_projectors(layout, metric, rest, method, delta, tally) if rest else []
     # each component's class (−1 for the rest) and row in it
@@ -689,9 +690,9 @@ def bind_blocks(
         whole, changed = picks.size == big_r and scale == 1.0, []
         slots = slot.take(picks) if len(batched) + bool(rest) > 1 else None
         for g, (rows, matrix, sweep_rows, weights, pads, buffers) in enumerate(batched):
-            lo, (k, m) = firsts[g], matrix.shape
+            (firsts, columns), (k, m) = heads[g], matrix.shape
             if whole:  # the round: the class's own arrays, and its block of y in place
-                sub, y_g = rows, y[lo:lo + k * m].reshape(k, m)
+                sub, y_g = rows, y[firsts[0]:firsts[0] + k * m].reshape(k, m)
                 y_g -= shift[matrix]  # not take: it reads a read-only index array ~7x slower
                 phi = _sweep_cut_batch(y_g, sweep_rows, weights, pads, buffers, phis is not None)
             else:
@@ -699,7 +700,7 @@ def bind_blocks(
                 if not sub.size:
                     continue
                 sel = sub if k == big_r else row.take(sub)  # a class of all R: sel = sub
-                pos = (m * sel + lo)[:, None] + np.arange(m)
+                pos = np.add.outer(firsts.take(sel), columns)
                 mem, w_g = matrix.take(sel, 0), weights.take(sel)
                 rows_g, old = sweep_rows.take(sel, 1), y.take(pos)
                 rows_g[2] /= scale  # y under scale·metric is the projection at weights scale·w
