@@ -657,7 +657,7 @@ def bind_blocks(
     exact = _choose_oracle(True, method) == "exact"
     for rows, matrix, weights in layout.groups if exact else ():  # edges and hyperedges
         (k, m), short = matrix.shape, sizes.take(rows)
-        pads = None if short.min() == m else _frozen(np.arange(m) >= short[:, None])
+        pads = None if short.min() == m else np.arange(m) >= short[:, None]
         sweep_rows = _sweep_rows(metric[matrix], weights[:, None])
         if pads is not None:
             sweep_rows[:, pads] = 0.0
